@@ -52,6 +52,7 @@ JSONL and periodic OpenMetrics snapshots while the command runs
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -59,6 +60,7 @@ from typing import Optional, Sequence
 from repro.config import SCHEMES, TRANSPORTS
 from repro.metrics import export
 from repro.plotting import bar_chart
+from repro.service.jobs import SPEC_CLASSES
 from repro.telephony.session import run_session
 from repro.traces.scenarios import SCENARIOS, scenario
 from repro.video.quality import MOS_ORDER
@@ -69,6 +71,51 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=90.0)
     parser.add_argument("--warmup", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_spec_args(parser: argparse.ArgumentParser, kind: str) -> None:
+    """One flag per field of ``kind``'s spec class (:mod:`repro.service.jobs`)."""
+    for field in dataclasses.fields(SPEC_CLASSES[kind]):
+        help_text = field.metadata["help"]
+        if field.type is bool:
+            kwargs = {"action": "store_true"}
+        else:
+            help_text = f"{help_text or ''} (default: %(default)s)".lstrip()
+            if field.type in (int, float, str):
+                kwargs = {
+                    "type": field.type,
+                    "default": field.default,
+                    "choices": field.metadata["choices"],
+                }
+            else:  # Tuple[int, ...]: spelled "1,2,4", parsed by normalise_spec
+                kwargs = {
+                    "default": ",".join(map(str, field.default)),
+                    "metavar": "N[,N...]",
+                }
+        parser.add_argument(
+            "--" + field.name.replace("_", "-"), help=help_text, **kwargs
+        )
+
+
+def _add_run_args(
+    parser: argparse.ArgumentParser, jobs_help: str, unit: Optional[str] = None
+) -> None:
+    """The flags of a job subcommand that are not spec fields."""
+    parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
+    parser.add_argument(
+        "--run-dir",
+        metavar="DIR",
+        default=None,
+        help="open a run ledger under DIR (or REPRO_RUN_DIR): manifest, "
+        "live heartbeat stream, periodic OpenMetrics snapshots "
+        "(docs/OBSERVABILITY.md)",
+    )
+    if unit is not None:
+        parser.add_argument(
+            "--progress",
+            action="store_true",
+            help=f"print per-{unit} completion lines to stderr",
+        )
 
 
 def _run_one(args, scheme: str, transport: str):
@@ -169,36 +216,65 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _open_ledger(args, command: str):
-    """Open a run ledger when ``--run-dir``/``REPRO_RUN_DIR`` opted in.
+def _job_spec(args, kind: str) -> dict:
+    """The ``kind`` job spec the parsed flags spell (not yet normalised)."""
+    spec = {"kind": kind}
+    for field in dataclasses.fields(SPEC_CLASSES[kind]):
+        spec[field.name] = getattr(args, field.name)
+    return spec
 
-    Returns None otherwise.  The manifest's config snapshot is the full
-    parsed argument namespace (JSON-safe plain values only).
+
+def _run_job(args, kind: str, render, unit: str = "") -> int:
+    """Run a ``kind`` subcommand through :func:`execute_job`; its exit code.
+
+    The job spec is the parsed flags of ``kind``'s spec class.  With
+    ``--run-dir``/``REPRO_RUN_DIR`` the run opens a ledger whose config
+    snapshot is the full argument namespace (JSON-safe plain values
+    only), sealed ``ok`` after ``render(outcome)`` or ``error`` on any
+    failure.  A bad spec or a ValueError from the job exits 2;
+    ``--progress`` prints one ``unit`` completion line per task.
     """
-    from repro.obs.ledger import RunLedger, resolve_run_root
-
-    root = resolve_run_root(getattr(args, "run_dir", None))
-    if root is None:
-        return None
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if isinstance(value, (str, int, float, bool, type(None)))
-    }
-    ledger = RunLedger.open(command, config=config, root=root)
-    print(f"run ledger: {ledger.run_dir}", file=sys.stderr)
-    return ledger
-
-
-def _finish_ledger(ledger, meter=None) -> None:
-    """Seal a ledgered run: cache-stats copy, then the final manifest."""
-    if ledger is None:
-        return
     from repro.experiments import cache
+    from repro.obs.ledger import RunLedger, resolve_run_root
+    from repro.service.jobs import execute_job, normalise_spec
 
-    ledger.write_cache_stats(cache.stats())
-    ledger.finish("ok", meter=meter)
-    print(f"run ledger sealed: {ledger.manifest_path}", file=sys.stderr)
+    try:
+        spec = normalise_spec(_job_spec(args, kind))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    ledger = None
+    root = resolve_run_root(args.run_dir)
+    if root is not None:
+        config = {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if isinstance(value, (str, int, float, bool, type(None)))
+        }
+        ledger = RunLedger.open(kind, config=config, root=root)
+        print(f"run ledger: {ledger.run_dir}", file=sys.stderr)
+
+    def _stderr_progress(done: int, total: int, _result) -> None:
+        print(f"  {unit} {done}/{total} done", file=sys.stderr)
+
+    progress = _stderr_progress if getattr(args, "progress", False) else None
+    try:
+        outcome = execute_job(spec, jobs=args.jobs, ledger=ledger, progress=progress)
+        render(outcome)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        if ledger is not None and not ledger.finished:
+            ledger.finish("error", error=str(error))
+        return 2
+    except BaseException:
+        if ledger is not None and not ledger.finished:
+            ledger.finish("error")
+        raise
+    if ledger is not None:
+        ledger.write_cache_stats(cache.stats())
+        ledger.finish("ok", meter=outcome.meter)
+        print(f"run ledger sealed: {ledger.manifest_path}", file=sys.stderr)
+    return 0
 
 
 def _render_metrics(args, fleet, header: str) -> None:
@@ -253,7 +329,6 @@ def _render_metrics(args, fleet, header: str) -> None:
 
 def cmd_metrics(args) -> int:
     from repro.experiments.parallel import resolve_jobs
-    from repro.service.jobs import execute_job, normalise_spec
 
     if args.from_run:
         from repro.obs.ledger import load_registry
@@ -265,128 +340,58 @@ def cmd_metrics(args) -> int:
             return 2
         _render_metrics(args, fleet, header=f"run={args.from_run}\n")
         return 0
-    try:
-        spec = normalise_spec(
-            {
-                "kind": "metrics",
-                "scenario": args.scenario,
-                "duration": args.duration,
-                "warmup": args.warmup,
-                "seed": args.seed,
-                "scheme": args.scheme,
-                "transport": args.transport,
-                "profile": args.profile,
-                "sessions": args.sessions,
-                "batch": args.batch,
-            }
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    workers = resolve_jobs(args.jobs)
-    ledger = _open_ledger(args, "metrics")
 
-    unit = "cohort" if args.batch else "session"
+    def render(outcome) -> None:
+        header = f"sessions={args.sessions} workers={resolve_jobs(args.jobs)}\n"
+        _render_metrics(args, outcome.meter, header=header)
 
-    def _stderr_progress(done: int, total: int, _result) -> None:
-        print(f"  {unit} {done}/{total} done", file=sys.stderr)
-
-    inner = _stderr_progress if args.progress else None
-    try:
-        outcome = execute_job(spec, jobs=args.jobs, ledger=ledger, progress=inner)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if ledger is not None and not ledger.finished:
-            ledger.finish("error", error=str(error))
-        return 2
-    except BaseException:
-        if ledger is not None and not ledger.finished:
-            ledger.finish("error")
-        raise
-    fleet = outcome.meter
-    _render_metrics(
-        args, fleet, header=f"sessions={args.sessions} workers={workers}\n"
+    return _run_job(
+        args, "metrics", render, unit="cohort" if args.batch else "session"
     )
-    _finish_ledger(ledger, meter=fleet)
-    return 0
 
 
 def cmd_fleet(args) -> int:
     from repro.experiments.parallel import resolve_jobs
-    from repro.service.jobs import execute_job, normalise_spec
 
-    try:
-        spec = normalise_spec(
-            {
-                "kind": "fleet",
-                "scenario": args.scenario,
-                "scheme": args.scheme,
-                "transport": args.transport,
-                "duration": args.duration,
-                "warmup": args.warmup,
-                "seed": args.seed,
-                "calls": args.calls,
-                "cells": args.cells,
-                "prb_budget": args.prb_budget,
-                "background_ues": args.background_ues,
-                "background_load": args.background_load,
-                "rotate_profiles": args.rotate_profiles,
-                "batch": args.batch,
-            }
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    ledger = _open_ledger(args, "fleet")
-
-    unit = "cell block" if args.batch else "cell"
-
-    def _stderr_progress(done: int, total: int, _result) -> None:
-        print(f"  {unit} {done}/{total} done", file=sys.stderr)
-
-    inner = _stderr_progress if args.progress else None
-    try:
-        outcome = execute_job(spec, jobs=args.jobs, ledger=ledger, progress=inner)
-    except BaseException:
-        if ledger is not None and not ledger.finished:
-            ledger.finish("error")
-        raise
-    payload = outcome.payload
-    rows = payload["points"]
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(
-            f"scenario={args.scenario} scheme={args.scheme} "
-            f"transport={args.transport} cells={args.cells} "
-            f"prb_budget={args.prb_budget} "
-            f"background={args.background_ues}@{args.background_load:g} "
-            f"workers={resolve_jobs(args.jobs)}"
-        )
-        keys = list(rows[0].keys())
-        widths = {k: max(len(k), max(len(str(r[k])) for r in rows)) for k in keys}
-        print("  ".join(k.ljust(widths[k]) for k in keys))
-        for row in rows:
-            print("  ".join(str(row[k]).ljust(widths[k]) for k in keys))
-        print("\nper-cell Jain fairness")
-        for row, jains in zip(rows, payload["cell_jains"]):
-            text = " ".join(f"{jain:.4f}" for jain in jains)
-            print(f"  calls={row['calls_per_cell']:<4} {text}")
-        print("\ncalls-per-cell vs mean MOS")
-        mos = [row["mos_mean"] for row in rows]
-        print(
-            bar_chart(
-                [str(row["calls_per_cell"]) for row in rows],
-                [0.0 if value != value else value for value in mos],
+    def render(outcome) -> None:
+        payload = outcome.payload
+        rows = payload["points"]
+        if args.json:
+            print(json.dumps(payload, indent=1))
+        else:
+            print(
+                f"scenario={args.scenario} scheme={args.scheme} "
+                f"transport={args.transport} cells={args.cells} "
+                f"prb_budget={args.prb_budget} "
+                f"background={args.background_ues}@{args.background_load:g} "
+                f"workers={resolve_jobs(args.jobs)}"
             )
-        )
-    if args.metrics_output:
-        with open(args.metrics_output, "w") as handle:
-            json.dump(outcome.registry, handle, indent=1)
-            handle.write("\n")
-        print(f"fleet registry written to {args.metrics_output}", file=sys.stderr)
-    _finish_ledger(ledger, meter=outcome.meter)
-    return 0
+            keys = list(rows[0].keys())
+            widths = {k: max(len(k), max(len(str(r[k])) for r in rows)) for k in keys}
+            print("  ".join(k.ljust(widths[k]) for k in keys))
+            for row in rows:
+                print("  ".join(str(row[k]).ljust(widths[k]) for k in keys))
+            print("\nper-cell Jain fairness")
+            for row, jains in zip(rows, payload["cell_jains"]):
+                text = " ".join(f"{jain:.4f}" for jain in jains)
+                print(f"  calls={row['calls_per_cell']:<4} {text}")
+            print("\ncalls-per-cell vs mean MOS")
+            mos = [row["mos_mean"] for row in rows]
+            print(
+                bar_chart(
+                    [str(row["calls_per_cell"]) for row in rows],
+                    [0.0 if value != value else value for value in mos],
+                )
+            )
+        if args.metrics_output:
+            with open(args.metrics_output, "w") as handle:
+                json.dump(outcome.registry, handle, indent=1)
+                handle.write("\n")
+            print(f"fleet registry written to {args.metrics_output}", file=sys.stderr)
+
+    return _run_job(
+        args, "fleet", render, unit="cell block" if args.batch else "cell"
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -479,26 +484,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.experiments.perf import run_perf_bench
+    def render(outcome) -> None:
+        if args.output:
+            with open(args.output, "w") as handle:
+                json.dump(outcome.payload, handle, indent=1)
+                handle.write("\n")
+        print(json.dumps(outcome.payload, indent=1))
 
-    ledger = _open_ledger(args, "perf")
-    try:
-        record = run_perf_bench(
-            duration=args.duration,
-            warmup=args.warmup,
-            jobs=args.jobs,
-            output=args.output,
-            batch=args.batch,
-            fleet_batch=args.fleet_batch,
-            ledger=ledger,
-        )
-    except BaseException:
-        if ledger is not None and not ledger.finished:
-            ledger.finish("error")
-        raise
-    print(json.dumps(record, indent=1))
-    _finish_ledger(ledger)
-    return 0
+    return _run_job(args, "perf", render)
 
 
 def cmd_serve(args) -> int:
@@ -857,56 +850,17 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser = sub.add_parser(
         "metrics", help="metered sweep: fleet metrics registry + span timings"
     )
-    metrics_parser.add_argument(
-        "--scenario", default="cellular", choices=sorted(SCENARIOS)
-    )
-    metrics_parser.add_argument("--duration", type=float, default=30.0)
-    metrics_parser.add_argument("--warmup", type=float, default=0.0)
-    metrics_parser.add_argument("--seed", type=int, default=1)
-    metrics_parser.add_argument("--scheme", default="poi360", choices=SCHEMES)
-    metrics_parser.add_argument("--transport", default="fbcc", choices=TRANSPORTS)
-    metrics_parser.add_argument(
-        "--profile",
-        default="user2-typical",
-        help="user profile applied to every session (see repro.roi.users)",
-    )
-    metrics_parser.add_argument(
-        "--sessions",
-        type=int,
-        default=1,
-        help="number of sessions to run (seeds seed..seed+N-1)",
-    )
-    metrics_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (0 = all cores; "
-        "default: REPRO_JOBS or serial)",
+    _add_spec_args(metrics_parser, "metrics")
+    _add_run_args(
+        metrics_parser,
+        "worker processes for the sweep (0 = all cores; default: "
+        "REPRO_JOBS or serial)",
+        unit="session",
     )
     metrics_parser.add_argument(
         "--format", choices=("summary", "openmetrics", "json"), default="summary"
     )
     metrics_parser.add_argument("--output", metavar="FILE", default=None)
-    metrics_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print per-session completion lines to stderr",
-    )
-    metrics_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="run the sweep as lockstep cohorts on the batched engine "
-        "(scenario coerced to the 1 ms grid; registry comes from the "
-        "engine's live cohort meters)",
-    )
-    metrics_parser.add_argument(
-        "--run-dir",
-        metavar="DIR",
-        default=None,
-        help="open a run ledger under DIR (or REPRO_RUN_DIR): manifest, "
-        "live heartbeat stream, periodic OpenMetrics snapshots "
-        "(docs/OBSERVABILITY.md)",
-    )
     metrics_parser.add_argument(
         "--from-run",
         metavar="RUN_DIR",
@@ -919,90 +873,20 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser = sub.add_parser(
         "fleet", help="multi-UE shared-cell capacity sweep (docs/FLEET.md)"
     )
-    fleet_parser.add_argument(
-        "--scenario", default="cellular", choices=sorted(SCENARIOS)
-    )
-    fleet_parser.add_argument("--scheme", default="poi360", choices=SCHEMES)
-    fleet_parser.add_argument("--transport", default="fbcc", choices=TRANSPORTS)
-    fleet_parser.add_argument("--duration", type=float, default=30.0)
-    fleet_parser.add_argument("--warmup", type=float, default=5.0)
-    fleet_parser.add_argument("--seed", type=int, default=1)
-    fleet_parser.add_argument(
-        "--calls",
-        default="1,2,4,8",
-        metavar="N[,N...]",
-        help="calls-per-cell values to sweep (default 1,2,4,8)",
-    )
-    fleet_parser.add_argument(
-        "--cells",
-        type=int,
-        default=1,
-        help="independent cells per calls-per-cell value (default 1)",
-    )
-    fleet_parser.add_argument(
-        "--prb-budget",
-        type=int,
-        default=50,
-        help="PRBs one cell can grant per 1 ms subframe (default 50; "
-        "smaller models a narrower carrier)",
-    )
-    fleet_parser.add_argument(
-        "--background-ues",
-        type=int,
-        default=0,
-        help="scheduled background UEs sharing each cell (default 0)",
-    )
-    fleet_parser.add_argument(
-        "--background-load",
-        type=float,
-        default=0.2,
-        help="long-run load fraction of the background population "
-        "(only with --background-ues > 0)",
-    )
-    fleet_parser.add_argument(
-        "--rotate-profiles",
-        action="store_true",
-        help="rotate the named user profiles across a cell's members "
-        "(default: identical callers; incompatible with --batch)",
-    )
-    fleet_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="run the sweep on the batched cell engine (whole cell "
-        "blocks per lockstep tick; scenario coerced to the 1 ms grid "
-        "at 25 fps — see docs/FLEET.md)",
-    )
-    fleet_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes; whole cells shard (0 = all cores; "
-        "default: REPRO_JOBS or serial)",
+    _add_spec_args(fleet_parser, "fleet")
+    _add_run_args(
+        fleet_parser,
+        "worker processes; whole cells shard (0 = all cores; default: "
+        "REPRO_JOBS or serial)",
+        unit="cell",
     )
     fleet_parser.add_argument("--json", action="store_true")
-    fleet_parser.add_argument(
-        "--meter",
-        action="store_true",
-        help="attach per-cell/per-member meters (implied by --metrics-output)",
-    )
     fleet_parser.add_argument(
         "--metrics-output",
         metavar="FILE.json",
         default=None,
         help="write the merged fleet registry (counters + histograms "
         "only — deterministic, serial == sharded) as JSON",
-    )
-    fleet_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print per-cell completion lines to stderr",
-    )
-    fleet_parser.add_argument(
-        "--run-dir",
-        metavar="DIR",
-        default=None,
-        help="open a run ledger under DIR (or REPRO_RUN_DIR); implies "
-        "--meter (docs/OBSERVABILITY.md)",
     )
     fleet_parser.set_defaults(func=cmd_fleet)
 
@@ -1044,39 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.set_defaults(func=cmd_profile)
 
     perf_parser = sub.add_parser("perf", help="perf microbenchmark -> BENCH_perf.json")
-    perf_parser.add_argument(
-        "--duration",
-        type=float,
-        default=30.0,
-        help="per-session duration (s) for the micro-grid legs",
-    )
-    perf_parser.add_argument("--warmup", type=float, default=10.0)
-    perf_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker count for the parallel leg (0 = all cores)",
-    )
-    perf_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="also bench the batched lockstep engine (cohort throughput "
-        "vs the serial engine)",
-    )
-    perf_parser.add_argument(
-        "--fleet-batch",
-        action="store_true",
-        help="also bench the batched shared-cell engine (C cells x N "
-        "members per tick vs the scalar cell reference)",
+    _add_spec_args(perf_parser, "perf")
+    _add_run_args(
+        perf_parser, "worker count for the parallel leg (0 = all cores; default 4)"
     )
     perf_parser.add_argument("--output", metavar="FILE.json", default="BENCH_perf.json")
-    perf_parser.add_argument(
-        "--run-dir",
-        metavar="DIR",
-        default=None,
-        help="open a run ledger under DIR (or REPRO_RUN_DIR); each "
-        "finished leg appends a heartbeat record",
-    )
     perf_parser.set_defaults(func=cmd_perf)
 
     watch_parser = sub.add_parser(

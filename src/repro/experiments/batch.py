@@ -21,8 +21,7 @@ cohort in lockstep, multiplying the two speedups.
 Configs the lockstep grid cannot express (non-LTE access, explicit
 competitor UEs, the sweet-spot learner, off-grid cadences) are reported
 by :func:`repro.telephony.uplink.batch_unsupported_reason`; the runner
-either raises (default) or routes them one-by-one through the serial
-event engine, controlled by ``on_unsupported``.
+raises on them.
 """
 
 from __future__ import annotations
@@ -146,11 +145,6 @@ class BatchRunner:
         :func:`repro.experiments.parallel.resolve_jobs`.  Cohorts are
         the fan-out unit; with one cohort (or one core) the runner
         stays serial.
-    on_unsupported:
-        ``"raise"`` (default) fails fast on configs outside the
-        lockstep grid; ``"serial"`` routes them one-by-one through the
-        full event-driven engine instead (different session model —
-        results for those positions are *not* lockstep-comparable).
     scalar_crossover:
         Cohorts smaller than this run each session through the *scalar*
         lockstep engine instead of the batched one — below the measured
@@ -164,14 +158,10 @@ class BatchRunner:
         self,
         max_cohort: int = 64,
         jobs: Optional[int] = None,
-        on_unsupported: str = "raise",
         scalar_crossover: int = DEFAULT_SCALAR_CROSSOVER,
     ):
-        if on_unsupported not in ("raise", "serial"):
-            raise ValueError("on_unsupported must be 'raise' or 'serial'")
         self.max_cohort = max_cohort
         self.jobs = jobs
-        self.on_unsupported = on_unsupported
         self.scalar_crossover = scalar_crossover
 
     def run(
@@ -225,24 +215,13 @@ class BatchRunner:
         heartbeat_path=None,
     ):
         configs = list(configs)
-        supported: List[int] = []
-        fallback: List[int] = []
         for position, config in enumerate(configs):
             reason = batch_unsupported_reason(config)
-            if reason is None:
-                supported.append(position)
-            elif self.on_unsupported == "raise":
+            if reason is not None:
                 raise ValueError(
                     f"config {position} cannot run in lockstep: {reason}"
                 )
-            else:
-                fallback.append(position)
-        cohorts = plan_cohorts(
-            [configs[i] for i in supported], self.max_cohort
-        )
-        # plan_cohorts indexed the supported sublist; map back to the
-        # caller's positions.
-        cohorts = [[supported[i] for i in cohort] for cohort in cohorts]
+        cohorts = plan_cohorts(configs, self.max_cohort)
         heartbeat = None if heartbeat_path is None else str(heartbeat_path)
         payloads = [
             (
@@ -280,13 +259,6 @@ class BatchRunner:
         for cohort, batch in zip(cohorts, cohort_results):
             for position, result in zip(cohort, batch):
                 results[position] = result
-        if fallback:
-            from repro.telephony.session import run_session
-
-            for position in fallback:
-                results[position] = run_session(
-                    configs[position], warmup=warmup
-                )
         return results, meters
 
 

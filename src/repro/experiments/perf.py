@@ -34,7 +34,6 @@ fresh record against the committed one and fails on regression.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -437,20 +436,20 @@ def bench_ledger_overhead(
 def run_perf_bench(
     duration: float = 30.0,
     warmup: float = 10.0,
-    jobs: Optional[int] = 4,
-    output: Optional[str] = "BENCH_perf.json",
+    jobs: Optional[int] = None,
     batch: bool = False,
     fleet_batch: bool = False,
     ledger=None,
 ) -> dict:
-    """Run every leg and (optionally) write the JSON record.
+    """Run every leg and return the JSON record.
 
-    ``ledger`` is an optional :class:`repro.obs.ledger.RunLedger` for
+    ``jobs`` is the parallel leg's worker count (``None`` means 4, ``0``
+    all cores).  ``ledger`` is an optional :class:`repro.obs.ledger.RunLedger` for
     the bench invocation itself: each completed leg appends a
     ``kind="leg"`` heartbeat record (done/total/ETA over the enabled
     legs), and the ledger-overhead leg's meter seeds its registry.
     """
-    workers = resolve_jobs(jobs if jobs else 0)
+    workers = resolve_jobs(4 if jobs is None else jobs)
     settings = ExperimentSettings(
         duration=duration, warmup=warmup, repetitions=1, num_users=2
     )
@@ -526,8 +525,4 @@ def run_perf_bench(
         if single > 0
         else None,
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(record, handle, indent=1)
-            handle.write("\n")
     return record

@@ -278,7 +278,7 @@ _SPECS = (
         "batch.scalar_fallbacks", "counter", "batch", "",
         "repro.experiments.batch.BatchRunner.run",
         "Sessions routed to the scalar engine below the batching "
-        "crossover (or by on_unsupported='scalar').",
+        "crossover.",
     ),
     # ------------------------------------------------------------- service
     MetricSpec(

@@ -4,14 +4,18 @@ A **job** is one CLI-equivalent invocation expressed as a JSON spec::
 
     {"kind": "fleet", "calls": [1, 2], "duration": 8.0, ...}
 
-:func:`normalise_spec` merges the same defaults the CLI parsers apply
-and validates the same constraints (scheme/transport/scenario choices,
-FBCC needs LTE, ``--rotate-profiles`` vs ``--batch``), so a spec and
-its CLI flag spelling are interchangeable.  :func:`job_key` hashes the
-canonical spec through :func:`repro.experiments.cache.payload_key` —
-two submissions of the same work share one key, and the key lives
-under the cache's code-salt directory, so a simulator change
-invalidates every remembered result automatically.
+Each job kind is declared once, as a frozen dataclass (:class:`MetricsSpec`,
+:class:`FleetSpec`, :class:`PerfSpec`) whose fields carry their type,
+default, choices, bounds and help text.  Everything else is derived from
+that declaration: the ``repro360 metrics``/``fleet``/``perf`` flags
+(:mod:`repro.cli`), the checks :func:`normalise_spec` applies to outside
+input, and the read-only :data:`SPEC_DEFAULTS`.  So a spec and its CLI
+flag spelling are interchangeable by construction.  :func:`job_key`
+hashes the canonical spec through
+:func:`repro.experiments.cache.payload_key` — two submissions of the
+same work share one key, and the key lives under the cache's code-salt
+directory, so a simulator change invalidates every remembered result
+automatically.
 
 :func:`execute_job` is the **single execution path**: ``repro360
 metrics``/``fleet``/``perf`` call it directly, and the service's worker
@@ -29,14 +33,16 @@ registry's run root, and cancellation propagates into the sweep between
 tasks via the ``run_tasks`` cancel probe.
 """
 
-from __future__ import annotations
-
+import dataclasses
 import itertools
 import json
+import math
+import operator
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SCHEMES, TRANSPORTS
 from repro.experiments import cache
@@ -49,59 +55,132 @@ from repro.obs.ledger import (
     read_manifest,
 )
 from repro.obs.meter import SessionMeter
+from repro.roi.users import USER_PROFILES
 from repro.traces.scenarios import SCENARIOS
-
-#: Job kinds the service runs — one per CLI experiment subcommand.
-JOB_KINDS = ("metrics", "fleet", "perf")
 
 #: Name of the job's result artifact inside its run directory: the
 #: JSON payload (CLI-equivalent output + deterministic registry) that a
 #: recovered or cache-hit job serves without re-running anything.
 RESULT_NAME = "result.json"
 
-#: Per-kind spec defaults — mirrors of the CLI parser defaults in
-#: :func:`repro.cli.build_parser`, asserted against them by the test
-#: suite so the two can never drift.
-SPEC_DEFAULTS: Dict[str, dict] = {
-    "metrics": {
-        "scenario": "cellular",
-        "duration": 30.0,
-        "warmup": 0.0,
-        "seed": 1,
-        "scheme": "poi360",
-        "transport": "fbcc",
-        "profile": "user2-typical",
-        "sessions": 1,
-        "batch": False,
-    },
-    "fleet": {
-        "scenario": "cellular",
-        "scheme": "poi360",
-        "transport": "fbcc",
-        "duration": 30.0,
-        "warmup": 5.0,
-        "seed": 1,
-        "calls": [1, 2, 4, 8],
-        "cells": 1,
-        "prb_budget": 50,
-        "background_ues": 0,
-        "background_load": 0.2,
-        "rotate_profiles": False,
-        "batch": False,
-    },
-    "perf": {
-        "duration": 30.0,
-        "warmup": 10.0,
-        "batch": False,
-        "fleet_batch": False,
-    },
+#: The bounds a spec field may declare: keyword -> (test, symbol).
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
 }
 
-#: Spec fields coerced to these types during normalisation (everything
-#: else keeps the default's type).
-_FLOAT_FIELDS = ("duration", "warmup", "background_load")
-_INT_FIELDS = ("seed", "sessions", "cells", "prb_budget", "background_ues")
-_BOOL_FIELDS = ("batch", "rotate_profiles", "fleet_batch")
+
+def _spec_field(default, help=None, choices=None, **bounds):
+    """One job-spec field: its default, CLI help, choices and ``_BOUNDS``.
+
+    The field's annotation is its type.  This module does not use
+    postponed annotations, so ``field.type`` is the type object that
+    :func:`normalise_spec` and the CLI flag generator dispatch on.
+    """
+    return dataclasses.field(
+        default=default,
+        metadata={"help": help, "choices": choices, "bounds": bounds},
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _SweepSpec:
+    """The fields every session-sweep kind (metrics, fleet) shares."""
+
+    scenario: str = _spec_field("cellular", choices=tuple(sorted(SCENARIOS)))
+    scheme: str = _spec_field("poi360", choices=SCHEMES)
+    transport: str = _spec_field("fbcc", choices=TRANSPORTS)
+    duration: float = _spec_field(30.0, gt=0.0)
+    seed: int = _spec_field(1)
+
+
+@dataclasses.dataclass(frozen=True)
+class MetricsSpec(_SweepSpec):
+    """``repro360 metrics``: a metered sweep of independent sessions."""
+
+    warmup: float = _spec_field(0.0, ge=0.0)
+    profile: str = _spec_field(
+        "user2-typical",
+        help="user profile applied to every session (see repro.roi.users)",
+        choices=tuple(profile.name for profile in USER_PROFILES),
+    )
+    sessions: int = _spec_field(
+        1, help="number of sessions to run (seeds seed..seed+N-1)", ge=1
+    )
+    batch: bool = _spec_field(
+        False,
+        help="run the sweep as lockstep cohorts on the batched engine "
+        "(poi360/fbcc only; scenario coerced to the 1 ms grid; registry "
+        "comes from the engine's live cohort meters)",
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class FleetSpec(_SweepSpec):
+    """``repro360 fleet``: calls-per-cell vs. QoE on shared cells."""
+
+    warmup: float = _spec_field(5.0, ge=0.0)
+    calls: Tuple[int, ...] = _spec_field(
+        (1, 2, 4, 8), help="calls-per-cell values to sweep", ge=1
+    )
+    cells: int = _spec_field(
+        1, help="independent cells per calls-per-cell value", ge=1
+    )
+    prb_budget: int = _spec_field(
+        50,
+        help="PRBs one cell can grant per 1 ms subframe (smaller models a "
+        "narrower carrier)",
+        ge=1,
+    )
+    background_ues: int = _spec_field(
+        0, help="scheduled background UEs sharing each cell", ge=0
+    )
+    background_load: float = _spec_field(
+        0.2,
+        help="long-run load fraction of the background population (only "
+        "with --background-ues > 0)",
+        ge=0.0,
+        le=1.0,
+    )
+    rotate_profiles: bool = _spec_field(
+        False,
+        help="rotate the named user profiles across a cell's members "
+        "(default: identical callers; incompatible with --batch)",
+    )
+    batch: bool = _spec_field(
+        False,
+        help="run the sweep on the batched cell engine (poi360/fbcc only; "
+        "whole cell blocks per lockstep tick; scenario coerced to the "
+        "1 ms grid at 25 fps — see docs/FLEET.md)",
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class PerfSpec:
+    """``repro360 perf``: the perf microbenchmark record."""
+
+    duration: float = _spec_field(
+        30.0, help="per-session duration (s) for the micro-grid legs", gt=0.0
+    )
+    warmup: float = _spec_field(10.0, ge=0.0)
+    batch: bool = _spec_field(
+        False,
+        help="also bench the batched lockstep engine (cohort throughput "
+        "vs the serial engine)",
+    )
+    fleet_batch: bool = _spec_field(
+        False,
+        help="also bench the batched shared-cell engine (C cells x N "
+        "members per tick vs the scalar cell reference)",
+    )
+
+
+#: The spec class of each job kind — one per CLI experiment subcommand.
+SPEC_CLASSES = {"metrics": MetricsSpec, "fleet": FleetSpec, "perf": PerfSpec}
+
+#: Job kinds the service runs.
+JOB_KINDS = tuple(SPEC_CLASSES)
 
 
 class JobCancelled(RunCancelled):
@@ -127,8 +206,59 @@ class JobOutcome:
         self.meter = meter
 
 
+def _number(name: str, value, integral: bool):
+    """A finite JSON number as a float, or as an int when ``integral``.
+
+    Booleans are not numbers, and an integral field takes ``2.0`` as 2
+    but refuses ``2.7``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (integral and value != int(value))
+    ):
+        kind = "an integer" if integral else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _check_field(field: dataclasses.Field, value):
+    """Coerce and check one spec value against its field declaration."""
+    name, meta = field.name, field.metadata
+    if field.type is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        return value
+    if field.type is str:
+        if value not in meta["choices"]:
+            raise ValueError(
+                f"unknown {name} {value!r}; known: {', '.join(meta['choices'])}"
+            )
+        return value
+    if field.type in (int, float):
+        value = _number(name, value, integral=field.type is int)
+    else:  # Tuple[int, ...]: a list, one integer, or the CLI's "1,2,4"
+        if isinstance(value, str):
+            try:
+                value = [int(item) for item in value.split(",") if item.strip()]
+            except ValueError:
+                raise ValueError(f"{name} must be integers, got {value!r}") from None
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        value = [_number(name, item, integral=True) for item in value]
+        if not value:
+            raise ValueError(f"{name} must not be empty")
+    for bound, limit in meta["bounds"].items():
+        test, symbol = _BOUNDS[bound]
+        for item in value if isinstance(value, list) else [value]:
+            if not test(item, limit):
+                raise ValueError(f"{name} must be {symbol} {limit:g}, got {item!r}")
+    return value
+
+
 def normalise_spec(spec: dict) -> dict:
-    """Validate a job spec and merge the CLI defaults; raises ValueError.
+    """Validate a job spec and merge its kind's defaults; raises ValueError.
 
     Returns a canonical dict (sorted keys, coerced value types) so that
     :func:`job_key` hashes spelling-independent content: ``{"duration":
@@ -139,66 +269,48 @@ def normalise_spec(spec: dict) -> dict:
     kind = spec.get("kind")
     if kind not in JOB_KINDS:
         raise ValueError(f"unknown job kind {kind!r}; known: {', '.join(JOB_KINDS)}")
-    defaults = SPEC_DEFAULTS[kind]
-    unknown = sorted(set(spec) - set(defaults) - {"kind"})
+    fields = dataclasses.fields(SPEC_CLASSES[kind])
+    known = sorted(field.name for field in fields)
+    unknown = sorted(set(spec) - set(known) - {"kind"})
     if unknown:
         raise ValueError(
             f"unknown {kind} spec field(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(defaults))}"
+            f"known: {', '.join(known)}"
         )
-    merged = dict(defaults)
-    merged.update({key: value for key, value in spec.items() if key != "kind"})
-    for field in _FLOAT_FIELDS:
-        if field in merged:
-            merged[field] = float(merged[field])
-    for field in _INT_FIELDS:
-        if field in merged:
-            merged[field] = int(merged[field])
-    for field in _BOOL_FIELDS:
-        if field in merged:
-            merged[field] = bool(merged[field])
+    values = {
+        field.name: _check_field(field, spec.get(field.name, field.default))
+        for field in fields
+    }
 
-    if "scenario" in merged and merged["scenario"] not in SCENARIOS:
-        raise ValueError(f"unknown scenario {merged['scenario']!r}")
-    if "scheme" in merged and merged["scheme"] not in SCHEMES:
-        raise ValueError(f"unknown scheme {merged['scheme']!r}")
-    if "transport" in merged and merged["transport"] not in TRANSPORTS:
-        raise ValueError(f"unknown transport {merged['transport']!r}")
-    if (
-        merged.get("transport") == "fbcc"
-        and merged.get("scenario") == "wireline"
-    ):
+    if values.get("transport") == "fbcc" and values.get("scenario") == "wireline":
         raise ValueError("FBCC needs the LTE diagnostic interface")
-    if kind == "metrics" and merged["sessions"] < 1:
-        raise ValueError("sessions must be >= 1")
-    if kind == "fleet":
-        if isinstance(merged["calls"], str):
-            try:
-                merged["calls"] = [
-                    int(v) for v in merged["calls"].split(",") if v.strip()
-                ]
-            except ValueError:
-                raise ValueError(
-                    f"calls must be integers, got {merged['calls']!r}"
-                ) from None
-        elif isinstance(merged["calls"], int):
-            merged["calls"] = [merged["calls"]]
-        try:
-            merged["calls"] = [int(v) for v in merged["calls"]]
-        except (TypeError, ValueError):
+    if "scheme" in values and values["batch"]:
+        from repro.telephony.uplink import LOCKSTEP_MODEL
+
+        pair = (values["scheme"], values["transport"])
+        if pair != LOCKSTEP_MODEL:
             raise ValueError(
-                f"calls must be a list of integers, got {merged['calls']!r}"
-            ) from None
-        if not merged["calls"] or any(v < 1 for v in merged["calls"]):
-            raise ValueError("calls values must be >= 1")
-        if merged["batch"] and merged["rotate_profiles"]:
-            raise ValueError(
-                "rotate_profiles requires the event engine (drop it or "
-                "drop batch)"
+                "batch runs model only scheme={} transport={}; got scheme={} "
+                "transport={}".format(*LOCKSTEP_MODEL, *pair)
             )
+    if values.get("rotate_profiles") and values["batch"]:
+        raise ValueError(
+            "rotate_profiles requires the event engine (drop it or drop batch)"
+        )
     canonical = {"kind": kind}
-    canonical.update(sorted(merged.items()))
+    canonical.update(sorted(values.items()))
     return canonical
+
+
+#: Per-kind canonical defaults, derived from the spec classes (read-only).
+SPEC_DEFAULTS = MappingProxyType(
+    {
+        kind: MappingProxyType(
+            {k: v for k, v in normalise_spec({"kind": kind}).items() if k != "kind"}
+        )
+        for kind in JOB_KINDS
+    }
+)
 
 
 def job_key(spec: dict) -> str:
@@ -260,7 +372,7 @@ def execute_job(
         elif kind == "fleet":
             outcome = _execute_fleet(spec, jobs, workers, ledger, progress, cancel)
         else:
-            outcome = _execute_perf(spec, jobs, ledger, progress, cancel)
+            outcome = _execute_perf(spec, jobs, ledger, cancel)
     except JobCancelled:
         raise
     except RunCancelled as error:
@@ -390,7 +502,7 @@ def _execute_fleet(spec, jobs, workers, ledger, progress, cancel) -> JobOutcome:
     return JobOutcome(payload, registry=registry, meter=sweep.meter)
 
 
-def _execute_perf(spec, jobs, ledger, progress, cancel) -> JobOutcome:
+def _execute_perf(spec, jobs, ledger, cancel) -> JobOutcome:
     from repro.experiments.perf import run_perf_bench
 
     if cancel is not None and cancel():
@@ -398,8 +510,7 @@ def _execute_perf(spec, jobs, ledger, progress, cancel) -> JobOutcome:
     record = run_perf_bench(
         duration=spec["duration"],
         warmup=spec["warmup"],
-        jobs=jobs if jobs is not None else 4,
-        output=None,
+        jobs=jobs,
         batch=spec["batch"],
         fleet_batch=spec["fleet_batch"],
         ledger=ledger,

@@ -77,6 +77,11 @@ SAMPLE_TICKS = 200
 #: between the two phones' wall clocks.
 CLOCK_OFFSET_SIGMA = 0.003
 
+#: The (scheme, transport) pair the profile models — FBCC with flat ROI
+#: quality, whatever labels a config carries.  Batch job specs asking
+#: for any other pair are refused (:func:`repro.service.jobs.normalise_spec`).
+LOCKSTEP_MODEL = ("poi360", "fbcc")
+
 
 def _ms_aligned(value: float) -> bool:
     return abs(value * 1000.0 - round(value * 1000.0)) < 1e-9

@@ -178,3 +178,23 @@ def test_metrics_rejects_fbcc_on_wireline(capsys):
          "--duration", "2"]
     )
     assert code == 2
+
+
+def test_fleet_batch_rejects_unmodelled_pair(capsys):
+    code = cli.main(
+        ["fleet", "--batch", "--transport", "gcc", "--scheme", "conduit",
+         "--calls", "1", "--duration", "1"]
+    )
+    assert code == 2
+    assert "batch runs model only" in capsys.readouterr().err
+
+
+def test_fleet_exits_2_on_job_value_error(monkeypatch, capsys):
+    from repro.service import jobs
+
+    def refuse(spec, **_kwargs):
+        raise ValueError("refused by the job")
+
+    monkeypatch.setattr(jobs, "execute_job", refuse)
+    assert cli.main(["fleet", "--calls", "1", "--duration", "1"]) == 2
+    assert "error: refused by the job" in capsys.readouterr().err

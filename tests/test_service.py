@@ -7,17 +7,20 @@ against a monkeypatched ``execute_job`` so the tests are fast and
 deterministic.
 """
 
+import dataclasses
 import json
 import threading
 
 import pytest
 
 from repro import cli
+from repro.config import SCHEMES, TRANSPORTS
 from repro.experiments import cache
 from repro.service import jobs as service_jobs
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import (
     RESULT_NAME,
+    SPEC_CLASSES,
     SPEC_DEFAULTS,
     JobCancelled,
     JobOutcome,
@@ -27,6 +30,7 @@ from repro.service.jobs import (
     normalise_spec,
 )
 from repro.service.server import OPENMETRICS_CONTENT_TYPE, ServiceServer
+from repro.telephony.uplink import LOCKSTEP_MODEL
 
 
 @pytest.fixture(autouse=True)
@@ -45,11 +49,19 @@ def isolated_cache(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _spec_from_namespace(kind, namespace):
-    spec = {"kind": kind}
-    for field in SPEC_DEFAULTS[kind]:
-        spec[field] = getattr(namespace, field)
-    return spec
+#: normalise_spec({"kind": k}) byte for byte as the hand-kept defaults
+#: produced it: job keys hash these bytes, so they must never move.
+CANONICAL_DEFAULTS = {
+    "metrics": '{"kind": "metrics", "batch": false, "duration": 30.0, '
+    '"profile": "user2-typical", "scenario": "cellular", "scheme": "poi360", '
+    '"seed": 1, "sessions": 1, "transport": "fbcc", "warmup": 0.0}',
+    "fleet": '{"kind": "fleet", "background_load": 0.2, "background_ues": 0, '
+    '"batch": false, "calls": [1, 2, 4, 8], "cells": 1, "duration": 30.0, '
+    '"prb_budget": 50, "rotate_profiles": false, "scenario": "cellular", '
+    '"scheme": "poi360", "seed": 1, "transport": "fbcc", "warmup": 5.0}',
+    "perf": '{"kind": "perf", "batch": false, "duration": 30.0, '
+    '"fleet_batch": false, "warmup": 10.0}',
+}
 
 
 @pytest.mark.parametrize("kind,argv", [
@@ -58,11 +70,54 @@ def _spec_from_namespace(kind, namespace):
     ("perf", ["perf"]),
 ])
 def test_spec_defaults_match_cli_parser(kind, argv):
-    """SPEC_DEFAULTS mirrors the CLI parser defaults — no drift allowed."""
+    """The CLI's flag defaults and a bare spec give the same, unchanged bytes."""
     namespace = cli.build_parser().parse_args(argv)
-    from_cli = normalise_spec(_spec_from_namespace(kind, namespace))
+    from_cli = normalise_spec(cli._job_spec(namespace, kind))
     from_defaults = normalise_spec({"kind": kind})
-    assert from_cli == from_defaults
+    assert json.dumps(from_cli) == json.dumps(from_defaults) == CANONICAL_DEFAULTS[kind]
+    assert dict(SPEC_DEFAULTS[kind], kind=kind) == from_defaults
+
+
+#: A non-default value for every field of every spec class.
+NON_DEFAULT = {
+    "scenario": "rss_weak",
+    "scheme": "conduit",
+    "transport": "gcc",
+    "duration": 12.5,
+    "seed": 7,
+    "warmup": 1.5,
+    "profile": "user1-calm",
+    "sessions": 3,
+    "batch": True,
+    "calls": [1, 2],
+    "cells": 2,
+    "prb_budget": 25,
+    "background_ues": 3,
+    "background_load": 0.5,
+    "rotate_profiles": True,
+    "fleet_batch": True,
+}
+
+FIELD_CASES = [
+    (kind, field.name, NON_DEFAULT[field.name])
+    for kind, spec_class in SPEC_CLASSES.items()
+    for field in dataclasses.fields(spec_class)
+] + [("fleet", "calls", "1,2"), ("fleet", "calls", 1)]
+
+
+@pytest.mark.parametrize("kind,name,value", FIELD_CASES)
+def test_spec_field_round_trips_through_cli_and_json(kind, name, value):
+    """Each field set by flag and by JSON normalises to the same spec."""
+    argv = [kind, "--" + name.replace("_", "-")]
+    if isinstance(value, list):
+        argv.append(",".join(map(str, value)))
+    elif value is not True:
+        argv.append(str(value))
+    namespace = cli.build_parser().parse_args(argv)
+    from_cli = normalise_spec(cli._job_spec(namespace, kind))
+    from_json = normalise_spec({"kind": kind, name: value})
+    assert json.dumps(from_cli) == json.dumps(from_json)
+    assert from_json != normalise_spec({"kind": kind})
 
 
 @pytest.mark.parametrize("bad", [
@@ -79,10 +134,43 @@ def test_spec_defaults_match_cli_parser(kind, argv):
     {"kind": "fleet", "calls": {"n": 1}},
     {"kind": "fleet", "calls": 1.5},
     {"kind": "fleet", "batch": True, "rotate_profiles": True},
+    {"kind": "metrics", "sessions": 2.7},
+    {"kind": "fleet", "calls": [1.9]},
+    {"kind": "fleet", "calls": [True]},
+    {"kind": "metrics", "seed": True},
+    {"kind": "metrics", "batch": "false"},
+    {"kind": "perf", "fleet_batch": 1},
+    {"kind": "metrics", "duration": "nan"},
+    {"kind": "metrics", "duration": float("nan")},
+    {"kind": "fleet", "warmup": float("inf")},
+    {"kind": "fleet", "background_load": 7},
+    {"kind": "fleet", "background_load": -0.1},
+    {"kind": "metrics", "profile": "nobody"},
+    {"kind": "fleet", "cells": 0, "batch": True},
+    {"kind": "metrics", "duration": -1, "batch": True},
+    {"kind": "perf", "duration": 0},
+    {"kind": "perf", "warmup": -1},
+    {"kind": "fleet", "prb_budget": 0},
+    {"kind": "fleet", "background_ues": -1},
 ])
 def test_normalise_spec_rejects(bad):
     with pytest.raises(ValueError):
         normalise_spec(bad)
+
+
+@pytest.mark.parametrize("kind", ["metrics", "fleet"])
+def test_batch_specs_accept_only_the_lockstep_pair(kind):
+    """The lockstep engines model poi360/fbcc only; other batch pairs fail."""
+    for scheme in SCHEMES:
+        for transport in TRANSPORTS:
+            spec = {"kind": kind, "scheme": scheme, "transport": transport}
+            assert normalise_spec(spec)["batch"] is False
+            spec["batch"] = True
+            if (scheme, transport) == LOCKSTEP_MODEL:
+                assert normalise_spec(spec)["batch"] is True
+            else:
+                with pytest.raises(ValueError, match="batch runs model only"):
+                    normalise_spec(spec)
 
 
 def test_job_key_is_spelling_independent():
