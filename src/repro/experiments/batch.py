@@ -18,9 +18,11 @@ fan-out, so the runner *composes with* the existing pool
 (:mod:`repro.experiments.parallel`): workers each advance a whole
 cohort in lockstep, multiplying the two speedups.
 
-Configs the lockstep grid cannot express (non-LTE access, explicit
-competitor UEs, the sweet-spot learner, off-grid cadences) are reported
-by :func:`repro.telephony.uplink.batch_unsupported_reason`; the runner
+Configs the lockstep grid cannot express (scheme/transport labels
+other than :data:`repro.telephony.uplink.LOCKSTEP_MODEL`, non-LTE
+access, explicit competitor UEs, the sweet-spot learner, off-grid
+cadences) are reported by
+:func:`repro.telephony.uplink.batch_unsupported_reason`; the runner
 raises on them.
 """
 
@@ -61,11 +63,12 @@ def plan_cohorts(
 
 
 #: Cohort size below which the scalar lockstep engine beats the batched
-#: one.  BENCH_perf.json measures batched speedups of 0.13× at cohort 1
-#: and 0.62× at cohort 8 (the per-tick array dispatch overhead dominates
-#: until enough sessions amortise it), crossing 1× between 8 and 64;
-#: log-interpolating the measured points puts break-even near 12.
-DEFAULT_SCALAR_CROSSOVER = 12
+#: one.  Against the integer-tick scalar engine, batched speedups
+#: measure about 0.35× at cohort 8, 0.87× at 32 and 1.44× at 64 (the
+#: per-tick array dispatch overhead dominates until enough sessions
+#: amortise it); log-interpolating 32 and 64 puts break-even at 34-41
+#: over five runs, median 38.
+DEFAULT_SCALAR_CROSSOVER = 38
 
 
 def _run_cohort(payload):
@@ -148,7 +151,7 @@ class BatchRunner:
     scalar_crossover:
         Cohorts smaller than this run each session through the *scalar*
         lockstep engine instead of the batched one — below the measured
-        break-even (~12 sessions, see :data:`DEFAULT_SCALAR_CROSSOVER`)
+        break-even (~38 sessions, see :data:`DEFAULT_SCALAR_CROSSOVER`)
         the array dispatch overhead makes batching a slowdown.  The two
         engines are bit-identical, so this changes wall clock only.
         Pass ``0`` to always batch.

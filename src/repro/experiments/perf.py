@@ -214,7 +214,7 @@ def _lockstep_config(seed: int, duration: float):
 
     from repro.config import SessionConfig
 
-    config = SessionConfig()
+    config = SessionConfig(scheme="poi360", transport="fbcc")
     return replace(
         config,
         seed=seed,
@@ -229,7 +229,7 @@ def _lockstep_config(seed: int, duration: float):
 
 def bench_batched_sessions(
     duration: float = 5.0,
-    cohorts: tuple = (1, 8, 64, 1024, 2048),
+    cohorts: tuple = (1, 8, 16, 32, 64, 1024, 2048),
     serial_sessions: int = 4,
     repeats: int = 2,
     serial_s: Optional[float] = None,
@@ -238,7 +238,7 @@ def bench_batched_sessions(
 
     Both sides run the *same* uplink workload: the serial leg drives
     one :class:`repro.telephony.uplink.UplinkSession` per seed through
-    the event engine's per-tick dispatch; the batched legs advance
+    its plain integer-tick loop; the batched legs advance
     whole cohorts per tick through :class:`repro.sim.batch.
     BatchedSimulation` (bit-identical results, see tests/test_batch.py).
     The tracked signal is ``sessions_per_sec`` — aggregate simulated

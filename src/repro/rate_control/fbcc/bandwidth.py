@@ -28,15 +28,16 @@ class TbsBandwidthEstimator:
         self._tbs: Deque[float] = deque(maxlen=window_subframes)
         self._sum = 0.0
 
-    def on_record(self, record: DiagRecord) -> None:
+    def on_tbs(self, tbs_bytes: float) -> None:
+        """Feed one subframe's TBS (bytes)."""
         if len(self._tbs) == self._window:
             self._sum -= self._tbs[0]
-        self._tbs.append(record.tbs_bytes)
-        self._sum += record.tbs_bytes
+        self._tbs.append(tbs_bytes)
+        self._sum += tbs_bytes
 
     def on_batch(self, batch: Iterable[DiagRecord]) -> None:
         for record in batch:
-            self.on_record(record)
+            self.on_tbs(record.tbs_bytes)
 
     @property
     def rate_bps(self) -> float:

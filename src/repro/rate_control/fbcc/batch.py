@@ -155,9 +155,9 @@ class DetectorArray:
 class TbsWindowArray:
     """Vectorised twin of :class:`TbsBandwidthEstimator`.
 
-    Fed one record per subframe (the lockstep engines deliver records
-    as they happen; the scalar estimator replays the same chronological
-    sequence at batch time, so the running sums are float-identical).
+    Fed one TBS per subframe, as the scalar lockstep session feeds
+    :meth:`TbsBandwidthEstimator.on_tbs`, so the running sums are
+    float-identical.
     """
 
     def __init__(self, n: int, window: int):

@@ -102,7 +102,10 @@ class RtpRateControl:
         """Apply Eq. (7) once per diag batch; returns the new R_rtp."""
         if not batch:
             return self.rate
-        level = batch[-1].buffer_bytes
+        return self.on_level(batch[-1].buffer_bytes, tbs_rate_bps)
+
+    def on_level(self, level: float, tbs_rate_bps: float) -> float:
+        """Eq. (7) on the batch's last buffer level (bytes)."""
         if self._learner is not None:
             self._learner.observe(level, tbs_rate_bps)
         correction = (self.target_buffer - level) / self._interval * BITS_PER_BYTE

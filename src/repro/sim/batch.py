@@ -162,12 +162,9 @@ class BatchedSimulation:
         #: arrival_tick -> [(rows, frame_ids, last, sizes), ...].
         self._in_flight: Dict[int, List[tuple]] = {}
         self._seen_drops = np.zeros(n, dtype=np.int64)
-        self._last_level = np.zeros(n)
         self._batch_level_sum = np.zeros(n)
-        self._batch_count = 0
         self._sec_tbs = np.zeros(n)
         self._sec_level_sum = np.zeros(n)
-        self._sec_count = 0
         self._last_flush_k = 0
         self._baseline_fw_drops = np.zeros(n, dtype=np.int64)
         self._baseline_pacer_drops = np.zeros(n, dtype=np.int64)
@@ -215,29 +212,28 @@ class BatchedSimulation:
         self._next_flush = float(self._next_display.min())
 
     def _deliver_diag(self, k: int, now: float) -> None:
-        mean_level = self._batch_level_sum / self._batch_count
+        # Records of ticks 1..k-1 in the first batch, diag_ticks after.
+        mean_level = self._batch_level_sum / min(k - 1, self.profile.diag_ticks)
         congested = self._detector.on_report_level(mean_level)
         fired = np.nonzero(congested)[0]
         if fired.size:
             self._encoding.on_congestion(fired, self._bandwidth.rate_bps()[fired], now)
         video_rate = self._encoding.rate(now, self._ramp.rate)
-        self._rtp.on_batch(self._last_level, video_rate)
+        # Nothing has touched the buffers since the batch's last subframe,
+        # so their levels are that record's (Eq. 7 reads batch[-1]).
+        self._rtp.on_batch(self._ue.buffer.level, video_rate)
         drops = self._ue.buffer.dropped_packets
         self._ramp.on_batch(drops - self._seen_drops, congested, self._encoding.held)
         self._seen_drops = drops.copy()
         self._batch_level_sum = np.zeros(self.n)
-        self._batch_count = 0
         if k - self._last_flush_k >= 1000:
-            if self._sec_count:
-                means = self._sec_level_sum / self._sec_count
-            else:
-                means = np.zeros(self.n)
+            # The second holds the records of ticks max(1, last flush)..k-1.
+            means = self._sec_level_sum / (k - max(1, self._last_flush_k))
             tbs_bits = self._sec_tbs * BITS_PER_BYTE
             for s, log in enumerate(self.logs):
                 log.diag_seconds.append((float(tbs_bits[s]), float(means[s])))
             self._sec_tbs = np.zeros(self.n)
             self._sec_level_sum = np.zeros(self.n)
-            self._sec_count = 0
             self._last_flush_k = k
 
     def _pace(self) -> None:
@@ -292,7 +288,7 @@ class BatchedSimulation:
         if k % profile.cell_ticks == 0:
             self._ue.cell.update()
         # 5. diag batch delivery
-        if k % profile.diag_ticks == 0 and self._batch_count:
+        if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
         # 6. frames leaving the encoder
         pipe = self._pipe
@@ -309,14 +305,8 @@ class BatchedSimulation:
         self._bandwidth.on_record(tbs)
         level = self._ue.buffer.level
         self._batch_level_sum += level
-        self._batch_count += 1
         self._sec_tbs += tbs
         self._sec_level_sum += level
-        self._sec_count += 1
-        # The RTP controller needs the last pre-diag level (Eq. 7 reads
-        # batch[-1]); snapshot it only on the tick before a delivery.
-        if (k + 1) % profile.diag_ticks == 0:
-            self._last_level = level.copy()
         # 9. frame capture
         if k % profile.frame_ticks == 0:
             self._capture(k, now)

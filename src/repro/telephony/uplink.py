@@ -10,9 +10,9 @@ downstream delay and a jitter-adaptive receiver — with every cadence an
 integer number of subframes.
 
 :class:`UplinkSession` here is the *scalar reference*: it runs the
-profile one session at a time on the event-driven
-:class:`~repro.sim.engine.Simulation` (one master event per subframe),
-composing the production FBCC classes
+profile one session at a time as a plain integer-tick loop (one
+``_tick(k)`` call per subframe, no event engine), composing the
+production FBCC classes
 (:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
 :class:`~repro.rate_control.fbcc.bandwidth.TbsBandwidthEstimator`,
 :class:`~repro.rate_control.fbcc.encoding.EncodingRateControl`,
@@ -29,7 +29,9 @@ Three design rules make that achievable (see docs/PERFORMANCE.md):
 2. all time is derived from the integer tick counter (``now = k *
    1e-3``), never from float-accumulated periods;
 3. rare per-frame events (assembly, display, PSNR) run through
-   *shared* scalar code (:class:`ReceiverState`) in both engines.
+   *shared* scalar code (:class:`ReceiverState`) in both engines;
+4. per-batch level means are running ``+=`` sums in both engines, never
+   ``sum()`` (which is compensated from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.config import FleetConfig, SessionConfig, VideoConfig
 from repro.lte.cell import UPDATE_INTERVAL as CELL_UPDATE_INTERVAL
 from repro.lte.cell import GridCellLoad
 from repro.lte.channel import GridChannel
-from repro.lte.diagnostics import DiagRecord
 from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.lte.scheduler import GridScheduler
 from repro.metrics.summary import SessionLog, SessionSummary
@@ -61,7 +62,6 @@ from repro.rate_control.pacer import (
     PACING_TICK,
 )
 from repro.sim.blocks import BlockStream, lognormal_transform
-from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 from repro.telephony.session import SessionResult
 from repro.units import BITS_PER_BYTE
@@ -78,8 +78,9 @@ SAMPLE_TICKS = 200
 CLOCK_OFFSET_SIGMA = 0.003
 
 #: The (scheme, transport) pair the profile models — FBCC with flat ROI
-#: quality, whatever labels a config carries.  Batch job specs asking
-#: for any other pair are refused (:func:`repro.service.jobs.normalise_spec`).
+#: quality.  Configs labelled with any other pair are refused
+#: (:func:`batch_unsupported_reason`, and batch job specs in
+#: :func:`repro.service.jobs.normalise_spec`).
 LOCKSTEP_MODEL = ("poi360", "fbcc")
 
 
@@ -98,6 +99,11 @@ def batch_unsupported_reason(config: SessionConfig) -> Optional[str]:
     the profile's structural assumptions; anything else (RSS, speed,
     load, seeds, rates, ...) may vary freely per session.
     """
+    if (config.scheme, config.transport) != LOCKSTEP_MODEL:
+        return (
+            "profile models only scheme={} transport={} (got scheme={!r} "
+            "transport={!r})".format(*LOCKSTEP_MODEL, config.scheme, config.transport)
+        )
     if config.path.access != "lte":
         return f"profile models the LTE uplink (access={config.path.access!r})"
     if config.lte.cell.competitor_count:
@@ -421,16 +427,20 @@ class _GridPacer:
 class UplinkSession:
     """Scalar reference engine for the uplink lockstep profile.
 
-    One master event per 1 ms subframe on the event-driven
-    :class:`Simulation`; every phase of the tick runs in a fixed order
-    the batched engine replays with arrays (see the phase comments in
-    :meth:`_tick`).
+    A plain integer-tick loop: :meth:`run` calls :meth:`_tick` for
+    k = 1, 2, ... and each tick runs its phases in the fixed order the
+    batched engine replays with arrays (see the phase comments in
+    :meth:`_tick`).  The state has the array twin's shape: the 40 ms
+    diag batch is a running level sum fed straight to
+    :meth:`CongestionDetector.on_report_level`, the next display
+    instant is a cached float, in-flight pops run only while packets
+    are in flight, and the scheduler is not called on an empty BSR or
+    during a handover outage.
     """
 
     def __init__(self, config: SessionConfig):
         self.config = config
         self.profile = UplinkProfile.from_config(config)
-        self.sim = Simulation()
         self.log = SessionLog()
         registry = RngRegistry(config.seed)
         stream = lambda name: registry.stream("batch." + name)  # noqa: E731
@@ -476,11 +486,14 @@ class UplinkSession:
         self._encoding_pipe: Deque[Tuple[int, int, float]] = deque()
         #: arrival_tick -> [(frame_id, size_bytes, is_last), ...]
         self._in_flight: Dict[int, List[Tuple[int, float, bool]]] = {}
-        self._diag_records: List[DiagRecord] = []
+        #: Earliest pending display instant (the phase-2 gate).
+        self._next_flush = float("inf")
+        #: Level sum of the open diag batch (one record per tick since
+        #: the last delivery).
+        self._batch_level_sum = 0.0
         self._ramp_seen_drops = 0
         self._sec_tbs = 0.0
         self._sec_level_sum = 0.0
-        self._sec_count = 0
         self._last_flush_k = 0
         self._baseline_fw_drops = 0
         self._baseline_pacer_drops = 0
@@ -492,9 +505,8 @@ class UplinkSession:
         #: GridSharedCell` via :meth:`join_cell`; ``None`` runs the
         #: session's own independent cell-load model.
         self._cell_view = None
-        self._k = 0
+        #: Time of the last diag delivery (read by the RTP floor).
         self._now = 0.0
-        self._total_ticks = 0
         self._warm_ticks = 0
 
     # -- packet emission (pacer -> firmware buffer) --------------------
@@ -510,26 +522,28 @@ class UplinkSession:
 
     # -- the master tick ------------------------------------------------
 
-    def _tick(self) -> None:
+    def _tick(self, k: int) -> None:
         profile = self.profile
-        self._k = k = self._k + 1
-        self._now = now = k * MS
+        now = k * MS
         log = self.log
 
         # 1. packet arrivals scheduled deliver_ticks ago
-        arrivals = self._in_flight.pop(k, None)
+        arrivals = self._in_flight.pop(k, None) if self._in_flight else None
         if arrivals is not None:
             table = self._frame_table
+            receiver = self._receiver
             for frame_id, size, last in arrivals:
                 log.arrivals.append((now, size))
                 if last:
                     entry = table.pop(frame_id, None)
                     if entry is not None and not entry[2]:
-                        self._receiver.on_frame_complete(now, entry[0], entry[1])
+                        receiver.on_frame_complete(now, entry[0], entry[1])
+                        self._next_flush = receiver.next_display
 
         # 2. display frames whose playout deadline passed
-        if self._receiver.next_display <= now:
+        if self._next_flush <= now:
             self._receiver.flush(now, log)
+            self._next_flush = self._receiver.next_display
 
         # 3./4. channel and cell dynamics
         if k % profile.chan_ticks == 0:
@@ -537,8 +551,9 @@ class UplinkSession:
         if k % profile.cell_ticks == 0:
             self._cell.update()
 
-        # 5. diag batch delivery (before this tick's subframe record)
-        if k % profile.diag_ticks == 0 and self._diag_records:
+        # 5. diag batch delivery (before this tick's subframe record;
+        # tick 1 has no record yet)
+        if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
 
         # 6. frames leaving the encoder join the pacer queue
@@ -551,28 +566,34 @@ class UplinkSession:
         if k % profile.pacer_ticks == 0:
             self._pacer.tick(self._rtp.rate, self._emit)
 
-        # 8. LTE subframe: BSR, grant, drain, diag record
+        # 8. LTE subframe: BSR, grant, drain, diag accumulators.  The
+        # scheduler grants nothing (and draws nothing) on an empty BSR
+        # or in a handover outage (GridChannel.cqi's zero).
         fw = self._fw
         ring = self._bsr
         reported = ring[0]
         level = fw.level
         ring.append(level)
-        view = self._cell_view
-        load = self._cell.load if view is None else view.load
-        grant = self._sched.grant_for_subframe(
-            reported, level, self._channel.cqi(now), load
-        )
         tbs = 0.0
-        if grant > 0.0:
-            completed = fw.drain(grant)
-            tbs = level - fw.level
-            self.bytes_sent += tbs
-            if completed:
-                slot = self._in_flight.setdefault(k + profile.deliver_ticks, [])
-                for pkt in completed:
-                    slot.append((pkt.frame_id, pkt.size_bytes, pkt.last))
-            level = fw.level
-        self._diag_records.append(DiagRecord(now, level, tbs))
+        if reported > 0.0 and now > self._channel.outage_until:
+            view = self._cell_view
+            load = self._cell.load if view is None else view.load
+            grant = self._sched.grant_for_subframe(
+                reported, level, self._channel.cqi_value, load
+            )
+            if grant > 0.0:
+                completed = fw.drain(grant)
+                tbs = level - fw.level
+                self.bytes_sent += tbs
+                if completed:
+                    slot = self._in_flight.setdefault(k + profile.deliver_ticks, [])
+                    for pkt in completed:
+                        slot.append((pkt.frame_id, pkt.size_bytes, pkt.last))
+                level = fw.level
+        self._bandwidth.on_tbs(tbs)
+        self._batch_level_sum += level
+        self._sec_tbs += tbs
+        self._sec_level_sum += level
 
         # 9. frame capture
         if k % profile.frame_ticks == 0:
@@ -592,7 +613,7 @@ class UplinkSession:
         # 10. rate / buffer trace samples
         if k % SAMPLE_TICKS == 0:
             log.rate_trace.append((now, self._encoding.rate(now), self._rtp.rate))
-            log.buffer_levels.append((now, fw.level))
+            log.buffer_levels.append((now, level))
 
         # 11. end of warm-up: drop everything measured so far
         if k == self._warm_ticks:
@@ -603,34 +624,28 @@ class UplinkSession:
             self._baseline_pacer_drops = self._pacer.dropped_frames
             self._baseline_bytes = self.bytes_sent
 
-        if k < self._total_ticks:
-            self.sim.at((k + 1) * MS, self._tick)
-
     def _deliver_diag(self, k: int, now: float) -> None:
-        batch = self._diag_records
-        self._diag_records = []
-        self._bandwidth.on_batch(batch)
-        congested = self._detector.on_batch(batch)
+        # Records of ticks 1..k-1 in the first batch, diag_ticks after.
+        count = min(k - 1, self.profile.diag_ticks)
+        congested = self._detector.on_report_level(self._batch_level_sum / count)
+        self._batch_level_sum = 0.0
+        self._now = now
         if congested:
             self._encoding.on_congestion(self._bandwidth.rate_bps, now)
-        self._rtp.on_batch(batch, self._bandwidth.rate_bps)
+        # Nothing has touched the buffer since the batch's last subframe,
+        # so its level is that record's (Eq. 7 reads batch[-1]).
+        self._rtp.on_level(self._fw.level, self._bandwidth.rate_bps)
         drops = self._fw.dropped_packets
         self._ramp.on_batch(
             drops - self._ramp_seen_drops, congested, self._encoding.held_rate
         )
         self._ramp_seen_drops = drops
-        for record in batch:
-            self._sec_tbs += record.tbs_bytes
-            self._sec_level_sum += record.buffer_bytes
-            self._sec_count += 1
         if k - self._last_flush_k >= 1000:
-            mean_level = (
-                self._sec_level_sum / self._sec_count if self._sec_count else 0.0
-            )
+            # The second holds the records of ticks max(1, last flush)..k-1.
+            mean_level = self._sec_level_sum / (k - max(1, self._last_flush_k))
             self.log.diag_seconds.append((self._sec_tbs * BITS_PER_BYTE, mean_level))
             self._sec_tbs = 0.0
             self._sec_level_sum = 0.0
-            self._sec_count = 0
             self._last_flush_k = k
 
     # -- public API ------------------------------------------------------
@@ -668,10 +683,9 @@ class UplinkSession:
         if not _ms_aligned(duration) or not _ms_aligned(warmup):
             raise ValueError("duration and warmup must be on the 1 ms grid")
         self._warm_ticks = _ticks(warmup)
-        self._total_ticks = self._warm_ticks + _ticks(duration)
-        if self._total_ticks > 0:
-            self.sim.at(MS, self._tick)
-            self.sim.run(self._total_ticks * MS)
+        tick = self._tick
+        for k in range(1, self._warm_ticks + _ticks(duration) + 1):
+            tick(k)
         return self._finalise(duration)
 
 
@@ -734,12 +748,11 @@ class UplinkCellSession:
         total_ticks = warm_ticks + _ticks(duration)
         for member in members:
             member._warm_ticks = warm_ticks
-            member._total_ticks = 0  # the cell loop clocks the ticks
         cell = self.cell
         for k in range(1, total_ticks + 1):
             cell.begin_tick(k, k * MS)
             for member in members:
-                member._tick()
+                member._tick(k)
         results = [member._finalise(duration) for member in members]
         member_bytes = tuple(
             member.bytes_sent - member._baseline_bytes for member in members

@@ -8,12 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import SessionConfig
+from repro.config import SCHEMES, TRANSPORTS, SessionConfig
 from repro.experiments.batch import BatchRunner, plan_cohorts, run_batched_sessions
 from repro.sim.batch import BatchedSimulation, run_batched
+from repro.sim.batch_cell import run_batched_cells
 from repro.telephony.uplink import (
+    LOCKSTEP_MODEL,
     UplinkProfile,
     batch_unsupported_reason,
+    run_uplink_cell,
     run_uplink_session,
 )
 
@@ -43,7 +46,7 @@ LOG_SCALAR_FIELDS = (
 def lockstep_config(
     seed=1, rss=-82.0, speed=8.0, load=0.20, target=10240.0, duration=4.0
 ):
-    config = SessionConfig()
+    config = SessionConfig(scheme="poi360", transport="fbcc")
     return replace(
         config,
         seed=seed,
@@ -240,3 +243,30 @@ def test_batch_runner_raises_on_unsupported_by_default():
     )
     with pytest.raises(ValueError, match="lockstep"):
         BatchRunner().run([lockstep_config(), bad])
+
+
+@pytest.mark.parametrize(
+    "scheme,transport", [(s, t) for s in SCHEMES for t in TRANSPORTS]
+)
+def test_every_engine_entry_point_refuses_unmodelled_labels(scheme, transport):
+    """The lockstep engines model only LOCKSTEP_MODEL; any other label
+    pair is refused by every entry point instead of being published
+    under a name the profile does not simulate."""
+    config = replace(lockstep_config(duration=0.2), scheme=scheme, transport=transport)
+    runs = {
+        "run_uplink_session": lambda: run_uplink_session(config),
+        "run_batched": lambda: run_batched([config]),
+        "BatchRunner.run": lambda: BatchRunner(jobs=1).run([config]),
+        "run_uplink_cell": lambda: run_uplink_cell(config, ues=2),
+        "run_batched_cells": lambda: run_batched_cells([[config, config]]),
+    }
+    if (scheme, transport) == LOCKSTEP_MODEL:
+        assert batch_unsupported_reason(config) is None
+        for name, run in runs.items():
+            assert run(), name
+        return
+    reason = batch_unsupported_reason(config)
+    assert reason is not None and f"transport={transport!r}" in reason
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match="models only"):
+            run()

@@ -17,23 +17,23 @@ def test_empty_estimator_reports_zero():
 def test_rate_matches_constant_tbs():
     estimator = TbsBandwidthEstimator(100)
     for _ in range(100):
-        estimator.on_record(_record(250.0))  # 250 B per 1 ms subframe
+        estimator.on_tbs(250.0)  # 250 B per 1 ms subframe
     assert estimator.rate_bps == pytest.approx(250 * 8 * 1000)
 
 
 def test_partial_window_uses_actual_length():
     estimator = TbsBandwidthEstimator(1000)
     for _ in range(10):
-        estimator.on_record(_record(125.0))
+        estimator.on_tbs(125.0)
     assert estimator.rate_bps == pytest.approx(125 * 8 * 1000)
 
 
 def test_window_slides():
     estimator = TbsBandwidthEstimator(10)
     for _ in range(10):
-        estimator.on_record(_record(100.0))
+        estimator.on_tbs(100.0)
     for _ in range(10):
-        estimator.on_record(_record(500.0))
+        estimator.on_tbs(500.0)
     assert estimator.rate_bps == pytest.approx(500 * 8 * 1000)
 
 
@@ -43,8 +43,8 @@ def test_on_batch_equivalent_to_records():
     batch = [_record(float(i)) for i in range(40)]
     a.on_batch(batch)
     for record in batch:
-        b.on_record(record)
-    assert a.rate_bps == pytest.approx(b.rate_bps)
+        b.on_tbs(record.tbs_bytes)
+    assert a.rate_bps == b.rate_bps
 
 
 def test_invalid_window_rejected():

@@ -1,0 +1,371 @@
+"""Differential fuzzing of the lockstep ``*Array`` twins against their
+scalar references.
+
+The batched engines are bit-exact with the scalar lockstep session only
+because each array twin performs its scalar class's float64 operations
+in the same order.  End-to-end cohorts exercise that on a few hand-picked
+configs; these tests drive each twin and its scalar reference with the
+same random operation sequences — edges included (zero and sub-epsilon
+grants, cap drops, ring wrap, rate 0, stale-frame expiry, CQI 0, zero
+PRB claims) — and require identical state and outputs after every step.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import LteConfig
+from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
+from repro.lte.scheduler import GridScheduler, SchedulerArray
+from repro.rate_control.pacer import _FRAME_SLOTS, MIN_BURST_BYTES, PacedSenderArray
+from repro.sim.blocks import (
+    BlockStream,
+    BlockStreamArray,
+    lognormal_transform,
+    uniform_transform,
+)
+from repro.sim.rng import RngRegistry
+from repro.telephony.uplink import _GridPacer, _Pkt
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+sessions = st.integers(1, 4)
+
+
+# -- FirmwareBufferArray vs FirmwareBuffer --------------------------------
+
+#: Packet sizes: ordinary, tiny and sub-epsilon.
+packet_sizes = st.one_of(
+    st.floats(1.0, 1500.0),
+    st.floats(1e-13, 1e-8),
+    st.sampled_from([1200.0, 1e-12, 5e-10]),
+)
+
+#: A drain grant: absolute bytes (zero, sub-1e-12, ordinary, large), or
+#: the head packet's remainder minus a sub-1e-9 residue.
+grant_specs = st.one_of(
+    st.tuples(st.just("abs"), st.sampled_from([0.0, 1e-13, 9e-13])),
+    st.tuples(st.just("abs"), st.floats(0.0, 6000.0)),
+    st.tuples(st.just("head"), st.floats(0.0, 2e-9)),
+)
+
+
+def _resolve_grant(spec, buffer: FirmwareBuffer) -> float:
+    kind, value = spec
+    if kind == "abs":
+        return value
+    head = buffer._queue[0][1] if buffer._queue else 0.0
+    return max(0.0, head - value)
+
+
+class FirmwarePair:
+    """N scalar buffers and one array twin driven in step."""
+
+    def __init__(self, caps):
+        self.scalars = [FirmwareBuffer(cap) for cap in caps]
+        self.array = FirmwareBufferArray(np.array(caps, dtype=float))
+        self.next_frame = 0
+
+    def push(self, rows, sizes, lasts):
+        frames = np.arange(self.next_frame, self.next_frame + len(rows))
+        self.next_frame += len(rows)
+        accepted = self.array.push(
+            np.array(rows, dtype=np.int64),
+            np.array(sizes, dtype=float),
+            frames,
+            np.array(lasts, dtype=bool),
+        )
+        expected = [
+            self.scalars[s].push(_Pkt(size, int(fid), last))
+            for s, size, fid, last in zip(rows, sizes, frames, lasts)
+        ]
+        assert accepted.tolist() == expected
+
+    def drain(self, rows, grant_specs_):
+        grants = [
+            _resolve_grant(spec, self.scalars[s]) for s, spec in zip(rows, grant_specs_)
+        ]
+        rounds = self.array.drain_rows(
+            np.array(rows, dtype=np.int64), np.array(grants, dtype=float)
+        )
+        got = {s: [] for s in rows}
+        for r_rows, frames, lasts, sizes in rounds:
+            for s, fid, last, size in zip(
+                r_rows.tolist(), frames.tolist(), lasts.tolist(), sizes.tolist()
+            ):
+                got[s].append((fid, last, size))
+        for s, grant in zip(rows, grants):
+            completed = self.scalars[s].drain(grant)
+            assert got[s] == [(p.frame_id, p.last, p.size_bytes) for p in completed]
+
+    def check(self):
+        array = self.array
+        for s, scalar in enumerate(self.scalars):
+            assert array.level[s] == scalar.level
+            assert int(array._count[s]) == len(scalar)
+            assert int(array.dropped_packets[s]) == scalar.dropped_packets
+            assert array.dropped_bytes[s] == scalar.dropped_bytes
+
+
+@st.composite
+def firmware_ops(draw):
+    n = draw(sessions)
+    caps = draw(st.lists(st.floats(1000.0, 20000.0), min_size=n, max_size=n))
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        if draw(st.booleans()):
+            sizes = [draw(packet_sizes) for _ in rows]
+            lasts = [draw(st.booleans()) for _ in rows]
+            ops.append(("push", rows, sizes, lasts))
+        else:
+            ops.append(("drain", rows, [draw(grant_specs) for _ in rows]))
+    return caps, ops
+
+
+@FUZZ
+@given(firmware_ops())
+def test_firmware_buffer_array_matches_scalar(case):
+    caps, ops = case
+    pair = FirmwarePair(caps)
+    for op in ops:
+        getattr(pair, op[0])(*op[1:])
+        pair.check()
+
+
+@FUZZ
+@given(seed=st.integers(0, 2**32 - 1), n=sessions)
+def test_firmware_ring_wraps_like_the_scalar_fifo(seed, n):
+    """Hundreds of pushes per session wrap the 256-slot ring."""
+    rng = np.random.default_rng(seed)
+    pair = FirmwarePair([20000.0] * n)
+    rows = list(range(n))
+    for _ in range(2 * _RING_SLOTS):
+        sizes = rng.uniform(1.0, 1500.0, n).tolist()
+        pair.push(rows, sizes, (rng.random(n) < 0.3).tolist())
+        specs = [("abs", g) for g in rng.uniform(0.0, 1600.0, n).tolist()]
+        pair.drain(rows, specs)
+        pair.check()
+    # More than _RING_SLOTS accepted pushes per session: the ring wrapped.
+    assert (pair.array.dropped_packets < _RING_SLOTS).all()
+
+
+# -- PacedSenderArray vs _GridPacer ---------------------------------------
+
+#: Pacing rates (bps): zero, negative (clamped to 0), starved enough to
+#: expire stale frames, and ordinary.
+pacing_rates = st.one_of(
+    st.sampled_from([0.0, -1.0e5]),
+    st.floats(1.0e3, 1.0e5),
+    st.floats(1.0e5, 8.0e6),
+)
+
+
+#: A payload equal to the burst floor lets a saturated budget exactly
+#: equal the packet size (the size-vs-budget break's boundary).
+payload_sizes = st.one_of(st.integers(200, 1400), st.just(int(MIN_BURST_BYTES)))
+frame_sizes = st.one_of(
+    st.floats(0.0, 40000.0), st.sampled_from([MIN_BURST_BYTES, 2 * MIN_BURST_BYTES])
+)
+
+
+@st.composite
+def pacer_ops(draw):
+    n = draw(sessions)
+    payloads = draw(st.lists(payload_sizes, min_size=n, max_size=n))
+    ops = []
+    for _ in range(draw(st.integers(1, 60))):
+        if draw(st.integers(0, 2)) == 0:
+            ops.append(("enqueue", draw(st.lists(frame_sizes, min_size=n, max_size=n))))
+        else:
+            ops.append(("tick", draw(st.lists(pacing_rates, min_size=n, max_size=n))))
+    return payloads, ops
+
+
+@FUZZ
+@given(pacer_ops())
+def test_paced_sender_array_matches_grid_pacer(case):
+    payloads, ops = case
+    n = len(payloads)
+    scalars = [_GridPacer(p) for p in payloads]
+    array = PacedSenderArray(np.array(payloads))
+    next_fid = 0
+    for kind, values in ops:
+        if kind == "enqueue":
+            if max(len(p._frames) for p in scalars) >= _FRAME_SLOTS - 1:
+                continue
+            array.enqueue_all(next_fid, np.array(values))
+            for pacer, size in zip(scalars, values):
+                pacer.enqueue(next_fid, size)
+            next_fid += 1
+            continue
+        got = [[] for _ in range(n)]
+        for rows, fids, sizes, lasts in array.tick(np.array(values)):
+            for s, fid, size, last in zip(
+                rows.tolist(), fids.tolist(), sizes.tolist(), lasts.tolist()
+            ):
+                got[s].append((fid, size, last))
+        for s, (pacer, rate) in enumerate(zip(scalars, values)):
+            emitted = []
+            pacer.tick(rate, lambda fid, size, last: emitted.append((fid, size, bool(last))))
+            assert got[s] == emitted
+        for s, pacer in enumerate(scalars):
+            assert array._budget[s] == pacer._budget
+            assert array._queued[s] == pacer._queued
+            assert int(array._count[s]) == len(pacer._frames)
+            assert int(array.dropped_frames[s]) == pacer.dropped_frames
+
+
+# -- BlockStreamArray.take vs BlockStream.next ----------------------------
+
+
+@FUZZ
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    block=st.integers(1, 9),
+    picks=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), max_size=40),
+)
+def test_block_stream_array_take_matches_scalar_streams(seeds, block, picks):
+    """Uneven per-session consumption across refills keeps every
+    session's sequence equal to its scalar stream."""
+    n = len(seeds)
+    transforms = [lognormal_transform(0.1 + 0.05 * s) for s in range(n)]
+    array = BlockStreamArray(
+        [np.random.default_rng(seed) for seed in seeds], transforms, block
+    )
+    scalars = [
+        BlockStream(np.random.default_rng(seed), transform, block)
+        for seed, transform in zip(seeds, transforms)
+    ]
+    for mask in picks:
+        idx = np.nonzero(np.array(mask[:n]))[0]
+        taken = array.take(idx).tolist()
+        assert taken == [scalars[s].next() for s in idx.tolist()]
+
+
+@FUZZ
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    block=st.integers(1, 9),
+    steps=st.integers(0, 30),
+)
+def test_block_stream_array_take_all_matches_scalar_streams(seeds, block, steps):
+    array = BlockStreamArray(
+        [np.random.default_rng(seed) for seed in seeds],
+        [uniform_transform()] * len(seeds),
+        block,
+        aligned=True,
+    )
+    scalars = [
+        BlockStream(np.random.default_rng(seed), uniform_transform(), block)
+        for seed in seeds
+    ]
+    for _ in range(steps):
+        assert array.take_all().tolist() == [s.next() for s in scalars]
+
+
+# -- SchedulerArray vs GridScheduler --------------------------------------
+
+
+class _BudgetView:
+    """Scalar claim hook: at most ``budget`` PRBs this subframe."""
+
+    def __init__(self):
+        self.budget = 0
+
+    def claim_prbs(self, prbs: int) -> int:
+        return min(prbs, self.budget)
+
+
+class _BudgetRows:
+    """Array claim hook with per-session budgets (the scalar views')."""
+
+    def __init__(self, views):
+        self.views = views
+
+    def claim_rows(self, rows: np.ndarray, prbs: np.ndarray) -> np.ndarray:
+        budgets = np.array([float(self.views[s].budget) for s in rows.tolist()])
+        return np.minimum(prbs, budgets)
+
+
+@st.composite
+def scheduler_ops(draw):
+    n = draw(sessions)
+    speeds = draw(st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    claimed = draw(st.booleans())
+    subframes = []
+    for _ in range(draw(st.integers(1, 80))):
+        subframes.append(
+            [
+                (
+                    draw(st.one_of(st.just(0.0), st.floats(1.0, 60000.0))),
+                    draw(st.one_of(st.just(0.0), st.floats(1.0, 60000.0))),
+                    draw(st.integers(0, 15)),
+                    draw(st.floats(0.0, 0.95)),
+                    draw(st.one_of(st.just(0), st.integers(1, 40))),
+                )
+                for _ in range(n)
+            ]
+        )
+    return speeds, seed, claimed, subframes
+
+
+def _lte_configs(speeds):
+    base = LteConfig()
+    return [
+        replace(base, channel=replace(base.channel, speed_mph=speed)) for speed in speeds
+    ]
+
+
+def _streams(seed, n):
+    registries = [RngRegistry(seed + s) for s in range(n)]
+    return [
+        (lambda name, registry=registry: registry.stream("batch." + name))
+        for registry in registries
+    ]
+
+
+@FUZZ
+@given(scheduler_ops())
+def test_scheduler_array_matches_grid_scheduler(case):
+    """Reported 0, CQI 0 and zero PRB claims must leave both engines'
+    burst counters and stream cursors aligned."""
+    speeds, seed, claimed, subframes = case
+    n = len(speeds)
+    configs = _lte_configs(speeds)
+    scalars = [
+        GridScheduler(config, stream, block=16)
+        for config, stream in zip(configs, _streams(seed, n))
+    ]
+    array = SchedulerArray(configs, _streams(seed, n), block=16)
+    views = [_BudgetView() for _ in range(n)]
+    cells = None
+    if claimed:
+        for scheduler, view in zip(scalars, views):
+            scheduler.attach_cell(view)
+        cells = _BudgetRows(views)
+    for subframe in subframes:
+        reported, actual, cqi, load, budget = (np.array(col) for col in zip(*subframe))
+        for view, prbs in zip(views, budget.tolist()):
+            view.budget = prbs
+        rows, grants = array.serve_subframe(
+            reported.astype(float),
+            actual.astype(float),
+            cqi.astype(np.int64),
+            cqi > 0,
+            load.astype(float),
+            cells=cells,
+        )
+        dense = np.zeros(n)
+        dense[rows] = grants
+        expected = [
+            scheduler.grant_for_subframe(*row[:4])
+            for scheduler, row in zip(scalars, subframe)
+        ]
+        assert dense.tolist() == expected
+        for s, scheduler in enumerate(scalars):
+            assert int(array._burst_left[s]) == scheduler._burst_left
+            assert int(array._idle_left[s]) == scheduler._idle_left

@@ -14,7 +14,6 @@ from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.metrics.freeze import freeze_ratio
 from repro.net.packet import Packet
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
-from repro.lte.diagnostics import DiagRecord
 from repro.telephony.timestamping import decode_timestamp, encode_timestamp
 from repro.video.frame import TileGrid
 from repro.video.quality import (
@@ -126,7 +125,7 @@ def test_firmware_buffer_conserves_bytes(sizes, grants):
 def test_tbs_estimator_rate_bounded(tbs_values):
     estimator = TbsBandwidthEstimator(window_subframes=100)
     for value in tbs_values:
-        estimator.on_record(DiagRecord(time=0.0, buffer_bytes=0.0, tbs_bytes=value))
+        estimator.on_tbs(value)
     max_rate = max(tbs_values) * 8 * 1000
     assert 0.0 <= estimator.rate_bps <= max_rate + 1e-6
 
