@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.config import CellConfig
-from repro.sim.engine import Simulation
+from repro.sim.blocks import BlockStreamArray, normal_transform
 
 #: Load is clamped into this range (a cell is never 100% occupied by
 #: others for long — the PF scheduler still serves backlogged UEs).
@@ -26,71 +26,38 @@ UPDATE_INTERVAL = 0.1
 
 
 class CellLoadProcess:
-    """Time-varying background-load fraction in [0, 0.9]."""
+    """Time-varying background-load fraction in [0, 0.9].
 
-    def __init__(self, sim: Simulation, config: CellConfig, rng: np.random.Generator):
-        self._config = config
-        self._rng = rng
-        self._deviation = 0.0
-        # Process constants, hoisted out of the update callback.
-        self._decay = math.exp(-UPDATE_INTERVAL / config.load_corr_time)
-        self._innovation = config.load_sigma * math.sqrt(
-            max(0.0, 1.0 - self._decay * self._decay)
-        )
-        self._load = min(LOAD_MAX, max(LOAD_MIN, config.background_load))
-        sim.every(UPDATE_INTERVAL, self._update)
-
-    def _update(self) -> None:
-        self._deviation = self._deviation * self._decay + self._innovation * self._rng.normal()
-        value = self._config.background_load + self._deviation
-        self._load = min(LOAD_MAX, max(LOAD_MIN, value))
-
-    @property
-    def load(self) -> float:
-        """Instantaneous background-load fraction (cached per update)."""
-        return self._load
-
-
-# ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch)
-# ----------------------------------------------------------------------
-
-
-class GridCellLoad:
-    """Grid-scalar twin of :class:`CellLoadProcess`.
-
-    Same clamped Gauss-Markov dynamics, but the innovation normals come
-    from a block-transformed stream (:mod:`repro.sim.blocks`) and the
-    caller drives the updates on the lockstep grid, so the batched
+    The caller clocks :meth:`update` every :data:`UPDATE_INTERVAL`; the
+    innovation normals come from a draw policy (:mod:`repro.sim.blocks`),
+    so under :class:`~repro.sim.blocks.BlockDraws` the batched
     :class:`CellLoadArray` reproduces it bit-for-bit.
     """
 
     __slots__ = ("_background", "_decay", "_innovation", "_z", "_deviation", "load")
 
-    def __init__(self, config: CellConfig, stream, block: int = 1024):
-        from repro.sim.blocks import BlockStream, normal_transform
-
+    def __init__(self, config: CellConfig, draws):
         self._background = config.background_load
         self._decay = math.exp(-UPDATE_INTERVAL / config.load_corr_time)
         self._innovation = config.load_sigma * math.sqrt(
             max(0.0, 1.0 - self._decay * self._decay)
         )
-        self._z = BlockStream(stream("cell.z"), normal_transform(), block)
+        self._z = draws.normal("cell.z")
         self._deviation = 0.0
+        #: Instantaneous background-load fraction (changes only in update()).
         self.load = min(LOAD_MAX, max(LOAD_MIN, config.background_load))
 
     def update(self) -> None:
-        self._deviation = self._deviation * self._decay + self._innovation * self._z.next()
+        self._deviation = self._deviation * self._decay + self._innovation * self._z()
         value = self._background + self._deviation
         self.load = min(LOAD_MAX, max(LOAD_MIN, value))
 
 
 class CellLoadArray:
-    """``(n_sessions,)`` vectorised twin of :class:`GridCellLoad`."""
+    """``(n_sessions,)`` vectorised twin of :class:`CellLoadProcess`
+    under :class:`~repro.sim.blocks.BlockDraws`."""
 
     def __init__(self, configs, streams, block: int = 1024):
-        from repro.sim.blocks import BlockStreamArray, normal_transform
-
         n = len(configs)
         self._background = np.array([c.background_load for c in configs])
         decay = np.array(

@@ -16,25 +16,20 @@ import numpy as np
 
 from repro.config import ChannelConfig
 from repro.lte.tbs import cqi_from_rss, cqi_from_rss_array
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.sim.blocks import (
-    BlockStream,
     BlockStreamArray,
     exponential_transform,
     normal_transform,
     uniform_range_transform,
     uniform_transform,
 )
-from repro.sim.engine import Simulation
 
 
 class ChannelDynamics(NamedTuple):
     """Derived per-update constants of the channel process.
 
-    One derivation shared by the event-driven :class:`ChannelProcess`,
-    the grid-scalar :class:`GridChannel` reference and the batched
-    :class:`ChannelArray` twin, so all three agree on how mobility
+    One derivation shared by the scalar :class:`ChannelProcess` and the
+    batched :class:`ChannelArray` twin, so both agree on how mobility
     reshapes the fading statistics.
     """
 
@@ -75,99 +70,16 @@ def derive_channel_dynamics(config: ChannelConfig) -> ChannelDynamics:
 
 
 class ChannelProcess:
-    """Time-varying RSS / CQI process for the sender's uplink."""
+    """Time-varying RSS / CQI process for a UE's radio link.
 
-    def __init__(
-        self,
-        sim: Simulation,
-        config: ChannelConfig,
-        rng: np.random.Generator,
-        trace=NULL_BUS,
-        meter=NULL_METER,
-    ):
-        self._sim = sim
-        self._config = config
-        self._rng = rng
-        self._trace = trace
-        self._meter = meter
-        self._shadow_db = 0.0
-        self._outage_until = -1.0
-        self._fade_db = 0.0
-        self._fade_until = -1.0
-        # The Gauss-Markov step parameters are constants of the process;
-        # hoist them (and the per-step event probabilities) out of the
-        # 50 Hz update callback.
-        dt = config.update_interval
-        dynamics = derive_channel_dynamics(config)
-        self._fade_rate = dynamics.fade_rate
-        self._corr_time = dynamics.corr_time
-        self._sigma = dynamics.sigma
-        self._handover_rate = dynamics.handover_rate
-        self._decay = dynamics.decay
-        self._innovation = dynamics.innovation
-        self._handover_prob = dynamics.handover_prob
-        self._fade_prob = dynamics.fade_prob
-        #: CQI at the current RSS; only changes when ``_update`` runs, so
-        #: per-subframe ``cqi()`` calls reuse it instead of re-deriving.
-        self._cqi = cqi_from_rss(config.rss_dbm)
-        sim.every(dt, self._update)
-
-    def _update(self) -> None:
-        self._shadow_db = self._shadow_db * self._decay + self._innovation * self._rng.normal()
-        now = self._sim.now
-        if self._handover_rate > 0.0 and now > self._outage_until:
-            if self._rng.random() < self._handover_prob:
-                self._outage_until = now + self._config.handover_outage
-        if now > self._fade_until:
-            self._fade_db = 0.0
-            if self._fade_rate > 0.0 and self._rng.random() < self._fade_prob:
-                self._fade_db = self._rng.exponential(self._config.deep_fade_depth_db)
-                low, high = self._config.deep_fade_duration
-                self._fade_until = now + self._rng.uniform(low, high)
-        self._cqi = cqi_from_rss(self._config.rss_dbm + self._shadow_db - self._fade_db)
-        if self._trace:
-            self._trace.emit("lte.cqi", cqi=self._cqi, rss_dbm=self.rss_dbm)
-        if self._meter:
-            self._meter.observe("lte.cqi", self._cqi)
-
-    @property
-    def rss_dbm(self) -> float:
-        """Instantaneous received signal strength (dBm)."""
-        return self._config.rss_dbm + self._shadow_db - self._fade_db
-
-    @property
-    def in_outage(self) -> bool:
-        """True while a handover outage is in progress."""
-        return self._sim.now <= self._outage_until
-
-    def cqi(self) -> int:
-        """Instantaneous CQI (0 during handover outage)."""
-        if self._sim.now <= self._outage_until:
-            return 0
-        return self._cqi
-
-
-# ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch)
-# ----------------------------------------------------------------------
-
-
-class GridChannel:
-    """Grid-scalar channel for the lockstep uplink profile.
-
-    Same dynamics as :class:`ChannelProcess`, with two deliberate
-    differences that make a bit-exact batched twin possible:
-
-    - every variate comes from a block-transformed stream
-      (:mod:`repro.sim.blocks`) — handover/fade trigger uniforms, deep-
-      fade depths (inverse-transform exponential) and fade durations
-      (inverse-transform uniform) each from their own stream, so the
-      batched :class:`ChannelArray` consumes the exact same float64
-      sequences with per-session cursors;
-    - the caller supplies ``now`` (the lockstep engines derive time from
-      an integer tick counter rather than the event clock).
-
-    ``stream(name)`` must return the named per-session generator.
+    The caller clocks :meth:`update` every ``config.update_interval`` and
+    supplies ``now``; the variates come from a draw policy
+    (:mod:`repro.sim.blocks`): handover and fade trigger uniforms,
+    deep-fade depths (exponential) and fade durations (uniform) each from
+    their own named stream.  The event engine passes
+    :class:`~repro.sim.blocks.CallDraws`, the lockstep engines
+    :class:`~repro.sim.blocks.BlockDraws`, so the batched
+    :class:`ChannelArray` consumes the exact same float64 sequences.
     """
 
     __slots__ = (
@@ -177,7 +89,7 @@ class GridChannel:
         "shadow_db", "outage_until", "fade_db", "fade_until", "cqi_value",
     )
 
-    def __init__(self, config: ChannelConfig, stream, block: int = 1024):
+    def __init__(self, config: ChannelConfig, draws):
         dynamics = derive_channel_dynamics(config)
         self._decay = dynamics.decay
         self._innovation = dynamics.innovation
@@ -187,35 +99,36 @@ class GridChannel:
         self._fade_enabled = dynamics.fade_rate > 0.0
         self._handover_outage = config.handover_outage
         self._rss = config.rss_dbm
-        self._z = BlockStream(stream("channel.z"), normal_transform(), block)
-        self._ho_u = BlockStream(stream("channel.handover"), uniform_transform(), block)
-        self._fade_u = BlockStream(stream("channel.fade"), uniform_transform(), block)
-        self._fade_depth = BlockStream(
-            stream("channel.fade_depth"),
-            exponential_transform(config.deep_fade_depth_db),
-            block,
-        )
+        self._z = draws.normal("channel.z")
+        self._ho_u = draws.uniform("channel.handover")
+        self._fade_u = draws.uniform("channel.fade")
+        self._fade_depth = draws.exponential("channel.fade_depth", config.deep_fade_depth_db)
         low, high = config.deep_fade_duration
-        self._fade_dur = BlockStream(
-            stream("channel.fade_duration"), uniform_range_transform(low, high), block
-        )
+        self._fade_dur = draws.uniform_range("channel.fade_duration", low, high)
         self.shadow_db = 0.0
+        #: A handover outage (CQI 0, no grants) lasts while ``now <= outage_until``.
         self.outage_until = -1.0
         self.fade_db = 0.0
         self.fade_until = -1.0
+        #: CQI at the current RSS; only changes when :meth:`update` runs.
         self.cqi_value = cqi_from_rss(config.rss_dbm)
 
     def update(self, now: float) -> None:
-        self.shadow_db = self.shadow_db * self._decay + self._innovation * self._z.next()
+        self.shadow_db = self.shadow_db * self._decay + self._innovation * self._z()
         if self._handover_enabled and now > self.outage_until:
-            if self._ho_u.next() < self._handover_prob:
+            if self._ho_u() < self._handover_prob:
                 self.outage_until = now + self._handover_outage
         if now > self.fade_until:
             self.fade_db = 0.0
-            if self._fade_enabled and self._fade_u.next() < self._fade_prob:
-                self.fade_db = self._fade_depth.next()
-                self.fade_until = now + self._fade_dur.next()
+            if self._fade_enabled and self._fade_u() < self._fade_prob:
+                self.fade_db = self._fade_depth()
+                self.fade_until = now + self._fade_dur()
         self.cqi_value = cqi_from_rss(self._rss + self.shadow_db - self.fade_db)
+
+    @property
+    def rss_dbm(self) -> float:
+        """Instantaneous received signal strength (dBm)."""
+        return self._rss + self.shadow_db - self.fade_db
 
     def cqi(self, now: float) -> int:
         """Instantaneous CQI (0 during handover outage)."""
@@ -225,7 +138,8 @@ class GridChannel:
 
 
 class ChannelArray:
-    """``(n_sessions,)`` vectorised twin of :class:`GridChannel`.
+    """``(n_sessions,)`` vectorised twin of :class:`ChannelProcess`
+    under :class:`~repro.sim.blocks.BlockDraws`.
 
     Per-update cost is a handful of array ops regardless of the cohort
     size; the conditional draws (handover / fade triggers) gather from

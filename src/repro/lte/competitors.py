@@ -38,6 +38,9 @@ from typing import List
 import numpy as np
 
 from repro.config import CellConfig
+from repro.lte.cell import UPDATE_INTERVAL as LOAD_INTERVAL
+from repro.lte.cell import CellLoadProcess
+from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 
 #: Update cadence of every competitor's on/off state (s).
@@ -87,63 +90,15 @@ class _CompetitorUe:
 class CompetitorCell:
     """Cell load produced by explicit background UEs.
 
-    Drop-in replacement for :class:`CellLoadProcess`: exposes the same
-    ``load`` property, consumed by the PF scheduler.
-    """
-
-    def __init__(self, sim: Simulation, config: CellConfig, rng: np.random.Generator):
-        self._sim = sim
-        self._config = config
-        self._rng = rng
-        count = max(1, config.competitor_count)
-        # Each competitor's duty cycle chosen so the expected aggregate
-        # load matches the configured background_load.
-        duty = min(0.95, config.background_load * self._capacity_share(count))
-        self._competitors: List[_CompetitorUe] = [
-            _CompetitorUe(rng, duty) for _ in range(count)
-        ]
-        self._total_weight = sum(c.weight for c in self._competitors)
-        sim.every(UPDATE_INTERVAL, self._update)
-
-    @staticmethod
-    def _capacity_share(count: int) -> float:
-        """Scale factor turning per-UE duty into aggregate load.
-
-        With ``count`` UEs each active ``duty`` of the time, the
-        expected fraction of weighted resources in use is ``duty`` (the
-        weights normalise out), so the share is 1 — kept as a hook for
-        admission-control variants.
-        """
-        return 1.0
-
-    def _update(self) -> None:
-        now = self._sim.now
-        for competitor in self._competitors:
-            competitor.update(now, self._rng)
-
-    @property
-    def load(self) -> float:
-        """Instantaneous fraction of cell resources other UEs hold."""
-        if self._total_weight <= 0.0:
-            return 0.0
-        active = sum(c.weight for c in self._competitors if c.active)
-        return min(0.9, active / self._total_weight)
-
-    @property
-    def active_competitors(self) -> int:
-        return sum(1 for c in self._competitors if c.active)
-
-
-class GridCompetitorCell:
-    """Grid twin of :class:`CompetitorCell` for the lockstep engines.
-
-    Same population, same per-UE draws from the same rng stream, same
-    aggregate-load arithmetic — but the caller clocks the on/off updates
-    (every ``UPDATE_INTERVAL`` on the 1 ms grid) instead of the event
-    engine, and ``load`` is a cached plain float recomputed only when
-    the population flips.  Both the scalar :class:`repro.lte.shared_cell.
-    GridSharedCell` and the batched :class:`~repro.lte.shared_cell.
-    SharedCellArray` own one of these per cell, so the two engines
+    Drop-in replacement for :class:`repro.lte.cell.CellLoadProcess`: the
+    caller clocks :meth:`update` every :data:`UPDATE_INTERVAL`, and
+    ``load`` is a cached plain float recomputed only when the population
+    flips.  Every draw is per call from ``rng``, in both engines.  Besides
+    the single-UE sessions (:func:`make_cell_model`), the event-driven
+    :class:`repro.lte.shared_cell.SharedCell`, the lockstep
+    :class:`~repro.lte.shared_cell.GridSharedCell` and the batched
+    :class:`~repro.lte.shared_cell.SharedCellArray` each own one per cell
+    with a scheduled background, built the same way, so all three engines
     consume bit-identical background loads by construction.
     """
 
@@ -151,12 +106,16 @@ class GridCompetitorCell:
 
     def __init__(self, config: CellConfig, rng: np.random.Generator):
         count = max(1, config.competitor_count)
-        duty = min(0.95, config.background_load * CompetitorCell._capacity_share(count))
+        # Each competitor's duty cycle chosen so the expected aggregate
+        # load matches the configured background_load (with every UE
+        # active ``duty`` of the time, the weights normalise out).
+        duty = min(0.95, config.background_load)
         self._competitors: List[_CompetitorUe] = [
             _CompetitorUe(rng, duty) for _ in range(count)
         ]
         self._total_weight = sum(c.weight for c in self._competitors)
         self._rng = rng
+        #: Instantaneous fraction of cell resources other UEs hold.
         self.load = self._snapshot()
 
     def update(self, now: float) -> None:
@@ -172,11 +131,21 @@ class GridCompetitorCell:
         active = sum(c.weight for c in self._competitors if c.active)
         return min(0.9, active / self._total_weight)
 
+    @property
+    def active_competitors(self) -> int:
+        return sum(1 for c in self._competitors if c.active)
+
 
 def make_cell_model(sim: Simulation, config: CellConfig, rng: np.random.Generator):
-    """Factory: explicit competitors when configured, OU process otherwise."""
-    if config.competitor_count > 0:
-        return CompetitorCell(sim, config, rng)
-    from repro.lte.cell import CellLoadProcess
+    """Factory: explicit competitors when configured, OU process otherwise.
 
-    return CellLoadProcess(sim, config, rng)
+    The model is clocked on ``sim`` at its own cadence and draws per call
+    from ``rng``.
+    """
+    if config.competitor_count > 0:
+        cell = CompetitorCell(config, rng)
+        sim.every(UPDATE_INTERVAL, lambda: cell.update(sim.now))
+        return cell
+    cell = CellLoadProcess(config, CallDraws(rng))
+    sim.every(LOAD_INTERVAL, cell.update)
+    return cell

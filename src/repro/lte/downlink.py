@@ -19,11 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import DownlinkConfig
-from repro.lte.channel import ChannelProcess
+from repro.lte.cell import UPDATE_INTERVAL as CELL_UPDATE_INTERVAL
 from repro.lte.cell import CellLoadProcess
+from repro.lte.channel import ChannelProcess
 from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.lte.tbs import transport_block_bytes
 from repro.net.packet import Packet
+from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 from repro.units import LTE_SUBFRAME
 
@@ -44,8 +46,11 @@ class EnbDownlink:
         self._config = config
         self._rng = rng
         self._sink = sink
-        self.channel = ChannelProcess(sim, config.channel, rng)
-        self.cell = CellLoadProcess(sim, config.cell, rng)
+        draws = CallDraws(rng)
+        channel = self.channel = ChannelProcess(config.channel, draws)
+        sim.every(config.channel.update_interval, lambda: channel.update(sim.now))
+        self.cell = CellLoadProcess(config.cell, draws)
+        sim.every(CELL_UPDATE_INTERVAL, self.cell.update)
         self.queue = FirmwareBuffer(config.queue_cap_bytes)
         self._burst_left = 0
         self._idle_left = 0
@@ -93,7 +98,7 @@ class EnbDownlink:
         queue = self.queue
         if queue.level <= 0.0:
             return False
-        cqi = self.channel.cqi()
+        cqi = self.channel.cqi(self._sim.now)
         if cqi <= 0:
             return True
         load = self.cell.load

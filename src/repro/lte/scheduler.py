@@ -24,12 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import LteConfig
-from repro.lte.cell import CellLoadProcess
-from repro.lte.channel import ChannelProcess
-from repro.lte.tbs import (
-    BYTES_PER_PRB_TABLE,
-    transport_block_bytes,
-    transport_block_bytes_array,
+from repro.lte.tbs import BYTES_PER_PRB_TABLE, transport_block_bytes
+from repro.sim.blocks import (
+    BlockStreamArray,
+    lognormal_transform,
+    neglog_uniform_transform,
 )
 
 #: A near-empty buffer is still scheduled occasionally (scheduling
@@ -40,144 +39,22 @@ MIN_SCHEDULING_FRACTION = 0.04
 #: can go unserved, whatever its PF share (subframes).
 MAX_IDLE_SUBFRAMES = 28
 
-#: Batch size of pre-drawn uniforms (one per subframe decision).
-_BATCH = 4096
-
 #: Shared empty results for subframes that serve nobody.
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_GRANTS = np.empty(0, dtype=np.float64)
 
 
 class EnbScheduler:
-    """Per-subframe grant decisions for a single tracked UE."""
+    """Per-subframe grant decisions for a single tracked UE.
 
-    def __init__(
-        self,
-        config: LteConfig,
-        channel: ChannelProcess,
-        cell: CellLoadProcess,
-        rng: np.random.Generator,
-    ):
-        self._config = config
-        self._channel = channel
-        self._cell = cell
-        #: Optional per-subframe PRB budget hook (shared cells only);
-        #: ``None`` keeps the solo grant arithmetic untouched.
-        self._cell_claim = None
-        self._rng = rng
-        self._uniforms = rng.random(_BATCH)
-        self._cursor = 0
-        # Frozen-config fields used every subframe, hoisted once.
-        self._p_max = config.p_max
-        self._backlog_ref = config.pf_backlog_ref
-        self._prb_quota = config.prb_quota
-        self._mean_burst = config.scheduling_burst_subframes
-        speed = max(0.0, config.channel.speed_mph)
-        #: Fast-fading lognormal sigma on the per-grant TBS.
-        self._fading_sigma = 0.10 + speed / 300.0
-        #: Burst/idle service process state (subframes remaining).
-        self._burst_left = 0
-        self._idle_left = 0
-
-    def _next_uniform(self) -> float:
-        if self._cursor >= _BATCH:
-            self._uniforms = self._rng.random(_BATCH)
-            self._cursor = 0
-        value = self._uniforms[self._cursor]
-        self._cursor += 1
-        return value
-
-    def set_cell(self, cell) -> None:
-        """Re-point the load source (e.g. a shared cell's member view).
-
-        When the new cell exposes ``claim_prbs`` — a
-        :class:`repro.lte.shared_cell.CellMemberView` does — the grant
-        path additionally claims its PRBs from the cell's per-subframe
-        budget, so members of one cell cannot jointly exceed it.
-        """
-        self._cell = cell
-        self._cell_claim = getattr(cell, "claim_prbs", None)
-
-    def effective_prbs(self, load: float) -> int:
-        """PRBs our UE is granted when scheduled, given the cell load."""
-        return max(2, int(round(self._prb_quota * (2.0 - load))))
-
-    def grant_for_subframe(self, reported_backlog: float, actual_backlog: float) -> float:
-        """Transport block size (bytes) granted this subframe (0 = none)."""
-        if reported_backlog <= 0.0:
-            return 0.0
-        cqi = self._channel.cqi()
-        if cqi <= 0:
-            return 0.0
-        load = self._cell.load
-        backlog_fraction = min(1.0, reported_backlog / self._backlog_ref)
-        probability = (
-            self._p_max
-            * (1.0 - load)
-            * max(MIN_SCHEDULING_FRACTION, backlog_fraction)
-        )
-        if not self._in_service_burst(probability):
-            return 0.0
-        prbs = self.effective_prbs(load)
-        if self._cell_claim is not None:
-            # Shared cell: the PF share is only an *entitlement* — the
-            # subframe's remaining PRB budget caps what is actually
-            # granted (claims by peers and background UEs come first).
-            prbs = self._cell_claim(prbs)
-            if prbs <= 0:
-                return 0.0
-        capacity = transport_block_bytes(cqi, prbs)
-        fading = float(np.exp(self._rng.normal(0.0, self._fading_sigma)))
-        return min(actual_backlog, capacity * fading)
-
-    def _in_service_burst(self, duty_cycle: float) -> bool:
-        """Advance the burst/idle process; True when this subframe serves.
-
-        Burst lengths are geometric with the configured mean; idle gaps
-        are sized so the long-run duty cycle matches ``duty_cycle``.
-        """
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return True
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return False
-        mean_burst = self._mean_burst
-        duty = min(1.0, max(1e-3, duty_cycle))
-        burst = 1 + int(-mean_burst * np.log(max(1e-12, self._next_uniform())))
-        idle = min(MAX_IDLE_SUBFRAMES, int(round(burst * (1.0 - duty) / duty)))
-        self._burst_left = burst - 1  # this subframe is the burst's first
-        self._idle_left = idle
-        return True
-
-    def saturation_rate_bps(self) -> float:
-        """Expected plateau throughput under current channel/load (bps).
-
-        This is a model introspection helper for tests and calibration,
-        not something POI360 gets to observe.
-        """
-        cqi = self._channel.cqi()
-        load = self._cell.load
-        capacity = transport_block_bytes(cqi, self.effective_prbs(load))
-        probability = self._config.p_max * (1.0 - load)
-        return probability * capacity * 8.0 * 1000.0
-
-
-# ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch)
-# ----------------------------------------------------------------------
-
-
-class GridScheduler:
-    """Grid-scalar twin of :class:`EnbScheduler`.
-
-    Identical grant arithmetic and burst/idle service process, but the
-    two variates — the geometric burst draw and the per-grant lognormal
-    fast fading — come from block-transformed streams
-    (:mod:`repro.sim.blocks`), pre-applying ``-log`` / ``exp`` to whole
-    blocks so the batched :class:`SchedulerArray` consumes the exact
-    same float64 values.  CQI and cell load are passed in by the caller
-    (the lockstep engines own those processes).
+    The two variates — the geometric burst draw (``-log u``) and the
+    per-grant lognormal fast fading — come from a draw policy
+    (:mod:`repro.sim.blocks`); under
+    :class:`~repro.sim.blocks.BlockDraws` the batched
+    :class:`SchedulerArray` consumes the exact same float64 values.  The
+    caller passes the CQI and cell load (it owns those processes) and
+    only asks for a grant while the UE reports a backlog and is outside
+    a handover outage.
     """
 
     __slots__ = (
@@ -185,36 +62,32 @@ class GridScheduler:
         "_burst", "_fading", "_burst_left", "_idle_left", "_claim",
     )
 
-    def __init__(self, config: LteConfig, stream, block: int = 1024):
-        from repro.sim.blocks import (
-            BlockStream,
-            lognormal_transform,
-            neglog_uniform_transform,
-        )
-
+    def __init__(self, config: LteConfig, draws):
         self._p_max = config.p_max
         self._backlog_ref = config.pf_backlog_ref
         self._prb_quota = config.prb_quota
         self._mean_burst = config.scheduling_burst_subframes
         speed = max(0.0, config.channel.speed_mph)
+        #: Fast-fading lognormal sigma on the per-grant TBS.
         sigma = 0.10 + speed / 300.0
-        self._burst = BlockStream(stream("sched.burst"), neglog_uniform_transform(), block)
-        self._fading = BlockStream(stream("sched.fading"), lognormal_transform(sigma), block)
+        self._burst = draws.neglog_uniform("sched.burst")
+        self._fading = draws.lognormal("sched.fading", sigma)
+        #: Burst/idle service process state (subframes remaining).
         self._burst_left = 0
         self._idle_left = 0
-        #: Optional per-subframe PRB budget hook — the grid twin of
-        #: :meth:`EnbScheduler.set_cell`'s ``claim_prbs`` wiring.
+        #: Optional per-subframe PRB budget hook (shared cells only);
+        #: ``None`` keeps the solo grant arithmetic untouched.
         self._claim = None
 
     def attach_cell(self, view) -> None:
         """Claim PRBs through a shared-cell member view.
 
-        ``view.claim_prbs`` is the grid analogue of
-        :class:`repro.lte.shared_cell.CellMemberView.claim_prbs`; when
-        attached, every grant's PRBs clip against the cell's remaining
-        per-subframe budget.  A claim of zero returns without drawing a
-        fading variate, keeping the RNG stream aligned with the batched
-        engine's filtered fading take.
+        ``view.claim_prbs`` (:class:`repro.lte.shared_cell.CellMemberView`
+        or :class:`~repro.lte.shared_cell.GridCellMemberView`) clips every
+        grant's PRBs against the cell's remaining per-subframe budget.  A
+        claim of zero returns without drawing a fading variate, keeping
+        the RNG stream aligned with the batched engine's filtered fading
+        take.
         """
         self._claim = view.claim_prbs
 
@@ -232,16 +105,25 @@ class GridScheduler:
         )
         if not self._in_service_burst(probability):
             return 0.0
+        # PRBs granted when scheduled: the PF share shrinks with load.
         prbs = max(2, int(round(self._prb_quota * (2.0 - load))))
         if self._claim is not None:
+            # Shared cell: the PF share is only an *entitlement* — the
+            # subframe's remaining PRB budget caps what is actually
+            # granted (claims by peers and background UEs come first).
             prbs = self._claim(prbs)
             if prbs <= 0:
                 return 0.0
         capacity = transport_block_bytes(cqi, prbs)
-        fading = self._fading.next()
+        fading = self._fading()
         return min(actual, capacity * fading)
 
     def _in_service_burst(self, duty_cycle: float) -> bool:
+        """Advance the burst/idle process; True when this subframe serves.
+
+        Burst lengths are geometric with the configured mean; idle gaps
+        are sized so the long-run duty cycle matches ``duty_cycle``.
+        """
         if self._burst_left > 0:
             self._burst_left -= 1
             return True
@@ -249,7 +131,7 @@ class GridScheduler:
             self._idle_left -= 1
             return False
         duty = min(1.0, max(1e-3, duty_cycle))
-        burst = 1 + int(self._mean_burst * self._burst.next())
+        burst = 1 + int(self._mean_burst * self._burst())
         idle = min(MAX_IDLE_SUBFRAMES, int(round(burst * (1.0 - duty) / duty)))
         self._burst_left = burst - 1  # this subframe is the burst's first
         self._idle_left = idle
@@ -257,7 +139,8 @@ class GridScheduler:
 
 
 class SchedulerArray:
-    """``(n_sessions,)`` vectorised twin of :class:`GridScheduler`.
+    """``(n_sessions,)`` vectorised twin of :class:`EnbScheduler` under
+    :class:`~repro.sim.blocks.BlockDraws`.
 
     The burst/idle counters live as int64 arrays; a subframe only
     consumes a burst draw (and a fading draw) for the sessions whose
@@ -265,12 +148,6 @@ class SchedulerArray:
     """
 
     def __init__(self, configs, streams, block: int = 1024):
-        from repro.sim.blocks import (
-            BlockStreamArray,
-            lognormal_transform,
-            neglog_uniform_transform,
-        )
-
         n = len(configs)
         self._p_max = np.array([c.p_max for c in configs])
         self._backlog_ref = np.array([c.pf_backlog_ref for c in configs])

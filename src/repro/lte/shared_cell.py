@@ -38,7 +38,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.config import CellConfig, FleetConfig
+from repro.lte.competitors import UPDATE_INTERVAL as BACKGROUND_INTERVAL
+from repro.lte.competitors import CompetitorCell
 from repro.sim.engine import Simulation
+from repro.sim.rng import RngRegistry
 from repro.units import LTE_SUBFRAME
 
 #: Loads are clamped into this range, matching the single-UE cell
@@ -48,6 +51,25 @@ LOAD_MAX = 0.9
 #: Share denominator guard; also the "never seen a grant" floor of the
 #: PF weight ratio (a member with zero share is maximally boosted).
 _SHARE_EPS = 1e-6
+
+
+def _background_crowd(config: FleetConfig) -> Optional[CompetitorCell]:
+    """The cell's scheduled background population, or ``None``.
+
+    Every cell engine builds the crowd identically — same
+    :class:`~repro.lte.competitors.CompetitorCell`, same
+    ``fleet.background`` rng stream derived from ``config.seed`` — so
+    all of them consume bit-identical background loads by construction.
+    """
+    if config.background_ues <= 0:
+        return None
+    return CompetitorCell(
+        CellConfig(
+            background_load=config.background_load,
+            competitor_count=config.background_ues,
+        ),
+        RngRegistry(config.seed).stream("fleet.background"),
+    )
 
 
 class _Member:
@@ -96,12 +118,7 @@ class CellMemberView:
 class SharedCell:
     """PF grant splitting across the POI360 callers camped on one cell."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        config: Optional[FleetConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, sim: Simulation, config: Optional[FleetConfig] = None):
         config = config if config is not None else FleetConfig()
         self._sim = sim
         self.config = config
@@ -119,24 +136,13 @@ class SharedCell:
         #: Aggregate-share snapshot (recomputed once per subframe).
         self._agg_time = -1.0
         self._agg_total = 0.0
-        self.background = None
-        if config.background_ues > 0:
-            if rng is None:
-                raise ValueError("scheduled background UEs need an rng stream")
-            from repro.lte.competitors import CompetitorCell
-
-            # The background crowd is *scheduled load*: its on/off
-            # population produces a load fraction, and the cell converts
-            # that fraction into PRBs claimed from the shared budget
-            # ahead of the members each subframe.
-            self.background = CompetitorCell(
-                sim,
-                CellConfig(
-                    background_load=config.background_load,
-                    competitor_count=config.background_ues,
-                ),
-                rng,
-            )
+        # The background crowd is *scheduled load*: its on/off population
+        # produces a load fraction, and the cell converts that fraction
+        # into PRBs claimed from the shared budget ahead of the members
+        # each subframe.
+        background = self.background = _background_crowd(config)
+        if background is not None:
+            sim.every(BACKGROUND_INTERVAL, lambda: background.update(sim.now))
 
     # ------------------------------------------------------------------
     # Membership
@@ -292,30 +298,7 @@ class SharedCell:
 # ----------------------------------------------------------------------
 
 #: Background-crowd update cadence on the 1 ms grid (subframes).
-_BG_TICKS = int(round(0.05 / LTE_SUBFRAME))  # competitors.UPDATE_INTERVAL
-
-
-def _background_crowd(config: FleetConfig):
-    """The cell's scheduled background population, or ``None``.
-
-    Both grid twins build the crowd identically — same
-    :class:`~repro.lte.competitors.GridCompetitorCell`, same
-    ``fleet.background`` rng stream derived from ``config.seed`` — so
-    the scalar and batched engines consume bit-identical background
-    loads by construction.
-    """
-    if config.background_ues <= 0:
-        return None
-    from repro.lte.competitors import GridCompetitorCell
-    from repro.sim.rng import RngRegistry
-
-    return GridCompetitorCell(
-        CellConfig(
-            background_load=config.background_load,
-            competitor_count=config.background_ues,
-        ),
-        RngRegistry(config.seed).stream("fleet.background"),
-    )
+_BG_TICKS = int(round(BACKGROUND_INTERVAL / LTE_SUBFRAME))
 
 
 class GridCellMemberView:
@@ -367,7 +350,7 @@ class GridSharedCell:
         self._decay = 1.0 - self._alpha
         self._kappa = max(0.0, config.pf_weight_exponent)
         self._weight_max = max(1.0, config.pf_weight_max)
-        #: Per-member fallback load models (``GridCellLoad``) + shares.
+        #: Per-member fallback load models (``CellLoadProcess``) + shares.
         self._fallbacks: list = []
         self._shares: List[float] = []
         self._total = 0.0

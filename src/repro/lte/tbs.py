@@ -106,9 +106,3 @@ def cqi_from_rss_array(rss_dbm: np.ndarray) -> np.ndarray:
     """
     cqi = RSS_CQI_BASE + (rss_dbm - RSS_CQI_ANCHOR) / RSS_DB_PER_CQI
     return np.clip(np.rint(cqi), 1, 15).astype(np.int64)
-
-
-def transport_block_bytes_array(cqi: np.ndarray, prbs: np.ndarray) -> np.ndarray:
-    """:func:`transport_block_bytes` over arrays (CQI <= 0 -> 0 bytes)."""
-    capacity = BYTES_PER_PRB_TABLE[np.clip(cqi, 0, 15)]
-    return capacity * prbs

@@ -6,13 +6,20 @@ BSR), drains the firmware buffer accordingly, hands completed packets to
 the network after the radio latency, and logs the subframe into the
 diagnostic monitor.
 
-When the firmware buffer is empty *and* every BSR slot still in flight
-reports zero, a subframe is pure bookkeeping: the scheduler returns
-before touching its RNG or burst state, and the only side effect is an
-all-zero diag record.  The uplink therefore pauses its subframe process
+The scheduler is asked for a grant only while the reported backlog is
+positive and the channel is outside a handover outage, so when the
+firmware buffer is empty *and* every BSR slot still in flight reports
+zero, a subframe is pure bookkeeping: no RNG draw, no burst-state
+change, and the only side effect is an all-zero diag record.  The
+uplink therefore pauses its subframe process
 (:meth:`Simulation.every_while`) until the next ``send``, and backfills
 the zero records lazily — per-batch observables and the RNG stream are
 bit-identical to an always-ticking UE.
+
+The channel, cell-load and scheduler classes are the ones the lockstep
+engines run (:mod:`repro.telephony.uplink`); here they are clocked with
+``sim.every`` and draw per call from the UE's one generator
+(:class:`~repro.sim.blocks.CallDraws`).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from repro.lte.scheduler import EnbScheduler
 from repro.net.packet import Packet
 from repro.obs.bus import NULL_BUS
 from repro.obs.meter import NULL_METER
+from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 from repro.units import LTE_SUBFRAME
 
@@ -54,9 +62,16 @@ class UeUplink:
         self._config = config
         self._trace = trace
         self._meter = meter
-        self.channel = ChannelProcess(sim, config.channel, rng, trace=trace, meter=meter)
+        # Channel, cell load and scheduler draw per call from the one
+        # shared generator, in call order.
+        draws = CallDraws(rng)
+        self.channel = ChannelProcess(config.channel, draws)
+        sim.every(config.channel.update_interval, self._channel_update)
         self.cell = make_cell_model(sim, config.cell, rng)
-        self.scheduler = EnbScheduler(config, self.channel, self.cell, rng)
+        self.scheduler = EnbScheduler(config, draws)
+        #: What the grant path reads the cell load from: the UE's own
+        #: model, or its shared-cell member view after :meth:`join_cell`.
+        self._load_source = self.cell
         self.buffer = FirmwareBuffer(config.firmware_buffer_cap)
         self.diag = DiagMonitor(sim, config.diag_interval, trace=trace, meter=meter)
         self._sink = sink
@@ -83,8 +98,17 @@ class UeUplink:
         the per-subframe PRB budget all apply.  Returns the view.
         """
         self.cell_view = cell.add_member(self)
-        self.scheduler.set_cell(self.cell_view)
+        self._load_source = self.cell_view
+        self.scheduler.attach_cell(self.cell_view)
         return self.cell_view
+
+    def _channel_update(self) -> None:
+        channel = self.channel
+        channel.update(self._sim._now)
+        if self._trace:
+            self._trace.emit("lte.cqi", cqi=channel.cqi_value, rss_dbm=channel.rss_dbm)
+        if self._meter:
+            self._meter.observe("lte.cqi", channel.cqi_value)
 
     def send(self, packet: Packet) -> bool:
         """Enqueue a paced RTP packet into the firmware buffer."""
@@ -124,19 +148,25 @@ class UeUplink:
         reported = ring[0]
         level = buffer.level
         ring.append(level)
-        grant = self._grant(reported, level)
         tbs = 0.0
-        if grant > 0.0:
-            completed = buffer.drain(grant)
-            tbs = level - buffer.level
-            self.bytes_sent += tbs
-            if self._sink is not None:
-                schedule = self._sim.schedule
-                latency = self._config.radio_latency
-                sink = self._sink
-                for packet in completed:
-                    schedule(latency, sink, packet)
-            level = buffer.level
+        channel = self.channel
+        # The load is read only past this gate: a shared cell's view
+        # decays its share EWMAs lazily on each read.
+        if reported > 0.0 and self._sim._now > channel.outage_until:
+            grant = self._grant(
+                reported, level, channel.cqi_value, self._load_source.load
+            )
+            if grant > 0.0:
+                completed = buffer.drain(grant)
+                tbs = level - buffer.level
+                self.bytes_sent += tbs
+                if self._sink is not None:
+                    schedule = self._sim.schedule
+                    latency = self._config.radio_latency
+                    sink = self._sink
+                    for packet in completed:
+                        schedule(latency, sink, packet)
+                level = buffer.level
         self._record(level, tbs)
         if self._trace:
             self._trace.emit("fw_buffer", level=level, tbs=tbs)

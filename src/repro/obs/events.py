@@ -77,7 +77,7 @@ _SPECS = (
         "lte.cqi",
         "lte",
         ("cqi", "rss_dbm"),
-        "repro.lte.channel.ChannelProcess._update",
+        "repro.lte.ue.UeUplink._channel_update",
         "Channel-quality update (50 Hz): new CQI and instantaneous RSS.",
     ),
     EventSpec(

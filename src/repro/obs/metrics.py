@@ -94,7 +94,7 @@ _SPECS = (
     ),
     MetricSpec(
         "lte.cqi", "histogram", "lte", "",
-        "repro.lte.channel.ChannelProcess._update",
+        "repro.lte.ue.UeUplink._channel_update",
         "Distribution of the 50 Hz channel-quality indicator.",
         buckets=(0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 15.0),
     ),

@@ -40,19 +40,83 @@ MIN_BURST_BYTES = 1500.0
 MAX_QUEUE_SECONDS = 1.0
 
 
+class FramePacer:
+    """Token bucket over a FIFO of frames, packetised as budget allows.
+
+    The pacing arithmetic of both engines: :class:`PacedSender` wraps it
+    for the event engine, and :class:`repro.telephony.uplink.UplinkSession`
+    clocks it directly every pacing tick.  Frames queue as ``[key,
+    remaining_bytes]``; ``key`` is opaque to the pacer (a frame id, or the
+    sender's frame record) and handed back with every emitted packet.
+    """
+
+    __slots__ = ("_payload", "frames", "budget", "queued_bytes", "dropped_frames")
+
+    def __init__(self, payload_size: int):
+        self._payload = payload_size
+        self.frames: Deque[list] = deque()
+        #: Bytes the bucket may still emit this tick.
+        self.budget = 0.0
+        #: Media backlog in bytes (unsent parts of the queued frames).
+        self.queued_bytes = 0.0
+        self.dropped_frames = 0
+
+    def enqueue(self, key, size_bytes: float) -> None:
+        self.frames.append([key, size_bytes])
+        self.queued_bytes += size_bytes
+
+    def refill(self, rate: float) -> None:
+        """Open a pacing tick at ``rate`` (bps): expire stale frames, then
+        top up the budget.
+
+        Frames beyond the queue cap are dropped oldest first; the head
+        frame may be partially on the wire and must complete (the
+        receiver is already assembling it), and stale media is
+        superseded anyway.
+        """
+        rate = max(0.0, rate)
+        if rate > 0.0:
+            max_bytes = rate * MAX_QUEUE_SECONDS / BITS_PER_BYTE
+            frames = self.frames
+            while self.queued_bytes > max_bytes and len(frames) > 1:
+                item = frames[1]
+                del frames[1]
+                self.queued_bytes -= item[1]
+                self.dropped_frames += 1
+        tick_budget = rate * PACING_TICK / BITS_PER_BYTE
+        burst_cap = max(MIN_BURST_BYTES, BURST_TICKS * tick_budget)
+        self.budget = min(self.budget + tick_budget, burst_cap)
+
+    def drain(self, emit: Callable[[object, float, bool], None]) -> None:
+        """Emit packets while the budget covers the next one:
+        ``emit(key, size_bytes, is_last_of_frame)``."""
+        frames = self.frames
+        while frames and self.budget > 0:
+            head = frames[0]
+            size = min(self._payload, head[1])
+            if size > self.budget:
+                break
+            self.budget -= size
+            head[1] -= size
+            self.queued_bytes -= size
+            last = head[1] <= 0
+            if last:
+                frames.popleft()
+            emit(head[0], size, last)
+
+
 class _QueuedFrame:
-    __slots__ = ("frame", "payload_size", "total_packets", "next_index", "remaining")
+    __slots__ = ("frame", "total_packets", "next_index")
 
     def __init__(self, frame: EncodedFrame, payload_size: int):
         self.frame = frame
-        self.payload_size = payload_size
         self.total_packets = max(1, math.ceil(frame.size_bytes / payload_size))
         self.next_index = 0
-        self.remaining = frame.size_bytes
 
 
 class PacedSender:
-    """Token-bucket pacer that packetises frames as they leave."""
+    """Event-engine pacer: a :class:`FramePacer` clocked every
+    :data:`PACING_TICK`, plus a retransmit queue and the packetiser."""
 
     def __init__(
         self,
@@ -67,20 +131,15 @@ class PacedSender:
         self._rate_fn = rate_fn
         self._payload_size = payload_size
         self._on_sent = on_sent
-        self._frames: Deque[_QueuedFrame] = deque()
+        self._pacer = FramePacer(payload_size)
         self._retransmits: Deque[Packet] = deque()
-        self._budget_bytes = 0.0
-        self._queued_bytes = 0.0
         self._seq = 0
         self.bytes_paced = 0.0
-        self.dropped_frames = 0
         sim.every(PACING_TICK, self._tick)
 
     def enqueue_frame(self, frame: EncodedFrame) -> None:
         """Queue a freshly encoded frame for packetisation."""
-        item = _QueuedFrame(frame, self._payload_size)
-        self._frames.append(item)
-        self._queued_bytes += item.remaining
+        self._pacer.enqueue(_QueuedFrame(frame, self._payload_size), frame.size_bytes)
 
     def enqueue_retransmit(self, packet: Packet) -> None:
         """Queue a retransmission (keeps its original sequence number)."""
@@ -89,11 +148,15 @@ class PacedSender:
     @property
     def queued_bytes(self) -> float:
         """Application-layer media backlog in bytes (fresh frames only)."""
-        return self._queued_bytes
+        return self._pacer.queued_bytes
 
     @property
     def queued_frames(self) -> int:
-        return len(self._frames)
+        return len(self._pacer.frames)
+
+    @property
+    def dropped_frames(self) -> int:
+        return self._pacer.dropped_frames
 
     @property
     def next_seq(self) -> int:
@@ -106,9 +169,7 @@ class PacedSender:
             self._on_sent(packet)
         self._sink(packet)
 
-    def _emit_next_media_packet(self) -> Packet:
-        item = self._frames[0]
-        size = min(self._payload_size, item.remaining)
+    def _emit_media(self, item: _QueuedFrame, size: float, last: bool) -> None:
         packet = Packet(
             kind="video",
             size_bytes=size,
@@ -122,45 +183,17 @@ class PacedSender:
         )
         self._seq += 1
         item.next_index += 1
-        item.remaining -= size
-        self._queued_bytes -= size
-        if item.remaining <= 0:
-            self._frames.popleft()
-        return packet
+        self._send(packet)
 
     def _tick(self) -> None:
-        rate = max(0.0, self._rate_fn())
-        self._expire_stale(rate)
-        tick_budget = rate * PACING_TICK / BITS_PER_BYTE
-        burst_cap = max(MIN_BURST_BYTES, BURST_TICKS * tick_budget)
-        self._budget_bytes = min(self._budget_bytes + tick_budget, burst_cap)
-        while self._retransmits and self._retransmits[0].size_bytes <= self._budget_bytes:
-            packet = self._retransmits.popleft()
-            self._budget_bytes -= packet.size_bytes
+        pacer = self._pacer
+        pacer.refill(self._rate_fn())
+        retransmits = self._retransmits
+        while retransmits and retransmits[0].size_bytes <= pacer.budget:
+            packet = retransmits.popleft()
+            pacer.budget -= packet.size_bytes
             self._send(packet)
-        while self._frames and self._budget_bytes > 0:
-            head = self._frames[0]
-            size = min(self._payload_size, head.remaining)
-            if size > self._budget_bytes:
-                break
-            self._budget_bytes -= size
-            self._send(self._emit_next_media_packet())
-
-    def _expire_stale(self, rate: float) -> None:
-        """Drop the oldest not-yet-started frames beyond the queue cap.
-
-        The head frame may be partially on the wire and must complete
-        (the receiver is already assembling it); everything behind it is
-        droppable, oldest first — stale media is superseded anyway.
-        """
-        if rate <= 0.0:
-            return
-        max_bytes = rate * MAX_QUEUE_SECONDS / BITS_PER_BYTE
-        while self._queued_bytes > max_bytes and len(self._frames) > 1:
-            item = self._frames[1]
-            del self._frames[1]
-            self._queued_bytes -= item.remaining
-            self.dropped_frames += 1
+        pacer.drain(self._emit_media)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +209,7 @@ _FRAME_SLOTS = 128
 
 
 class PacedSenderArray:
-    """``(n_sessions,)`` vectorised twin of the lockstep pacer
-    (:class:`repro.telephony.uplink._GridPacer`).
+    """``(n_sessions,)`` vectorised twin of :class:`FramePacer`.
 
     Frames wait in per-session circular rings; :meth:`tick` replays the
     scalar token-bucket loop in *rounds*, each round emitting at most

@@ -22,6 +22,13 @@ the exact same float64 sequence.
 
 Transforms receive ``(generator, size)`` and return a float64 array —
 the constructors below build the common ones.
+
+The scalar model classes (channel, cell load, scheduler) do not pick
+their own streams: they take a *draw policy* and ask it for one
+zero-argument draw function per named variate.  :class:`BlockDraws` is
+the lockstep engines' policy (one block stream per name, as above);
+:class:`CallDraws` is the event engine's (every variate drawn per call
+from one shared generator, in call order, names ignored).
 """
 
 from __future__ import annotations
@@ -162,3 +169,98 @@ class BlockStreamArray:
         out = self._values[idx, c]
         cursors[idx] = c + 1
         return out
+
+
+class BlockDraws:
+    """Draw policy of the lockstep engines: one block stream per name.
+
+    ``stream(name)`` must return the named per-session generator; every
+    draw function reads its own :class:`BlockStream`, so the batched
+    ``*Array`` twins consume the exact same float64 sequences.
+    """
+
+    __slots__ = ("_stream", "_block")
+
+    def __init__(self, stream: Callable[[str], np.random.Generator], block: int = 1024):
+        self._stream = stream
+        self._block = int(block)
+
+    def _draw(self, name: str, transform: BlockTransform) -> Callable[[], float]:
+        return BlockStream(self._stream(name), transform, self._block).next
+
+    def normal(self, name: str) -> Callable[[], float]:
+        return self._draw(name, normal_transform())
+
+    def uniform(self, name: str) -> Callable[[], float]:
+        return self._draw(name, uniform_transform())
+
+    def exponential(self, name: str, scale: float) -> Callable[[], float]:
+        return self._draw(name, exponential_transform(scale))
+
+    def uniform_range(self, name: str, low: float, high: float) -> Callable[[], float]:
+        return self._draw(name, uniform_range_transform(low, high))
+
+    def lognormal(self, name: str, sigma: float) -> Callable[[], float]:
+        return self._draw(name, lognormal_transform(sigma))
+
+    def neglog_uniform(self, name: str) -> Callable[[], float]:
+        return self._draw(name, neglog_uniform_transform())
+
+
+#: Uniforms :meth:`CallDraws.neglog_uniform` pre-draws per batch.
+_CALL_BATCH = 4096
+
+
+class _NeglogBatch:
+    """``-log(max(1e-12, u))`` per call over pre-drawn uniform batches."""
+
+    __slots__ = ("_rng", "_values", "_cursor")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._values = rng.random(_CALL_BATCH)
+        self._cursor = 0
+
+    def next(self) -> float:
+        if self._cursor >= _CALL_BATCH:
+            self._values = self._rng.random(_CALL_BATCH)
+            self._cursor = 0
+        value = self._values[self._cursor]
+        self._cursor += 1
+        return -np.log(max(1e-12, value))
+
+
+class CallDraws:
+    """Draw policy of the event engine: per-call draws from one generator.
+
+    Every model of a UE shares the generator, so the draw order is the
+    order of the calls; stream names are ignored.  Transcendentals are
+    applied per value, and :meth:`neglog_uniform` draws its first batch
+    of 4096 uniforms when it is asked for the function.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def normal(self, name: str) -> Callable[[], float]:
+        return self._rng.normal
+
+    def uniform(self, name: str) -> Callable[[], float]:
+        return self._rng.random
+
+    def exponential(self, name: str, scale: float) -> Callable[[], float]:
+        exponential = self._rng.exponential
+        return lambda: exponential(scale)
+
+    def uniform_range(self, name: str, low: float, high: float) -> Callable[[], float]:
+        uniform = self._rng.uniform
+        return lambda: uniform(low, high)
+
+    def lognormal(self, name: str, sigma: float) -> Callable[[], float]:
+        normal = self._rng.normal
+        return lambda: float(np.exp(normal(0.0, sigma)))
+
+    def neglog_uniform(self, name: str) -> Callable[[], float]:
+        return _NeglogBatch(self._rng).next

@@ -28,7 +28,6 @@ from repro.metrics.stats import jain_index
 from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.meter import SessionMeter, coerce_meter
 from repro.sim.engine import Simulation
-from repro.sim.rng import RngRegistry
 from repro.telephony.session import SessionResult, TelephonySession
 from repro.video.quality import mos_score
 
@@ -119,10 +118,7 @@ class CellSession:
         meter = coerce_meter(meter)
         self.meter = meter
         self.sim.meter = meter
-        background_rng = None
-        if fleet.background_ues > 0:
-            background_rng = RngRegistry(fleet.seed).stream("fleet.background")
-        self.cell = SharedCell(self.sim, fleet, background_rng)
+        self.cell = SharedCell(self.sim, fleet)
         self.sessions: List[TelephonySession] = []
         for index, config in enumerate(configs):
             self.sessions.append(

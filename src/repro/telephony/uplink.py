@@ -12,20 +12,27 @@ integer number of subframes.
 :class:`UplinkSession` here is the *scalar reference*: it runs the
 profile one session at a time as a plain integer-tick loop (one
 ``_tick(k)`` call per subframe, no event engine), composing the
-production FBCC classes
-(:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
+classes the event engine runs: the LTE models
+(:class:`~repro.lte.channel.ChannelProcess`,
+:class:`~repro.lte.cell.CellLoadProcess`,
+:class:`~repro.lte.scheduler.EnbScheduler`,
+:class:`~repro.lte.firmware_buffer.FirmwareBuffer`), the
+:class:`~repro.rate_control.pacer.FramePacer` token bucket and the FBCC
+classes (:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
 :class:`~repro.rate_control.fbcc.bandwidth.TbsBandwidthEstimator`,
 :class:`~repro.rate_control.fbcc.encoding.EncodingRateControl`,
-:class:`~repro.rate_control.fbcc.rtp.RtpRateControl`) and the
-production :class:`~repro.lte.firmware_buffer.FirmwareBuffer`.  The
+:class:`~repro.rate_control.fbcc.rtp.RtpRateControl`).  The
 batched engine must reproduce it **bit-for-bit** (same seeds → same
 :class:`~repro.telephony.session.SessionResult` numbers); the
 equivalence test in ``tests/test_batch.py`` enforces this.
 
-Three design rules make that achievable (see docs/PERFORMANCE.md):
+Four design rules make that achievable (see docs/PERFORMANCE.md):
 
 1. every random variate comes from a per-session *block stream*
-   (:mod:`repro.sim.blocks`) with transcendentals applied block-wise;
+   (:mod:`repro.sim.blocks`) with transcendentals applied block-wise —
+   the models take :class:`~repro.sim.blocks.BlockDraws` as their draw
+   policy here, where the event engine passes
+   :class:`~repro.sim.blocks.CallDraws`;
 2. all time is derived from the integer tick counter (``now = k *
    1e-3``), never from float-accumulated periods;
 3. rare per-frame events (assembly, display, PSNR) run through
@@ -45,27 +52,22 @@ import numpy as np
 
 from repro.config import FleetConfig, SessionConfig, VideoConfig
 from repro.lte.cell import UPDATE_INTERVAL as CELL_UPDATE_INTERVAL
-from repro.lte.cell import GridCellLoad
-from repro.lte.channel import GridChannel
+from repro.lte.cell import CellLoadProcess
+from repro.lte.channel import ChannelProcess
 from repro.lte.firmware_buffer import FirmwareBuffer
-from repro.lte.scheduler import GridScheduler
+from repro.lte.scheduler import EnbScheduler
 from repro.metrics.summary import SessionLog, SessionSummary
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import FallbackRamp
 from repro.rate_control.fbcc.detector import CongestionDetector
 from repro.rate_control.fbcc.encoding import EncodingRateControl
 from repro.rate_control.fbcc.rtp import RtpRateControl
-from repro.rate_control.pacer import (
-    BURST_TICKS,
-    MAX_QUEUE_SECONDS,
-    MIN_BURST_BYTES,
-    PACING_TICK,
-)
-from repro.sim.blocks import BlockStream, lognormal_transform
+from repro.rate_control.pacer import PACING_TICK, FramePacer
+from repro.sim.blocks import BlockDraws, BlockStream, lognormal_transform
 from repro.sim.rng import RngRegistry
 from repro.telephony.session import SessionResult
 from repro.units import BITS_PER_BYTE
-from repro.video.quality import anchor_bpp, psnr_from_bpp
+from repro.video.quality import anchor_bpp
 
 #: One lockstep tick (the LTE subframe).
 MS = 1e-3
@@ -376,54 +378,6 @@ class _Pkt:
         self.last = last
 
 
-class _GridPacer:
-    """Scalar mirror of :class:`~repro.rate_control.pacer.PacedSender`.
-
-    Same token-bucket arithmetic, burst cap and stale-frame expiry, but
-    clocked by the lockstep tick loop and emitting ``(frame_id, size,
-    is_last)`` instead of full packet objects.
-    """
-
-    __slots__ = ("_payload", "_frames", "_budget", "_queued", "dropped_frames")
-
-    def __init__(self, payload_size: int):
-        self._payload = payload_size
-        #: deque of ``[frame_id, remaining_bytes]``.
-        self._frames: Deque[list] = deque()
-        self._budget = 0.0
-        self._queued = 0.0
-        self.dropped_frames = 0
-
-    def enqueue(self, frame_id: int, size_bytes: float) -> None:
-        self._frames.append([frame_id, size_bytes])
-        self._queued += size_bytes
-
-    def tick(self, rate: float, emit) -> None:
-        rate = max(0.0, rate)
-        if rate > 0.0:
-            max_bytes = rate * MAX_QUEUE_SECONDS / BITS_PER_BYTE
-            while self._queued > max_bytes and len(self._frames) > 1:
-                item = self._frames[1]
-                del self._frames[1]
-                self._queued -= item[1]
-                self.dropped_frames += 1
-        tick_budget = rate * PACING_TICK / BITS_PER_BYTE
-        burst_cap = max(MIN_BURST_BYTES, BURST_TICKS * tick_budget)
-        self._budget = min(self._budget + tick_budget, burst_cap)
-        while self._frames and self._budget > 0:
-            head = self._frames[0]
-            size = min(self._payload, head[1])
-            if size > self._budget:
-                break
-            self._budget -= size
-            head[1] -= size
-            self._queued -= size
-            last = head[1] <= 0
-            if last:
-                self._frames.popleft()
-            emit(head[0], size, last)
-
-
 class UplinkSession:
     """Scalar reference engine for the uplink lockstep profile.
 
@@ -447,12 +401,13 @@ class UplinkSession:
 
         profile = self.profile
         lte = config.lte
-        self._channel = GridChannel(lte.channel, stream)
-        self._cell = GridCellLoad(lte.cell, stream)
-        self._sched = GridScheduler(lte, stream)
+        draws = BlockDraws(stream)
+        self._channel = ChannelProcess(lte.channel, draws)
+        self._cell = CellLoadProcess(lte.cell, draws)
+        self._sched = EnbScheduler(lte, draws)
         self._fw = FirmwareBuffer(lte.firmware_buffer_cap)
         self._bsr: Deque[float] = deque([0.0] * profile.bsr_depth, maxlen=profile.bsr_depth)
-        self._pacer = _GridPacer(config.video.rtp_payload)
+        self._pacer = FramePacer(config.video.rtp_payload)
         self._noise = BlockStream(
             stream("frame.noise"), lognormal_transform(config.video.size_sigma_base)
         )
@@ -564,11 +519,12 @@ class UplinkSession:
 
         # 7. pacing tick
         if k % profile.pacer_ticks == 0:
-            self._pacer.tick(self._rtp.rate, self._emit)
+            self._pacer.refill(self._rtp.rate)
+            self._pacer.drain(self._emit)
 
         # 8. LTE subframe: BSR, grant, drain, diag accumulators.  The
         # scheduler grants nothing (and draws nothing) on an empty BSR
-        # or in a handover outage (GridChannel.cqi's zero).
+        # or in a handover outage (ChannelProcess.cqi's zero).
         fw = self._fw
         ring = self._bsr
         reported = ring[0]

@@ -23,7 +23,7 @@ def test_radio_outage_recovers():
     channel = session.forward.ue.channel
 
     # Force a 2-second radio outage at t=20.
-    sim.schedule(20.0, lambda: setattr(channel, "_outage_until", 22.0))
+    sim.schedule(20.0, lambda: setattr(channel, "outage_until", 22.0))
     result = session.run(60.0, warmup=10.0)
 
     times = np.array(result.log.display_times)
@@ -39,7 +39,7 @@ def test_outage_drives_congestion_detection():
     session = _session()
     sim = session.sim
     channel = session.forward.ue.channel
-    sim.schedule(20.0, lambda: setattr(channel, "_outage_until", 21.5))
+    sim.schedule(20.0, lambda: setattr(channel, "outage_until", 21.5))
     session.run(40.0)
     # The firmware buffer filled during the outage; FBCC must have fired.
     assert session.transport.encoding.congestion_events >= 1
@@ -73,9 +73,7 @@ def test_load_spike_throttles_rate():
     rates = []
 
     def spike():
-        cell._config = type(cell._config)(
-            background_load=0.8, load_sigma=0.0, load_corr_time=5.0
-        )
+        cell._background = 0.8
         cell._deviation = 0.0
 
     sim.schedule(30.0, spike)

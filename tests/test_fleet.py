@@ -8,7 +8,8 @@ import pytest
 from repro.config import FleetConfig, SessionConfig
 from repro.experiments.fleet import deterministic_registry_dict, fleet_sweep
 from repro.experiments.parallel import CellTask, run_tasks
-from repro.lte.shared_cell import SharedCell
+from repro.lte.competitors import UPDATE_INTERVAL as BACKGROUND_INTERVAL
+from repro.lte.shared_cell import SharedCell, _background_crowd
 from repro.metrics.stats import jain_index
 from repro.sim.engine import Simulation
 from repro.telephony.fleet import CellSession, member_configs, run_cell
@@ -173,25 +174,36 @@ def test_prb_budget_caps_one_subframe_and_resets_on_the_next():
 
 
 def test_scheduled_background_preclaims_prbs():
-    import numpy as np
-
     sim = Simulation()
     cell = SharedCell(
-        sim,
-        FleetConfig(ues=1, prb_budget=20, background_ues=4, background_load=0.5),
-        np.random.default_rng(1),
+        sim, FleetConfig(ues=1, prb_budget=20, background_ues=4, background_load=0.5)
     )
     cell.add_member(_StubUe())
-    sim.run(1.0)  # let the background population toggle on
+    for _ in range(60):  # let the background population toggle on
+        sim.run(1.0)
+        if cell.background.active_competitors:
+            break
     took = cell.claim(0, 20, sim.now)
     expected = 20 - int(round(20 * cell.background.load))
     assert took == expected
     assert took < 20
 
 
-def test_background_ues_require_rng():
-    with pytest.raises(ValueError):
-        SharedCell(Simulation(), FleetConfig(background_ues=2))
+def test_background_crowd_comes_from_the_fleet_seed():
+    """The event-driven cell builds its crowd exactly as the lockstep
+    cells do, and clocks it every competitor update interval."""
+    assert SharedCell(Simulation(), FleetConfig(background_ues=0)).background is None
+    fleet = FleetConfig(background_ues=6, background_load=0.4, seed=9)
+    sim = Simulation()
+    cell = SharedCell(sim, fleet)
+    reference = _background_crowd(fleet)
+    assert cell.background.load == reference.load
+    now = 0.0
+    for _ in range(40):
+        now += BACKGROUND_INTERVAL
+        reference.update(now)
+        sim.run(BACKGROUND_INTERVAL)
+        assert cell.background.load == reference.load
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ in the same order.  End-to-end cohorts exercise that on a few hand-picked
 configs; these tests drive each twin and its scalar reference with the
 same random operation sequences — edges included (zero and sub-epsilon
 grants, cap drops, ring wrap, rate 0, stale-frame expiry, CQI 0, zero
-PRB claims) — and require identical state and outputs after every step.
+PRB claims, back-to-back handovers, loads clamped at both ends) — and
+require identical state and outputs after every step.  The scalar
+references are the model classes both engines run, built with the
+lockstep engines' :class:`~repro.sim.blocks.BlockDraws`.
 """
 
 from dataclasses import replace
@@ -16,18 +19,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import LteConfig
+from repro.config import CellConfig, ChannelConfig, LteConfig
+from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
+from repro.lte.channel import ChannelArray, ChannelProcess
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
-from repro.lte.scheduler import GridScheduler, SchedulerArray
-from repro.rate_control.pacer import _FRAME_SLOTS, MIN_BURST_BYTES, PacedSenderArray
+from repro.lte.scheduler import EnbScheduler, SchedulerArray
+from repro.rate_control.pacer import (
+    _FRAME_SLOTS,
+    MIN_BURST_BYTES,
+    FramePacer,
+    PacedSenderArray,
+)
 from repro.sim.blocks import (
+    BlockDraws,
     BlockStream,
     BlockStreamArray,
     lognormal_transform,
     uniform_transform,
 )
 from repro.sim.rng import RngRegistry
-from repro.telephony.uplink import _GridPacer, _Pkt
+from repro.telephony.uplink import _Pkt
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -152,7 +163,7 @@ def test_firmware_ring_wraps_like_the_scalar_fifo(seed, n):
     assert (pair.array.dropped_packets < _RING_SLOTS).all()
 
 
-# -- PacedSenderArray vs _GridPacer ---------------------------------------
+# -- PacedSenderArray vs FramePacer ---------------------------------------
 
 #: Pacing rates (bps): zero, negative (clamped to 0), starved enough to
 #: expire stale frames, and ordinary.
@@ -189,12 +200,12 @@ def pacer_ops(draw):
 def test_paced_sender_array_matches_grid_pacer(case):
     payloads, ops = case
     n = len(payloads)
-    scalars = [_GridPacer(p) for p in payloads]
+    scalars = [FramePacer(p) for p in payloads]
     array = PacedSenderArray(np.array(payloads))
     next_fid = 0
     for kind, values in ops:
         if kind == "enqueue":
-            if max(len(p._frames) for p in scalars) >= _FRAME_SLOTS - 1:
+            if max(len(p.frames) for p in scalars) >= _FRAME_SLOTS - 1:
                 continue
             array.enqueue_all(next_fid, np.array(values))
             for pacer, size in zip(scalars, values):
@@ -209,12 +220,13 @@ def test_paced_sender_array_matches_grid_pacer(case):
                 got[s].append((fid, size, last))
         for s, (pacer, rate) in enumerate(zip(scalars, values)):
             emitted = []
-            pacer.tick(rate, lambda fid, size, last: emitted.append((fid, size, bool(last))))
+            pacer.refill(rate)
+            pacer.drain(lambda fid, size, last: emitted.append((fid, size, bool(last))))
             assert got[s] == emitted
         for s, pacer in enumerate(scalars):
-            assert array._budget[s] == pacer._budget
-            assert array._queued[s] == pacer._queued
-            assert int(array._count[s]) == len(pacer._frames)
+            assert array._budget[s] == pacer.budget
+            assert array._queued[s] == pacer.queued_bytes
+            assert int(array._count[s]) == len(pacer.frames)
             assert int(array.dropped_frames[s]) == pacer.dropped_frames
 
 
@@ -266,7 +278,7 @@ def test_block_stream_array_take_all_matches_scalar_streams(seeds, block, steps)
         assert array.take_all().tolist() == [s.next() for s in scalars]
 
 
-# -- SchedulerArray vs GridScheduler --------------------------------------
+# -- SchedulerArray vs EnbScheduler ---------------------------------------
 
 
 class _BudgetView:
@@ -337,7 +349,7 @@ def test_scheduler_array_matches_grid_scheduler(case):
     n = len(speeds)
     configs = _lte_configs(speeds)
     scalars = [
-        GridScheduler(config, stream, block=16)
+        EnbScheduler(config, BlockDraws(stream, block=16))
         for config, stream in zip(configs, _streams(seed, n))
     ]
     array = SchedulerArray(configs, _streams(seed, n), block=16)
@@ -369,3 +381,100 @@ def test_scheduler_array_matches_grid_scheduler(case):
         for s, scheduler in enumerate(scalars):
             assert int(array._burst_left[s]) == scheduler._burst_left
             assert int(array._idle_left[s]) == scheduler._idle_left
+
+
+# -- ChannelArray vs ChannelProcess ----------------------------------------
+
+#: Deep-fade rates per minute: none, ordinary, and so high that a fade
+#: starts on almost every update once the previous one ends.
+fade_rates = st.one_of(st.just(0.0), st.floats(0.5, 30.0), st.floats(1000.0, 6000.0))
+
+
+@st.composite
+def channel_configs(draw):
+    low = draw(st.floats(0.0, 0.1))
+    return ChannelConfig(
+        rss_dbm=draw(st.floats(-125.0, -55.0)),
+        shadow_sigma_db=draw(st.floats(0.0, 12.0)),
+        shadow_corr_time=draw(st.floats(0.05, 10.0)),
+        speed_mph=draw(st.one_of(st.sampled_from([0.0, 80.0]), st.floats(0.0, 80.0))),
+        # Up to ~1 handover per update at speed; an outage shorter than
+        # the update interval lets the next one fire back to back.
+        handover_rate_per_min_at_30mph=draw(
+            st.one_of(st.just(0.0), st.floats(1.0, 30.0), st.floats(1000.0, 4000.0))
+        ),
+        handover_outage=draw(st.sampled_from([0.0, 0.01, 0.02, 0.3])),
+        deep_fade_rate_per_min=draw(fade_rates),
+        deep_fade_depth_db=draw(st.floats(0.0, 30.0)),
+        deep_fade_duration=(low, low + draw(st.floats(0.0, 0.2))),
+    )
+
+
+@FUZZ
+@given(
+    configs=st.lists(channel_configs(), min_size=1, max_size=4),
+    seed=st.integers(0, 2**31 - 1),
+    block=st.integers(1, 9),
+    updates=st.integers(1, 120),
+)
+def test_channel_array_matches_channel_process(configs, seed, block, updates):
+    n = len(configs)
+    scalars = [
+        ChannelProcess(config, BlockDraws(stream, block))
+        for config, stream in zip(configs, _streams(seed, n))
+    ]
+    array = ChannelArray(configs, _streams(seed, n), block)
+    for k in range(1, updates + 1):
+        now = 20 * k * 1e-3  # the lockstep engines' 50 Hz tick instants
+        array.update(now)
+        for channel in scalars:
+            channel.update(now)
+        positive, cqi_value = array.cqi_state(now)
+        assert array.effective_cqi(now).tolist() == [c.cqi(now) for c in scalars]
+        for s, channel in enumerate(scalars):
+            assert array.shadow[s] == channel.shadow_db
+            assert array.outage_until[s] == channel.outage_until
+            assert array.fade_db[s] == channel.fade_db
+            assert array.fade_until[s] == channel.fade_until
+            assert int(array.cqi_value[s]) == channel.cqi_value
+            assert bool(positive[s]) == (now > channel.outage_until)
+            assert int(cqi_value[s]) == channel.cqi_value
+
+
+# -- CellLoadArray vs CellLoadProcess --------------------------------------
+
+
+@st.composite
+def cell_configs(draw):
+    return CellConfig(
+        background_load=draw(
+            st.one_of(st.sampled_from([0.0, LOAD_MAX, 1.0]), st.floats(0.0, 1.0))
+        ),
+        # Wide fluctuations push the load against both clamps.
+        load_sigma=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        load_corr_time=draw(st.floats(0.05, 20.0)),
+    )
+
+
+@FUZZ
+@given(
+    configs=st.lists(cell_configs(), min_size=1, max_size=4),
+    seed=st.integers(0, 2**31 - 1),
+    block=st.integers(1, 9),
+    updates=st.integers(1, 80),
+)
+def test_cell_load_array_matches_cell_load_process(configs, seed, block, updates):
+    n = len(configs)
+    scalars = [
+        CellLoadProcess(config, BlockDraws(stream, block))
+        for config, stream in zip(configs, _streams(seed, n))
+    ]
+    array = CellLoadArray(configs, _streams(seed, n), block)
+    for _ in range(updates):
+        array.update()
+        for cell in scalars:
+            cell.update()
+        for s, cell in enumerate(scalars):
+            assert array.load[s] == cell.load
+            assert array._deviation[s] == cell._deviation
+            assert LOAD_MIN <= cell.load <= LOAD_MAX

@@ -3,14 +3,16 @@
 import numpy as np
 
 from repro.config import CellConfig
-from repro.lte.cell import CellLoadProcess, LOAD_MAX, LOAD_MIN
+from repro.lte.cell import LOAD_MAX, LOAD_MIN, UPDATE_INTERVAL, CellLoadProcess
+from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 
 
 def _run_load(config, seconds=120.0, seed=3):
     sim = Simulation()
-    process = CellLoadProcess(sim, config, RngRegistry(seed).stream("cell"))
+    process = CellLoadProcess(config, CallDraws(RngRegistry(seed).stream("cell")))
+    sim.every(UPDATE_INTERVAL, process.update)
     samples = []
     sim.every(0.5, lambda: samples.append(process.load))
     sim.run(seconds)

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from repro.config import ChannelConfig
-from repro.lte.channel import ChannelProcess
+from repro.lte.channel import ChannelProcess, derive_channel_dynamics
+from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 
 
 def _run_channel(config, seconds=60.0, seed=3):
     sim = Simulation()
-    channel = ChannelProcess(sim, config, RngRegistry(seed).stream("ch"))
+    channel = ChannelProcess(config, CallDraws(RngRegistry(seed).stream("ch")))
+    sim.every(config.update_interval, lambda: channel.update(sim.now))
     samples = []
-    sim.every(0.05, lambda: samples.append((channel.rss_dbm, channel.cqi())))
+    sim.every(0.05, lambda: samples.append((channel.rss_dbm, channel.cqi(sim.now))))
     sim.run(seconds)
     return channel, samples
 
@@ -71,12 +73,10 @@ def test_deep_fades_attenuate_rss():
 def test_mobility_compresses_correlation_time():
     static = ChannelConfig(speed_mph=0.0, deep_fade_rate_per_min=0.0)
     moving = dataclasses.replace(static, speed_mph=50.0)
-    sim = Simulation()
-    rng = RngRegistry(1)
-    static_process = ChannelProcess(sim, static, rng.stream("a"))
-    moving_process = ChannelProcess(sim, moving, rng.stream("b"))
-    assert moving_process._corr_time < static_process._corr_time
-    assert moving_process._sigma > static_process._sigma
+    static_dynamics = derive_channel_dynamics(static)
+    moving_dynamics = derive_channel_dynamics(moving)
+    assert moving_dynamics.corr_time < static_dynamics.corr_time
+    assert moving_dynamics.sigma > static_dynamics.sigma
 
 
 def test_cqi_reflects_rss_level():
