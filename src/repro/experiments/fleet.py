@@ -181,46 +181,51 @@ def fleet_batch_tasks(
 ) -> List[CellBlockTask]:
     """The ``--batch`` task list: whole batched cell blocks.
 
-    Each point's cells keep the exact seed schedule of
-    :func:`fleet_tasks` and are chunked into at most ``jobs`` contiguous
-    blocks; the partition affects wall clock only (cells are independent
-    — the flattened results are byte-equal for any block split).
-    ``meter`` attaches live per-cell engine meters, ``heartbeat_path``
-    streams each block's tick progress into a run-ledger heartbeat file.
+    The sweep's cells, in the seed order of :func:`fleet_tasks`, are
+    chunked into at most ``jobs`` contiguous blocks balanced by member
+    sessions (a block may span calls-per-cell points); the partition
+    affects wall clock only (cells are independent — the flattened
+    results are byte-equal for any block split).  ``meter`` attaches
+    live per-cell engine meters, ``heartbeat_path`` streams each block's
+    tick progress into a run-ledger heartbeat file.
     """
-    workers = resolve_jobs(jobs)
-    tasks: List[CellBlockTask] = []
-    for point_index, ues in enumerate(calls):
-        if ues < 1:
-            raise ValueError("calls-per-cell values must be >= 1")
-        seeds = [
-            seed + CELL_SEED_STRIDE * (point_index * cells + cell_index)
-            for cell_index in range(cells)
-        ]
-        blocks = min(len(seeds), max(1, workers))
-        # Balanced contiguous chunks, larger chunks first.
-        size, extra = divmod(len(seeds), blocks)
-        start = 0
-        for block in range(blocks):
-            stop = start + size + (1 if block < extra else 0)
-            tasks.append(
-                CellBlockTask(
-                    scenario_name=scenario_name,
-                    scheme=scheme,
-                    transport=transport,
-                    duration=duration,
-                    warmup=warmup,
-                    seeds=tuple(seeds[start:stop]),
-                    ues=ues,
-                    background_ues=background_ues,
-                    background_load=background_load,
-                    prb_budget=prb_budget,
-                    meter=meter,
-                    heartbeat_path=heartbeat_path,
-                )
-            )
-            start = stop
-    return tasks
+    if any(ues < 1 for ues in calls):
+        raise ValueError("calls-per-cell values must be >= 1")
+    seeds = [
+        seed + CELL_SEED_STRIDE * (point_index * cells + cell_index)
+        for point_index in range(len(calls))
+        for cell_index in range(cells)
+    ]
+    members = [ues for ues in calls for _ in range(cells)]
+    blocks = min(len(seeds), max(1, resolve_jobs(jobs)))
+    # Cut after the cell whose running member total first reaches each
+    # of the blocks - 1 interior quantiles of the sweep's total.
+    total = sum(members)
+    bounds = [0]
+    running = 0
+    for index, ues in enumerate(members[:-1]):
+        running += ues
+        if running * blocks >= total * len(bounds):
+            bounds.append(index + 1)
+    bounds.append(len(members))
+    return [
+        CellBlockTask(
+            scenario_name=scenario_name,
+            scheme=scheme,
+            transport=transport,
+            duration=duration,
+            warmup=warmup,
+            seeds=tuple(seeds[start:stop]),
+            ues=tuple(members[start:stop]),
+            background_ues=background_ues,
+            background_load=background_load,
+            prb_budget=prb_budget,
+            meter=meter,
+            heartbeat_path=heartbeat_path,
+        )
+        for start, stop in zip(bounds, bounds[1:])
+        if stop > start
+    ]
 
 
 def _aggregate(ues: int, results: Sequence[CellResult]) -> FleetPoint:

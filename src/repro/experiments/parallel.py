@@ -188,10 +188,11 @@ class CellBlockTask:
 
     The ``--batch`` sharding unit: one task is one
     :class:`repro.sim.batch_cell.BatchedCellSimulation` advancing a
-    contiguous run of a sweep's cells (same calls-per-cell, consecutive
-    seeds) in lockstep.  Cells never couple with each other, so how a
-    point's cells are partitioned into blocks changes wall clock only —
-    the flattened per-cell results (and hence the merged registries) are
+    contiguous run of a sweep's cells (in seed order, possibly spanning
+    several calls-per-cell points, so member counts may differ) in
+    lockstep.  Cells never couple with each other, so how a sweep's
+    cells are partitioned into blocks changes wall clock only — the
+    flattened per-cell results (and hence the merged registries) are
     byte-equal for any partition, including the serial one-block case.
     ``run()`` returns a list of :class:`repro.telephony.fleet.CellResult`
     in seed order.
@@ -205,7 +206,8 @@ class CellBlockTask:
     #: Base seed of each cell in the block; member ``i`` of a cell runs
     #: at ``cell_seed + 1000*i``.
     seeds: tuple
-    ues: int
+    #: Member count of each cell, parallel to ``seeds``.
+    ues: tuple
     background_ues: int = 0
     background_load: float = 0.0
     prb_budget: int = 50
@@ -226,7 +228,7 @@ class CellBlockTask:
 
         cells = []
         fleets = []
-        for seed in self.seeds:
+        for seed, ues in zip(self.seeds, self.ues):
             base = lockstep_scenario(
                 self.scenario_name,
                 scheme=self.scheme,
@@ -234,10 +236,10 @@ class CellBlockTask:
                 duration=self.duration,
                 seed=seed,
             )
-            cells.append(member_configs(base, self.ues))
+            cells.append(member_configs(base, ues))
             fleets.append(
                 FleetConfig(
-                    ues=self.ues,
+                    ues=ues,
                     prb_budget=self.prb_budget,
                     background_ues=self.background_ues,
                     background_load=self.background_load,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.config import CellConfig
-from repro.sim.blocks import BlockStreamArray, normal_transform
+from repro.sim.blocks import DEFAULT_BLOCK, BlockStreamArray, normal_transform
 
 #: Load is clamped into this range (a cell is never 100% occupied by
 #: others for long — the PF scheduler still serves backlogged UEs).
@@ -57,7 +57,7 @@ class CellLoadArray:
     """``(n_sessions,)`` vectorised twin of :class:`CellLoadProcess`
     under :class:`~repro.sim.blocks.BlockDraws`."""
 
-    def __init__(self, configs, streams, block: int = 1024):
+    def __init__(self, configs, streams, block: int = DEFAULT_BLOCK):
         n = len(configs)
         self._background = np.array([c.background_load for c in configs])
         decay = np.array(

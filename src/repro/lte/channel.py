@@ -17,6 +17,7 @@ import numpy as np
 from repro.config import ChannelConfig
 from repro.lte.tbs import cqi_from_rss, cqi_from_rss_array
 from repro.sim.blocks import (
+    DEFAULT_BLOCK,
     BlockStreamArray,
     exponential_transform,
     normal_transform,
@@ -147,7 +148,9 @@ class ChannelArray:
     scalar twin would.
     """
 
-    def __init__(self, configs: Sequence[ChannelConfig], streams, block: int = 1024):
+    def __init__(
+        self, configs: Sequence[ChannelConfig], streams, block: int = DEFAULT_BLOCK
+    ):
         n = len(configs)
         dynamics = [derive_channel_dynamics(config) for config in configs]
         self.decay = np.array([d.decay for d in dynamics])

@@ -26,6 +26,7 @@ import numpy as np
 from repro.config import LteConfig
 from repro.lte.tbs import BYTES_PER_PRB_TABLE, transport_block_bytes
 from repro.sim.blocks import (
+    DEFAULT_BLOCK,
     BlockStreamArray,
     lognormal_transform,
     neglog_uniform_transform,
@@ -147,7 +148,7 @@ class SchedulerArray:
     scalar twin would, so the per-session stream cursors stay aligned.
     """
 
-    def __init__(self, configs, streams, block: int = 1024):
+    def __init__(self, configs, streams, block: int = DEFAULT_BLOCK):
         n = len(configs)
         self._p_max = np.array([c.p_max for c in configs])
         self._backlog_ref = np.array([c.pf_backlog_ref for c in configs])

@@ -450,37 +450,48 @@ class GridSharedCell:
 
 
 class SharedCellArray:
-    """``(C cells, N members)`` vectorised twin of :class:`GridSharedCell`.
+    """Ragged ``(C cells, max members)`` vectorised twin of
+    :class:`GridSharedCell`.
+
+    ``members`` gives each cell's member count.  Sessions are flat and
+    cell-major, as in :class:`repro.sim.batch_cell.BatchedCellSimulation`;
+    a flat-session → (cell, slot) map links them to the share array,
+    whose padded slots stay 0.0.
 
     One :meth:`member_loads` call per 1 ms tick advances **every** cell:
     background crowds update at their cadence (scalar per-cell Python —
     the crowd flips at 20 Hz, off the hot path), share EWMAs decay as
-    one ``(C, N)`` multiply, the per-cell aggregates accumulate
+    one array multiply, the per-cell aggregates accumulate
     column-by-column (left-to-right, matching the scalar member loop's
-    float association), and the load composition — peers, background,
-    clamp, PF catch-up weight ``((mean+eps)/(share+eps)) ** kappa``
-    row-wise — runs as whole-array ops.  :meth:`claim_rows` replaces the
-    members' sequential budget claims with an order-preserving segmented
-    prefix-sum pass (see the method docstring for the equivalence
-    argument).  Flattened member order is cell-major — identical to the
-    flat cohort order of :class:`repro.sim.batch_cell.
-    BatchedCellSimulation`.
+    float association; a padded 0.0 adds bitwise-neutrally), and the
+    load composition — peers, background, clamp, PF catch-up weight
+    ``((mean+eps)/(share+eps)) ** kappa`` — runs on the flat session
+    arrays.  :meth:`claim_rows` replaces the members' sequential budget
+    claims with an order-preserving segmented prefix-sum pass (see the
+    method docstring for the equivalence argument).
     """
 
-    def __init__(self, fleets, members: int, fallback):
+    def __init__(self, fleets, members, fallback):
         fleets = list(fleets)
+        counts = [int(m) for m in members]
         if not fleets:
             raise ValueError("at least one cell required")
-        if members < 1:
+        if min(counts) < 1:
             raise ValueError("cells need at least one member")
         c = len(fleets)
+        width = max(counts)
         self._c = c
-        self._n = members
-        self.fleets = fleets
+        self._width = width
         #: The flat cohort's own per-session cell-load models
         #: (``CellLoadArray``) — each member's background fallback.
         self._fallback = fallback
-        self._shares = np.zeros((c, members))
+        self._shares = np.zeros((c, width))
+        #: Flat session -> its cell, and -> its slot in ``_shares``
+        #: flattened (``cell * width + member``).
+        cell_of = np.repeat(np.arange(c), counts)
+        self._cell_of = cell_of
+        self._slot = cell_of * width + np.concatenate([np.arange(m) for m in counts])
+        self._count = np.array(counts, dtype=np.float64)[cell_of]
         prb = np.array([max(1, int(f.prb_budget)) for f in fleets], dtype=np.float64)
         self._prb_budget = prb
         alpha = np.array(
@@ -491,15 +502,15 @@ class SharedCellArray:
         )
         self._alpha = alpha
         self._decay_col = (1.0 - alpha)[:, None]
-        self._kappa_col = np.array([max(0.0, f.pf_weight_exponent) for f in fleets])[
-            :, None
+        self._kappa = np.array([max(0.0, f.pf_weight_exponent) for f in fleets])[
+            cell_of
         ]
-        wmax = np.array([max(1.0, f.pf_weight_max) for f in fleets])
-        self._wmax_col = wmax[:, None]
-        self._wfloor_col = (1.0 / wmax)[:, None]
+        wmax = np.array([max(1.0, f.pf_weight_max) for f in fleets])[cell_of]
+        self._wmax = wmax
+        self._wfloor = 1.0 / wmax
         self._backgrounds = [_background_crowd(f) for f in fleets]
         self._has_bg = any(bg is not None for bg in self._backgrounds)
-        self._bg_mask = np.array([bg is not None for bg in self._backgrounds])
+        self._bg_rows = np.array([bg is not None for bg in self._backgrounds])[cell_of]
         self._bg_load = np.array(
             [0.0 if bg is None else bg.load for bg in self._backgrounds]
         )
@@ -507,24 +518,20 @@ class SharedCellArray:
         self._total = np.zeros(c)
 
     @property
-    def cells(self) -> int:
-        return self._c
-
-    @property
     def budget_left(self) -> np.ndarray:
         """Per-cell PRBs still grantable this subframe (introspection)."""
         return self._budget_left
 
     def member_loads(self, k: int, now: float) -> np.ndarray:
-        """Advance every cell to tick ``k``; flat ``(C*N,)`` loads.
+        """Advance every cell to tick ``k``; flat per-session loads.
 
         Performs, for all cells at once, exactly what
-        :meth:`GridSharedCell.begin_tick` + N ``load_for`` calls do —
-        the scalar reference computes every member's load from the same
-        per-tick share snapshot (claims bump only the claimer's *own*
-        share, which no later member's load reads), so the phase-major
-        evaluation here is order-equivalent to the scalar member-major
-        one.
+        :meth:`GridSharedCell.begin_tick` + one ``load_for`` call per
+        member do — the scalar reference computes every member's load
+        from the same per-tick share snapshot (claims bump only the
+        claimer's *own* share, which no later member's load reads), so
+        the phase-major evaluation here is order-equivalent to the
+        scalar member-major one.
         """
         if self._has_bg and k % _BG_TICKS == 0:
             bg_load = self._bg_load
@@ -536,7 +543,7 @@ class SharedCellArray:
         shares *= self._decay_col
         total = self._total
         total.fill(0.0)
-        for j in range(self._n):
+        for j in range(self._width):
             total += shares[:, j]
         # Budget reset minus the background pre-claim; ``np.rint`` is
         # the scalar ``int(round(...))`` (both round half-even).
@@ -545,27 +552,29 @@ class SharedCellArray:
             self._prb_budget - np.rint(self._prb_budget * self._bg_load),
             out=self._budget_left,
         )
+        share = shares.reshape(-1)[self._slot]
+        cell_total = total[self._cell_of]
         # Background component: each member's own fallback model, or
         # the cell's crowd where one is scheduled.
-        base = self._fallback.load.reshape(self._c, self._n)
+        base = self._fallback.load
         if self._has_bg:
-            base = base.copy()
-            base[self._bg_mask, :] = self._bg_load[self._bg_mask, None]
-        peers = total[:, None] - shares
+            base = np.where(self._bg_rows, self._bg_load[self._cell_of], base)
+        peers = cell_total - share
         np.maximum(peers, 0.0, out=peers)
         raw = base + peers
         np.minimum(raw, LOAD_MAX, out=raw)
-        if self._n <= 1:
-            return raw.reshape(-1)
-        ratio = (total[:, None] / self._n + _SHARE_EPS) / (shares + _SHARE_EPS)
-        weight = np.power(ratio, self._kappa_col)
-        np.minimum(weight, self._wmax_col, out=weight)
-        np.maximum(weight, self._wfloor_col, out=weight)
+        if self._width <= 1:
+            return raw
+        # A 1-member cell's ratio is exactly 1.0, so its weight is too
+        # and it keeps ``raw``, as the scalar ``pf_weight`` shortcut does.
+        ratio = (cell_total / self._count + _SHARE_EPS) / (share + _SHARE_EPS)
+        weight = np.power(ratio, self._kappa)
+        np.minimum(weight, self._wmax, out=weight)
+        np.maximum(weight, self._wfloor, out=weight)
         boosted = 1.0 - weight * (1.0 - raw)
         np.minimum(boosted, LOAD_MAX, out=boosted)
         np.maximum(boosted, 0.0, out=boosted)
-        loads = np.where(weight == 1.0, raw, boosted)
-        return loads.reshape(-1)
+        return np.where(weight == 1.0, raw, boosted)
 
     def claim_rows(self, rows: np.ndarray, prbs: np.ndarray) -> np.ndarray:
         """Vectorised, order-preserving budget claims for served rows.
@@ -581,7 +590,7 @@ class SharedCellArray:
         and gets zero.  Demands and budgets are small exact integers in
         float64, so the prefix sums are exact.
         """
-        cells = rows // self._n
+        cells = self._cell_of[rows]
         csum = np.cumsum(prbs)
         before = csum - prbs
         first = np.empty(rows.size, dtype=bool)
@@ -595,10 +604,9 @@ class SharedCellArray:
         self._budget_left -= np.bincount(cells, weights=grants, minlength=self._c)
         positive = grants > 0.0
         if positive.any():
-            prows = rows[positive]
             pcells = cells[positive]
             flat = self._shares.reshape(-1)
-            flat[prows] += self._alpha[pcells] * (
+            flat[self._slot[rows[positive]]] += self._alpha[pcells] * (
                 grants[positive] / self._prb_budget[pcells]
             )
         return grants

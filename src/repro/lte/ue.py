@@ -196,16 +196,16 @@ class UeUplinkArray:
     engine's job (it knows the whole downstream path).
     """
 
-    def __init__(self, configs, streams, block: int = 1024):
+    def __init__(self, configs, streams):
         from repro.lte.cell import CellLoadArray
         from repro.lte.channel import ChannelArray
         from repro.lte.firmware_buffer import FirmwareBufferArray
         from repro.lte.scheduler import SchedulerArray
 
         n = len(configs)
-        self.channel = ChannelArray([c.channel for c in configs], streams, block)
-        self.cell = CellLoadArray([c.cell for c in configs], streams, block)
-        self.scheduler = SchedulerArray(configs, streams, block)
+        self.channel = ChannelArray([c.channel for c in configs], streams)
+        self.cell = CellLoadArray([c.cell for c in configs], streams)
+        self.scheduler = SchedulerArray(configs, streams)
         self.buffer = FirmwareBufferArray(
             np.array([c.firmware_buffer_cap for c in configs])
         )

@@ -93,7 +93,8 @@ class BatchedSimulation:
                 raise ValueError(
                     "cohort is not structurally homogeneous: "
                     f"{profile.signature()} != {signature} "
-                    "(slice the grid with run_batched_sessions)"
+                    "(every session must share the grid cadences; "
+                    "run_batched_sessions slices a sweep grid into cohorts)"
                 )
         self.configs = list(configs)
         self.profile = profiles[0]

@@ -1,19 +1,20 @@
-"""Batched shared-cell engine: C cells × N members per lockstep tick.
+"""Batched shared-cell engine: C cells of any member counts per lockstep tick.
 
 :class:`BatchedCellSimulation` extends the independent-cohort
 :class:`repro.sim.batch.BatchedSimulation` with the cell coupling of
 docs/FLEET.md: the flat cohort is the cell-major concatenation of C
 cells' member lists, and one :class:`repro.lte.shared_cell.
-SharedCellArray` holds every cell's realized-share EWMAs as a ``(C, N)``
-array, computes all members' PF-coupled effective loads row-wise, and
-clips every PRB grant against the per-cell per-subframe budgets in a
-single order-preserving claim pass.
+SharedCellArray` holds every cell's realized-share EWMAs as a ragged
+``(C, max members)`` array, computes all members' PF-coupled effective
+loads, and clips every PRB grant against the per-cell per-subframe
+budgets in a single order-preserving claim pass.
 
 Bit-exactness contract (``tests/test_batch_cell.py``):
 
-- a **C=1** batched cell reproduces the scalar reference
-  :class:`repro.telephony.uplink.UplinkCellSession` to the bit — logs,
-  summaries, member bytes, Jain index;
+- every cell of a block — whatever the member counts of the others —
+  reproduces the scalar reference :class:`repro.telephony.uplink.
+  UplinkCellSession` to the bit — logs, summaries, member bytes, Jain
+  index;
 - an **N=1** batched cell degenerates to the independent-cohort path —
   the shared-cell arithmetic is an exact no-op (peer share 0.0 adds
   bitwise-neutrally, the PF weight branch is skipped, the default
@@ -38,7 +39,7 @@ from repro.metrics.stats import jain_index
 from repro.obs.meter import SessionMeter
 from repro.sim.batch import BatchedSimulation
 from repro.telephony.fleet import CellResult, member_configs
-from repro.telephony.uplink import UplinkProfile, cell_batch_unsupported_reason
+from repro.telephony.uplink import cell_batch_unsupported_reason
 from repro.video.quality import mos_score
 
 
@@ -63,15 +64,16 @@ def _cell_fleets(
 
 
 class BatchedCellSimulation(BatchedSimulation):
-    """Advance a homogeneous block of C shared cells in 1 ms lockstep.
+    """Advance a block of C shared cells in 1 ms lockstep.
 
-    ``cells`` is a sequence of per-cell member-config lists; every cell
-    must have the same member count and every member the same grid
-    cadences (:meth:`UplinkProfile.cell_signature`), while per-member
-    parameters and per-cell fleet parameters (PRB budget, PF coupling,
-    background population) may vary freely.  ``fleets`` is one
-    :class:`FleetConfig` per cell (a single instance is replicated; note
-    that replication also replicates the background rng seed).
+    ``cells`` is a sequence of per-cell member-config lists; cells may
+    have different member counts, but every member of the block must
+    share the grid cadences (:meth:`~repro.telephony.uplink.UplinkProfile.
+    signature`, checked by :class:`BatchedSimulation`), while
+    per-member parameters and per-cell fleet parameters (PRB budget, PF
+    coupling, background population) may vary freely.  ``fleets`` is
+    one :class:`FleetConfig` per cell (a single instance is replicated;
+    note that replication also replicates the background rng seed).
     """
 
     def __init__(
@@ -89,27 +91,14 @@ class BatchedCellSimulation(BatchedSimulation):
                 raise ValueError(
                     f"cell unsupported by the batched cell engine: {reason}"
                 )
-        signature = UplinkProfile.from_config(cells[0][0]).cell_signature(
-            len(cells[0])
-        )
-        for members in cells[1:]:
-            other = UplinkProfile.from_config(members[0]).cell_signature(
-                len(members)
-            )
-            if other != signature:
-                raise ValueError(
-                    "cell block is not structurally homogeneous: "
-                    f"{other} != {signature} "
-                    "(group cells with plan_cell_blocks)"
-                )
         self.cells = cells
         self.fleets = fleet_list
-        self.members_per_cell = len(cells[0])
+        counts = [len(members) for members in cells]
+        #: Flat-cohort offset of each cell's first member, plus the end.
+        self._offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
         flat = [config for members in cells for config in members]
         super().__init__(flat)
-        self._cells = SharedCellArray(
-            fleet_list, self.members_per_cell, self._ue.cell
-        )
+        self._cells = SharedCellArray(fleet_list, counts, self._ue.cell)
         #: Per-cell count of subframes that ended with the PRB budget
         #: exhausted — telemetry only, accumulated behind the metering
         #: flag and never read by the simulation.
@@ -155,13 +144,12 @@ class BatchedCellSimulation(BatchedSimulation):
         engine = SessionMeter() if meter else None
         results = self.run(duration, warmup=warmup, meter=engine, progress=progress)
         bytes_sent = self._ue.bytes_sent - self._baseline_bytes
-        n = self.members_per_cell
+        offsets = self._offsets
         cell_results = []
         for index, fleet in enumerate(self.fleets):
-            members = results[index * n : (index + 1) * n]
-            member_bytes = tuple(
-                float(value) for value in bytes_sent[index * n : (index + 1) * n]
-            )
+            lo, hi = offsets[index], offsets[index + 1]
+            members = results[lo:hi]
+            member_bytes = tuple(float(value) for value in bytes_sent[lo:hi])
             member_mos = tuple(
                 mos_score(result.summary.quality.mos_pdf) for result in members
             )
@@ -172,7 +160,7 @@ class BatchedCellSimulation(BatchedSimulation):
                     jain=jain_index(member_bytes),
                     member_bytes=member_bytes,
                     member_mos=member_mos,
-                    meter=self._one_cell_meter(index, cell_results=members)
+                    meter=self._one_cell_meter(index, member_bytes, members)
                     if meter
                     else None,
                 )
@@ -181,13 +169,9 @@ class BatchedCellSimulation(BatchedSimulation):
             cell_results[0].meter.merge(engine)
         return cell_results
 
-    def _one_cell_meter(self, index: int, cell_results) -> SessionMeter:
+    def _one_cell_meter(self, index: int, member_bytes, cell_results) -> SessionMeter:
         """The live per-cell registry (see :meth:`run_cells`)."""
-        n = self.members_per_cell
-        bytes_sent = self._ue.bytes_sent - self._baseline_bytes
-        member_bytes = [
-            float(value) for value in bytes_sent[index * n : (index + 1) * n]
-        ]
+        n = len(cell_results)
         meter = SessionMeter()
         meter.inc("fleet.cells")
         meter.observe("fleet.cell_members", float(n))

@@ -37,10 +37,10 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-#: Default variates per refill.  Large enough that the (vector-wide)
-#: refill cost amortises away, small enough not to waste draws on short
-#: sessions.
-DEFAULT_BLOCK = 4096
+#: Variates per refill of every block stream in both lockstep engines:
+#: enough to amortise the refill, few enough that a batched block's
+#: value arrays stay small (9 streams × 256 × 8 B = 18 KB per session).
+DEFAULT_BLOCK = 256
 
 #: Transform signature: ``fn(rng, size) -> np.ndarray`` of float64.
 BlockTransform = Callable[[np.random.Generator, int], np.ndarray]
@@ -181,7 +181,9 @@ class BlockDraws:
 
     __slots__ = ("_stream", "_block")
 
-    def __init__(self, stream: Callable[[str], np.random.Generator], block: int = 1024):
+    def __init__(
+        self, stream: Callable[[str], np.random.Generator], block: int = DEFAULT_BLOCK
+    ):
         self._stream = stream
         self._block = int(block)
 

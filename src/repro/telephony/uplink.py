@@ -233,13 +233,6 @@ class UplinkProfile:
             self.tbs_window,
         )
 
-    def cell_signature(self, members: int) -> tuple:
-        """Cell-block homogeneity key: cells batched together must share
-        every member cadence *and* the member count (per-cell fleet
-        parameters — PRB budget, PF coupling, background — may
-        differ)."""
-        return self.signature() + (members,)
-
 
 class ReceiverState:
     """Per-session viewer: jitter-adaptive playout + display accounting.

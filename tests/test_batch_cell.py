@@ -1,7 +1,8 @@
 """Batched shared-cell engine: bit-exact equivalence with the scalar
-cell reference, N=1 degeneration to the independent cohort, the
-cell-homogeneity contract, budget-exhaustion ordering, and statistical
-convergence against the event-driven fleet."""
+cell reference, N=1 degeneration to the independent cohort, blocks of
+cells with different member counts, the cell-homogeneity contract,
+budget-exhaustion ordering, and statistical convergence against the
+event-driven fleet."""
 
 import dataclasses
 from dataclasses import replace
@@ -98,11 +99,44 @@ def test_heterogeneous_cells_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         BatchedCellSimulation([mixed_cadence], fleets=[fleet])
 
-    # Unequal member counts across cells break the block signature.
+    # Cells that are each homogeneous but differ from each other in
+    # cadence cannot share one block.
     with pytest.raises(ValueError, match="homogeneous"):
-        BatchedCellSimulation(
-            [member_configs(aligned, 2), member_configs(aligned, 3)]
-        )
+        BatchedCellSimulation([[aligned], [mixed_cadence[1]]])
+
+
+def test_ragged_block_cells_match_solo_blocks_and_scalar_cells():
+    """Cells of 1, 2, 3 and 5 members share one block — with background
+    crowds on some and budgets that run out on others — and each cell
+    still equals its own one-cell block, the scalar lockstep cell and,
+    for the 1-member cell, the independent-cohort engine."""
+    base = lockstep_config(seed=9, duration=3.0)
+    seeds = (9, 2009, 4009, 6009)
+    counts = (1, 2, 3, 5)
+    cells = [
+        member_configs(replace(base, seed=s), n) for s, n in zip(seeds, counts)
+    ]
+    fleets = [
+        FleetConfig(ues=1, seed=9),
+        FleetConfig(ues=2, seed=2009, background_ues=6, background_load=0.4),
+        FleetConfig(ues=3, seed=4009, prb_budget=12),
+        FleetConfig(
+            ues=5, seed=6009, prb_budget=20, background_ues=4, background_load=0.3
+        ),
+    ]
+    block = run_batched_cells(cells, fleets=fleets, warmup=0.5, meter=True)
+    assert [len(cell.results) for cell in block] == list(counts)
+    exhausted = [
+        cell.meter.metrics.counters["fleet.cell_prb_exhausted"] for cell in block
+    ]
+    assert exhausted[2] > 0.0 and exhausted[3] > 0.0
+    for members, fleet, result in zip(cells, fleets, block):
+        solo = run_batched_cells([members], fleets=[fleet], warmup=0.5)[0]
+        assert_cells_bit_identical(solo, result)
+        reference = UplinkCellSession(members, fleet=fleet).run(warmup=0.5)
+        assert_cells_bit_identical(reference, result)
+    (independent,) = run_batched(cells[0], warmup=0.5)
+    assert_bit_identical(independent, block[0].results[0])
 
 
 def test_claim_rows_matches_sequential_claims_under_exhaustion():
@@ -113,7 +147,7 @@ def test_claim_rows_matches_sequential_claims_under_exhaustion():
     class _Flat:
         load = np.zeros(8)
 
-    array = SharedCellArray([fleet, fleet], 4, _Flat())
+    array = SharedCellArray([fleet, fleet], [4, 4], _Flat())
     scalar = [GridSharedCell(fleet), GridSharedCell(fleet)]
 
     class _Zero:

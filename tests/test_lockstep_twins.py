@@ -19,11 +19,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CellConfig, ChannelConfig, LteConfig
+from repro.config import CellConfig, ChannelConfig, FleetConfig, LteConfig
 from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
 from repro.lte.channel import ChannelArray, ChannelProcess
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
 from repro.lte.scheduler import EnbScheduler, SchedulerArray
+from repro.lte.shared_cell import GridSharedCell, SharedCellArray
 from repro.rate_control.pacer import (
     _FRAME_SLOTS,
     MIN_BURST_BYTES,
@@ -478,3 +479,93 @@ def test_cell_load_array_matches_cell_load_process(configs, seed, block, updates
             assert array.load[s] == cell.load
             assert array._deviation[s] == cell._deviation
             assert LOAD_MIN <= cell.load <= LOAD_MAX
+
+
+# -- SharedCellArray vs GridSharedCell ------------------------------------
+
+
+@st.composite
+def fleet_configs(draw):
+    crowd = draw(st.booleans())
+    return FleetConfig(
+        ues=1,
+        prb_budget=draw(st.integers(1, 50)),
+        share_time_constant=draw(st.floats(0.0005, 2.0)),
+        pf_weight_exponent=draw(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+        ),
+        pf_weight_max=draw(st.floats(1.0, 8.0)),
+        background_ues=draw(st.integers(1, 8)) if crowd else 0,
+        background_load=draw(st.floats(0.0, 1.0)) if crowd else 0.0,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+class _Fallbacks:
+    """Per-member fallback loads: one flat array for the cell array, one
+    ``.load`` view per member for the scalar cells."""
+
+    class _View:
+        def __init__(self, owner, index):
+            self._owner = owner
+            self._index = index
+
+        @property
+        def load(self) -> float:
+            return float(self._owner.load[self._index])
+
+    def __init__(self, size):
+        self.load = np.zeros(size)
+
+    def view(self, index):
+        return self._View(self, index)
+
+
+@FUZZ
+@given(
+    cells=st.lists(
+        st.tuples(fleet_configs(), st.integers(1, 6)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    serve=st.floats(0.0, 1.0),
+    start=st.integers(1, 100),
+    ticks=st.integers(1, 150),
+)
+def test_shared_cell_array_matches_grid_shared_cells(cells, seed, serve, start, ticks):
+    """Ragged member counts, budgets down to 1 PRB, background crowds and
+    random claims: loads, budgets, grants and shares equal one
+    :class:`GridSharedCell` per cell after every tick."""
+    fleets = [fleet for fleet, _ in cells]
+    counts = [count for _, count in cells]
+    fallbacks = _Fallbacks(sum(counts))
+    array = SharedCellArray(fleets, counts, fallbacks)
+    scalars = [GridSharedCell(fleet) for fleet in fleets]
+    members = []  # flat session -> (scalar cell, member index)
+    for cell, count in zip(scalars, counts):
+        for _ in range(count):
+            view = cell.add_member(fallbacks.view(len(members)))
+            members.append((cell, view.index))
+    rng = np.random.default_rng(seed)
+    for k in range(start, start + ticks):
+        now = k * 1e-3
+        fallbacks.load[:] = rng.choice(
+            [0.0, LOAD_MAX, 1.0, rng.random()], len(members)
+        )
+        loads = array.member_loads(k, now)
+        for cell in scalars:
+            cell.begin_tick(k, now)
+        assert loads.tolist() == [cell.load_for(index) for cell, index in members]
+        assert array.budget_left.tolist() == [cell.budget_left for cell in scalars]
+        rows = np.nonzero(rng.random(len(members)) < serve)[0]
+        if rows.size:
+            demands = rng.integers(1, 60, size=rows.size)
+            grants = array.claim_rows(rows, demands.astype(np.float64))
+            expected = [
+                members[row][0].claim(members[row][1], int(demand))
+                for row, demand in zip(rows.tolist(), demands.tolist())
+            ]
+            assert grants.tolist() == [float(g) for g in expected]
+        assert array.budget_left.tolist() == [cell.budget_left for cell in scalars]
+        width = max(counts)
+        for c, (cell, count) in enumerate(zip(scalars, counts)):
+            assert array._shares[c].tolist() == cell._shares + [0.0] * (width - count)

@@ -16,9 +16,11 @@ unless the two files are byte-for-byte identical::
 
 ``--batch`` checks the batched cell engine's sharding unit instead
 (whole cell blocks, :class:`repro.experiments.parallel.CellBlockTask`)
-— same contract, different partition: a point's cells are split into
+— same contract, different partition: the sweep's cells are split into
 contiguous blocks per worker, so the gate proves block boundaries never
-leak into results.
+leak into results.  With several ``--calls`` values the blocks mix
+member counts (``--batch --calls 1,3,8 --cells 3`` compares one ragged
+serial block with two sharded ones).
 
 Exits 0 when the registries match, 1 on divergence or a failed sweep.
 """
