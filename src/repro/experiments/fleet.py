@@ -26,6 +26,7 @@ from repro.experiments.parallel import (
     CellBlockTask,
     CellTask,
     ProgressCallback,
+    balanced_cuts,
     merged_meter,
     resolve_jobs,
     run_tasks,
@@ -197,17 +198,6 @@ def fleet_batch_tasks(
         for cell_index in range(cells)
     ]
     members = [ues for ues in calls for _ in range(cells)]
-    blocks = min(len(seeds), max(1, resolve_jobs(jobs)))
-    # Cut after the cell whose running member total first reaches each
-    # of the blocks - 1 interior quantiles of the sweep's total.
-    total = sum(members)
-    bounds = [0]
-    running = 0
-    for index, ues in enumerate(members[:-1]):
-        running += ues
-        if running * blocks >= total * len(bounds):
-            bounds.append(index + 1)
-    bounds.append(len(members))
     return [
         CellBlockTask(
             scenario_name=scenario_name,
@@ -223,8 +213,7 @@ def fleet_batch_tasks(
             meter=meter,
             heartbeat_path=heartbeat_path,
         )
-        for start, stop in zip(bounds, bounds[1:])
-        if stop > start
+        for start, stop in balanced_cuts(members, resolve_jobs(jobs))
     ]
 
 

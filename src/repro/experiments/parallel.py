@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.meter import SessionMeter
 from repro.telephony.session import SessionResult
@@ -75,6 +75,33 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
+
+
+def balanced_cuts(weights: Sequence[int], blocks: int) -> List[Tuple[int, int]]:
+    """Cut a sequence into at most ``blocks`` contiguous ``(start, stop)``
+    runs balanced by positive ``weights``.
+
+    A cut falls after the item whose running total first reaches each of
+    the ``blocks - 1`` interior quantiles of the total, so every run is
+    non-empty and input order is kept.  Both lockstep planners use it:
+    ``fleet --batch`` weighs cells by member count, ``metrics --batch``
+    weighs every session 1.
+
+    >>> balanced_cuts([1] * 5, 2)
+    [(0, 3), (3, 5)]
+    >>> balanced_cuts([2, 2, 4, 4, 8], 3)
+    [(0, 3), (3, 5)]
+    """
+    blocks = max(1, min(blocks, len(weights)))
+    total = sum(weights)
+    bounds = [0]
+    running = 0
+    for index, weight in enumerate(weights[:-1]):
+        running += weight
+        if running * blocks >= total * len(bounds):
+            bounds.append(index + 1)
+    bounds.append(len(weights))
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
 
 
 @dataclass(frozen=True)

@@ -259,14 +259,16 @@ _SPECS = (
     ),
     # --------------------------------------------------------------- batch
     MetricSpec(
-        "batch.cohorts", "counter", "batch", "",
-        "repro.sim.batch.BatchedSimulation.run",
-        "Lockstep cohorts advanced to completion by the batched engines.",
+        "batch.cohorts", "gauge", "batch", "",
+        "repro.experiments.batch.BatchRunner.run_metered",
+        "Cohorts the lockstep sweep was planned into (batched and scalar); "
+        "depends on the worker count, like fleet.workers.",
     ),
     MetricSpec(
         "batch.sessions", "counter", "batch", "",
         "repro.sim.batch.BatchedSimulation.run",
-        "Sessions advanced by the batched lockstep engines.",
+        "Sessions advanced by the batched lockstep engines (the same "
+        "for any plan: groups below the crossover always run scalar).",
     ),
     MetricSpec(
         "batch.subframes", "counter", "batch", "",
@@ -277,8 +279,8 @@ _SPECS = (
     MetricSpec(
         "batch.scalar_fallbacks", "counter", "batch", "",
         "repro.experiments.batch.BatchRunner.run",
-        "Sessions routed to the scalar engine below the batching "
-        "crossover.",
+        "Sessions of signature groups smaller than the batching "
+        "crossover, run on the scalar engine.",
     ),
     # ------------------------------------------------------------- service
     MetricSpec(

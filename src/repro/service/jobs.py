@@ -388,7 +388,6 @@ def _execute_metrics(
 
     guarded = _guard(progress, cancel)
     if spec["batch"]:
-        from repro.experiments.batch import BatchRunner
         from repro.experiments.fleet import lockstep_scenario
 
         configs = [
@@ -401,7 +400,6 @@ def _execute_metrics(
             )
             for index in range(spec["sessions"])
         ]
-        runner = BatchRunner(jobs=jobs)
         effective = guarded
         heartbeat = None
         if ledger is not None:
@@ -409,19 +407,14 @@ def _execute_metrics(
                 kind="session", workers=workers, inner=guarded
             )
             heartbeat = str(ledger.heartbeat_path)
-        results, engine = runner.run_metered(
+        _, fleet = batch_metrics_sweep(
             configs,
             warmup=spec["warmup"],
+            jobs=jobs,
             progress=effective,
             heartbeat_path=heartbeat,
+            cache_counters=_cache_delta(cache_before),
         )
-        fleet = merged_meter(
-            results, workers=workers, cache_counters=_cache_delta(cache_before)
-        )
-        fleet.merge(engine)
-        # Batched sessions carry no per-session meters (the engine
-        # meter is cohort-level), so count them here instead.
-        fleet.inc("fleet.sessions", float(len(results)))
     else:
         tasks = [
             SessionTask(
@@ -455,6 +448,39 @@ def _execute_metrics(
         "registry": deterministic_registry_dict(fleet),
     }
     return JobOutcome(payload, registry=payload["registry"], meter=fleet)
+
+
+def batch_metrics_sweep(
+    configs,
+    warmup: float = 0.0,
+    jobs: Optional[int] = None,
+    progress=None,
+    heartbeat_path: Optional[str] = None,
+    cache_counters: Optional[Dict[str, int]] = None,
+):
+    """The ``metrics --batch`` sweep over explicit lockstep configs.
+
+    Runs ``configs`` through :class:`~repro.experiments.batch.BatchRunner`
+    and returns ``(results, fleet)``: results in input order and the
+    fleet meter the job reports (the cohorts' engine meters, the
+    ``fleet.*`` sweep facts and any ``cache_counters``).  Its
+    :func:`~repro.experiments.fleet.deterministic_registry_dict` does
+    not depend on ``jobs`` (``tools/check_batch_determinism.py``).
+    """
+    from repro.experiments.batch import BatchRunner
+    from repro.experiments.parallel import merged_meter
+
+    results, engine = BatchRunner(jobs=jobs).run_metered(
+        configs, warmup=warmup, progress=progress, heartbeat_path=heartbeat_path
+    )
+    fleet = merged_meter(
+        results, workers=resolve_jobs(jobs), cache_counters=cache_counters
+    )
+    fleet.merge(engine)
+    # Batched sessions carry no per-session meters (the engine meter is
+    # cohort-level), so count them here instead.
+    fleet.inc("fleet.sessions", float(len(results)))
+    return results, fleet
 
 
 def _execute_fleet(spec, jobs, workers, ledger, progress, cancel) -> JobOutcome:

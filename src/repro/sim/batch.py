@@ -32,8 +32,8 @@ Cohorts must be *structurally* homogeneous — same grid cadences, same
 detector window, same TBS window (see
 :meth:`~repro.telephony.uplink.UplinkProfile.signature`).  Everything
 parametric (RSS, speed, load, seeds, rates, margins, targets) may vary
-per session; :func:`repro.experiments.batch.run_batched_sessions`
-slices arbitrary sweep grids into valid cohorts.
+per session; :class:`repro.experiments.batch.BatchRunner` plans
+arbitrary sweep grids into valid cohorts.
 """
 
 from __future__ import annotations
@@ -74,6 +74,19 @@ def _session_streams(config: SessionConfig):
     return lambda name: registry.stream("batch." + name)
 
 
+#: Arrival-stage capacity per session and simulated second before the
+#: columns first grow (the cellular default sends ~115 packets/s).
+STAGE_PACKETS_PER_SECOND = 128
+
+
+def _grown(column: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    """A ``capacity``-long copy of ``column`` keeping its first ``used``
+    entries."""
+    grown = np.empty(capacity, dtype=column.dtype)
+    grown[:used] = column[:used]
+    return grown
+
+
 #: Grid ticks between ``progress`` callbacks (5000 ticks = 5 s of
 #: simulated time) — frequent enough for live heartbeats, rare enough
 #: to stay invisible next to the tick body.
@@ -94,7 +107,7 @@ class BatchedSimulation:
                     "cohort is not structurally homogeneous: "
                     f"{profile.signature()} != {signature} "
                     "(every session must share the grid cadences; "
-                    "run_batched_sessions slices a sweep grid into cohorts)"
+                    "BatchRunner plans a sweep grid into cohorts)"
                 )
         self.configs = list(configs)
         self.profile = profiles[0]
@@ -148,16 +161,17 @@ class BatchedSimulation:
         #: frame_id -> (capture_s, per-session size_bytes, damaged flags)
         #: — one cohort-wide entry per frame (capture is lockstep, so
         #: the capture instant is shared by the whole cohort).
-        self._frames: Dict[int, Tuple[float, List[float], List[bool]]] = {}
+        self._frames: Dict[int, Tuple[float, np.ndarray, np.ndarray]] = {}
         self._next_fid = 0
         self._frame_index = 0
         self._frames_sent = 0
         self._sent_bits = np.zeros(n)
-        #: Staged packet-arrival logging: (now, rows, sizes) per drain
-        #: round, materialised into per-session (t, bytes) tuple lists
-        #: once at the end of the run (a stable sort by session keeps
-        #: each session's arrival order).
-        self._arrival_stage: List[Tuple[float, np.ndarray, np.ndarray]] = []
+        #: Columnar arrival stage: session row and size of every arrived
+        #: packet in arrival order, plus a per-tick packet count (packets
+        #: share their tick's time).  Sized in :meth:`run`, grown by half
+        #: when full, materialised into each session's ``log.arrivals``
+        #: at the end of the run.
+        self._open_stage(0, 0)
         #: (done_tick, frame_id, per-session size_bytes array).
         self._pipe: Deque[Tuple[int, int, np.ndarray]] = deque()
         #: arrival_tick -> [(rows, frame_ids, last, sizes), ...].
@@ -181,11 +195,10 @@ class BatchedSimulation:
         packets = self._in_flight.pop(k, None)
         if packets is None:
             return
-        stage = self._arrival_stage
         receivers = self._receivers
         next_display = self._next_display
         for rows, frame_ids, last, sizes in packets:
-            stage.append((now, rows, sizes))
+            self._stage_arrivals(k, rows, sizes)
             n_last = int(last.sum())
             if not n_last:
                 continue
@@ -198,11 +211,55 @@ class BatchedSimulation:
                 capture, frame_sizes, damaged = frames[fid]
                 if not damaged[s]:
                     receiver = receivers[s]
-                    receiver.on_frame_complete(now, capture, frame_sizes[s])
+                    receiver.on_frame_complete(now, capture, frame_sizes.item(s))
                     when = receiver.next_display
                     next_display[s] = when
                     if when < self._next_flush:
                         self._next_flush = when
+
+    def _open_stage(self, capacity: int, ticks: int) -> None:
+        self._stage_rows = np.empty(capacity, dtype=np.int32)
+        self._stage_sizes = np.empty(capacity)
+        self._stage_ticks = np.zeros(ticks + 1, dtype=np.int64)
+        self._staged = 0
+
+    def _stage_arrivals(self, k: int, rows: np.ndarray, sizes: np.ndarray) -> None:
+        """Stage one drain round's packets, which arrive at tick ``k``."""
+        start = self._staged
+        end = start + rows.size
+        if end > self._stage_rows.size:
+            capacity = max(end, self._stage_rows.size * 3 // 2)
+            self._stage_rows = _grown(self._stage_rows, capacity, start)
+            self._stage_sizes = _grown(self._stage_sizes, capacity, start)
+        self._stage_rows[start:end] = rows
+        self._stage_sizes[start:end] = sizes
+        self._stage_ticks[k] += rows.size
+        self._staged = end
+
+    def _materialise_arrivals(self) -> None:
+        """Hand each session its staged arrivals as an ``(m, 2)`` float64
+        view of ``(time, bytes)`` rows into one shared array.  One
+        stable argsort by session keeps every session's packets in
+        arrival order, so the rows equal the scalar engine's live
+        appends; a packet's time is ``tick * MS``, the float the tick
+        loop computes.  Each column is released once read."""
+        m = self._staged
+        rows = self._stage_rows[:m]
+        order = np.argsort(rows, kind="stable")
+        bounds = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=bounds[1:])
+        del rows
+        self._stage_rows = None
+        pairs = np.empty((m, 2))
+        np.take(self._stage_sizes, order, out=pairs[:, 1], mode="clip")
+        self._stage_sizes = None
+        times = np.repeat(np.arange(self._stage_ticks.size) * MS, self._stage_ticks)
+        np.take(times, order, out=pairs[:, 0], mode="clip")
+        del times, order
+        self._stage_ticks = None
+        for log, lo, hi in zip(self.logs, bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi > lo:
+                log.arrivals = pairs[lo:hi]
 
     def _flush_displays(self, now: float) -> None:
         due = np.nonzero(self._next_display <= now)[0]
@@ -263,10 +320,10 @@ class BatchedSimulation:
         bits = size_bytes * BITS_PER_BYTE
         frame_id = self._next_fid
         self._next_fid += 1
-        # Python lists: the completion path reads these per-row, where
-        # list indexing (and plain-float math downstream) beats numpy
-        # scalar extraction.
-        self._frames[frame_id] = (now, size_bytes.tolist(), [False] * self.n)
+        # Arrays, not lists: a cohort-wide frame entry stays small (8
+        # bytes a session, not a boxed float), and the completion path
+        # reads single rows with ``.item``, which yields plain floats.
+        self._frames[frame_id] = (now, size_bytes, np.zeros(self.n, dtype=bool))
         # frames_sent is lockstep-uniform; sent_bits accumulates the
         # same per-capture float adds as the scalar log, as one vector.
         self._frames_sent += 1
@@ -321,7 +378,8 @@ class BatchedSimulation:
                 log.buffer_levels.append((now, levels[s]))
         # 11. end of warm-up
         if k == warm_ticks:
-            self._arrival_stage.clear()
+            self._stage_ticks[:] = 0
+            self._staged = 0
             self._frames_sent = 0
             self._sent_bits = np.zeros(self.n)
             for log, receiver in zip(self.logs, self._receivers):
@@ -338,38 +396,6 @@ class BatchedSimulation:
         this to advance the shared cells and route grants through their
         budgets."""
         return self._ue.subframe(now)
-
-    def _materialise_arrivals(self) -> None:
-        """Turn the staged (now, rows, sizes) drain rounds into each
-        session's ``log.arrivals``.  The stable sort keeps every
-        session's rounds in staging (= arrival) order, so the rows are
-        identical to the scalar engine's live appends — but they are
-        handed over as ``(m, 2)`` float64 views into one shared array
-        (arrivals dominate the log at ~100 packets/s per session, and
-        ``from_log`` converts to an array anyway)."""
-        stage = self._arrival_stage
-        if not stage:
-            return
-        rows_all = np.concatenate([rows for _, rows, _ in stage])
-        sizes_all = np.concatenate([sizes for _, _, sizes in stage])
-        counts = np.fromiter(
-            (rows.size for _, rows, _ in stage), dtype=np.int64, count=len(stage)
-        )
-        times_all = np.repeat(
-            np.fromiter(
-                (when for when, _, _ in stage), dtype=np.float64, count=len(stage)
-            ),
-            counts,
-        )
-        order = np.argsort(rows_all, kind="stable")
-        rows_sorted = rows_all[order]
-        bounds = np.searchsorted(rows_sorted, np.arange(self.n + 1))
-        pairs = np.column_stack((times_all[order], sizes_all[order]))
-        for s, log in enumerate(self.logs):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi > lo:
-                log.arrivals = pairs[lo:hi]
-        self._arrival_stage = []
 
     # -- public API ------------------------------------------------------
 
@@ -411,6 +437,12 @@ class BatchedSimulation:
         t0 = meter.span_start() if meter else 0.0
         warm_ticks = _ticks(warmup)
         total_ticks = warm_ticks + _ticks(duration)
+        # The stage is emptied at the end of warm-up, so it holds the
+        # longer of the two phases.
+        self._open_stage(
+            max(1, int(self.n * max(warmup, duration) * STAGE_PACKETS_PER_SECOND)),
+            total_ticks,
+        )
         if progress is not None:
             stride = max(1, int(progress_every))
             for k in range(1, total_ticks + 1):
@@ -447,12 +479,14 @@ class BatchedSimulation:
     def _record_meter(self, meter, total_ticks: int, t0: float) -> None:
         """Fold this run's cohort-level telemetry into ``meter``.
 
-        Every value is a pure function of the cohort (sessions, grid
-        ticks), so the counters are identical however a sweep is sliced
-        into cohorts of equal total size; the span records wall clock
-        and, like every span, never enters deterministic snapshots.
+        Both counters are per-session sums (sessions, session-ticks), so
+        they add up to the same totals however a signature group is cut
+        into batched cohorts.  How many cohorts there were is a fact of
+        the plan, not of the cohort: :meth:`BatchRunner.run_metered
+        <repro.experiments.batch.BatchRunner.run_metered>` records it as
+        a gauge.  The span records wall clock and, like every span,
+        never enters deterministic snapshots.
         """
-        meter.inc("batch.cohorts")
         meter.inc("batch.sessions", float(self.n))
         meter.inc("batch.subframes", float(self.n * total_ticks))
         meter.span_end(self._RUN_SPAN, t0)

@@ -7,6 +7,7 @@ import pytest
 import repro.compression.matrix
 import repro.compression.modes
 import repro.compression.pyramid_geo
+import repro.experiments.parallel
 import repro.experiments.sweeps
 import repro.lte.competitors
 import repro.metrics.freeze
@@ -31,6 +32,7 @@ MODULES = [
     repro.metrics.freeze,
     repro.metrics.stability,
     repro.metrics.stats,
+    repro.experiments.parallel,
     repro.experiments.sweeps,
 ]
 

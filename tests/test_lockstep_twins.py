@@ -19,12 +19,29 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CellConfig, ChannelConfig, FleetConfig, LteConfig
+from repro.config import CellConfig, ChannelConfig, FbccConfig, FleetConfig, LteConfig
 from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
 from repro.lte.channel import ChannelArray, ChannelProcess
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
 from repro.lte.scheduler import EnbScheduler, SchedulerArray
 from repro.lte.shared_cell import GridSharedCell, SharedCellArray
+from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
+from repro.rate_control.fbcc.batch import (
+    DetectorArray,
+    EncodingHoldArray,
+    FallbackRamp,
+    RampArray,
+    RtpRateArray,
+    TbsWindowArray,
+)
+from repro.rate_control.fbcc.detector import (
+    GAMMA_CAP,
+    HARD_OVERUSE_LEVEL,
+    LEVEL_EPSILON,
+    CongestionDetector,
+)
+from repro.rate_control.fbcc.encoding import EncodingRateControl
+from repro.rate_control.fbcc.rtp import RtpRateControl
 from repro.rate_control.pacer import (
     _FRAME_SLOTS,
     MIN_BURST_BYTES,
@@ -569,3 +586,218 @@ def test_shared_cell_array_matches_grid_shared_cells(cells, seed, serve, start, 
         width = max(counts)
         for c, (cell, count) in enumerate(zip(scalars, counts)):
             assert array._shares[c].tolist() == cell._shares + [0.0] * (width - count)
+
+
+# -- FBCC array twins vs their scalar classes -----------------------------
+#
+# Cohorts run narrow (1-4 sessions) and wider than 64, since whole
+# signature groups now share one tick loop by default.  Per-step inputs
+# come from a seeded generator: hypothesis picks the seed, the cohort
+# width and the shape of the input mix.
+
+cohort_widths = st.one_of(st.integers(1, 4), st.integers(65, 96))
+
+
+def _levels(rng, n, steps, hard_share):
+    """Per-session buffer-level traces mixing steady growth runs (some by
+    exactly LEVEL_EPSILON, the increase threshold), noise, drains and
+    jumps past the hard-overuse level."""
+    levels = np.zeros((steps, n))
+    level = rng.uniform(0.0, 20000.0, n)
+    for t in range(steps):
+        mode = rng.integers(0, 5, n)
+        step = np.select(
+            [mode == 0, mode == 1, mode == 2, mode == 3],
+            [
+                rng.uniform(0.0, 900.0, n),
+                np.full(n, LEVEL_EPSILON),
+                rng.normal(0.0, 600.0, n),
+                -rng.uniform(0.0, 2000.0, n),
+            ],
+            rng.uniform(0.0, 3000.0, n),
+        )
+        level = np.clip(level + step, 0.0, 64 * 1024.0)
+        jump = rng.random(n) < hard_share
+        level[jump] = rng.uniform(HARD_OVERUSE_LEVEL - 2000.0, 40000.0, jump.sum())
+        levels[t] = level
+    return levels
+
+
+@FUZZ
+@given(
+    n=cohort_widths,
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 12),
+    steps=st.integers(1, 160),
+    hard_share=st.sampled_from([0.0, 0.02, 0.2]),
+)
+def test_detector_array_matches_congestion_detector(n, seed, k, steps, hard_share):
+    """Eq. (3): fired flags, detection counts and Γ after every report,
+    hot-window re-triggers and the hard-overuse path included."""
+    rng = np.random.default_rng(seed)
+    interval = 0.040
+    configs = [
+        FbccConfig(k_consecutive=k, gamma_time_constant=float(tc))
+        for tc in rng.choice([0.08, 0.5, 2.0, 10.0], n)
+    ]
+    scalars = [CongestionDetector(c, report_interval=interval) for c in configs]
+    array = DetectorArray(
+        n, k, np.array([interval / c.gamma_time_constant for c in configs])
+    )
+    for levels in _levels(rng, n, steps, hard_share):
+        fired = array.on_report_level(levels)
+        for s, detector in enumerate(scalars):
+            assert bool(fired[s]) == detector.on_report_level(float(levels[s]))
+            assert array.detections[s] == detector.detections
+            assert min(GAMMA_CAP, array._gamma[s]) == detector.gamma
+
+
+@FUZZ
+@given(
+    n=cohort_widths,
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 120),
+    congest_share=st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_ramp_array_matches_fallback_ramp(n, seed, steps, congest_share):
+    """The AIMD fallback ramp: drop backoffs, growth capped at max_rate,
+    and congestion clamps whose held rate falls under the ramp floor."""
+    rng = np.random.default_rng(seed)
+    floor = rng.choice([0.15e6, 0.3e6, 1e6], n)
+    ceiling = floor + rng.uniform(0.5e6, 6e6, n)
+    start = rng.uniform(floor, ceiling)
+    beta = rng.choice([0.5, 0.85, 0.95], n)
+    growth = 1.0 + rng.choice([0.0, 0.002, 0.08], n)
+    scalars = [
+        FallbackRamp(*params) for params in zip(start, floor, ceiling, beta, growth)
+    ]
+    array = RampArray(start, floor, ceiling, beta, growth)
+    for _ in range(steps):
+        drops = rng.choice([0, 0, 0, 1, 4], n)
+        congested = rng.random(n) < congest_share
+        # Held rates straddle the floor, so the max(min_rate, ...) clamp
+        # both binds and does not.
+        held = floor * rng.choice([0.0, 0.5, 1.0, 1.7, 40.0], n)
+        array.on_batch(drops, congested, held)
+        for s, ramp in enumerate(scalars):
+            ramp.on_batch(int(drops[s]), bool(congested[s]), float(held[s]))
+        assert array.rate.tolist() == [ramp.rate for ramp in scalars]
+        assert (array.rate >= floor).all()
+
+
+@FUZZ
+@given(
+    n=cohort_widths,
+    seed=st.integers(0, 2**32 - 1),
+    window=st.integers(1, 40),
+    records=st.integers(1, 200),
+)
+def test_tbs_window_array_matches_bandwidth_estimator(n, seed, window, records):
+    """Eq. (4): the running TBS sum over the last W subframes, through
+    the fill phase and ring wrap, with idle (zero) and tiny grants."""
+    rng = np.random.default_rng(seed)
+    scalars = [TbsBandwidthEstimator(window) for _ in range(n)]
+    array = TbsWindowArray(n, window)
+    assert array.rate_bps().tolist() == [e.rate_bps for e in scalars]
+    for _ in range(records):
+        tbs = rng.choice([0.0, 1e-9, 1.0, 777.0, rng.uniform(0.0, 9000.0)], n)
+        array.on_record(tbs)
+        for s, estimator in enumerate(scalars):
+            estimator.on_tbs(float(tbs[s]))
+        assert array.rate_bps().tolist() == [e.rate_bps for e in scalars]
+
+
+@FUZZ
+@given(
+    n=cohort_widths,
+    seed=st.integers(0, 2**32 - 1),
+    batches=st.integers(1, 120),
+)
+def test_rtp_rate_array_matches_rtp_rate_control(n, seed, batches):
+    """Eq. (7) with a fixed B*: corrections both ways, the video-rate
+    floor and both clamps."""
+    rng = np.random.default_rng(seed)
+    interval = float(rng.choice([0.020, 0.040]))
+    configs = [
+        FbccConfig(
+            target_buffer=float(target),
+            rtp_min_rate=float(low),
+            rtp_max_rate=float(low + span),
+        )
+        for target, low, span in zip(
+            rng.choice([2048.0, 10240.0, 30000.0], n),
+            rng.choice([0.05e6, 0.1e6, 1e6], n),
+            rng.choice([0.5e6, 4e6, 20e6], n),
+        )
+    ]
+    initial = rng.uniform(0.1e6, 5e6, n)
+    video = np.zeros(n)
+    scalars = [
+        RtpRateControl(
+            config, float(initial[s]), interval, video_rate=lambda s=s: float(video[s])
+        )
+        for s, config in enumerate(configs)
+    ]
+    array = RtpRateArray(
+        initial,
+        np.array([c.target_buffer for c in configs]),
+        interval,
+        np.array([c.rtp_min_rate for c in configs]),
+        np.array([c.rtp_max_rate for c in configs]),
+    )
+    for _ in range(batches):
+        levels = rng.choice([0.0, 64 * 1024.0, rng.uniform(0.0, 40000.0)], n)
+        video[:] = rng.choice([0.0, 0.3e6, rng.uniform(0.0, 20e6)], n)
+        array.on_batch(levels, video)
+        for s, control in enumerate(scalars):
+            control.on_level(float(levels[s]), 0.0)
+        assert array.rate.tolist() == [control.rate for control in scalars]
+
+
+@FUZZ
+@given(
+    n=cohort_widths,
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 150),
+    congest_share=st.sampled_from([0.0, 0.05, 0.4]),
+)
+def test_encoding_hold_array_matches_encoding_rate_control(
+    n, seed, steps, congest_share
+):
+    """Eq. (6): held rates, hold expiry (including reads at exactly the
+    expiry instant), re-detection during a hold and event counts."""
+    rng = np.random.default_rng(seed)
+    rtt = 0.1
+    configs = [
+        FbccConfig(phy_rate_margin=float(margin), hold_rtts=float(rtts))
+        for margin, rtts in zip(
+            rng.choice([0.5, 0.85, 1.0], n), rng.choice([0.0, 1.0, 2.0, 3.5], n)
+        )
+    ]
+    fallback = np.zeros(n)
+    scalars = [
+        EncodingRateControl(c, gcc_rate=lambda s=s: float(fallback[s]), rtt=lambda: rtt)
+        for s, c in enumerate(configs)
+    ]
+    array = EncodingHoldArray(
+        n,
+        np.array([c.phy_rate_margin for c in configs]),
+        np.array([c.hold_rtts * rtt for c in configs]),
+    )
+    now = 0.0
+    for _ in range(steps):
+        now += float(rng.choice([0.001, 0.040, 0.2]))
+        fallback[:] = rng.uniform(0.1e6, 5e6, n)
+        fired = np.nonzero(rng.random(n) < congest_share)[0]
+        if fired.size:
+            phy = rng.choice([0.0, rng.uniform(0.1e6, 8e6)], fired.size)
+            array.on_congestion(fired, phy, now)
+            for s, rate in zip(fired.tolist(), phy.tolist()):
+                scalars[s].on_congestion(rate, now)
+        for probe in (now, now + 0.1, now + 0.2):
+            rates = array.rate(probe, fallback)
+            assert rates.tolist() == [c.rate(probe) for c in scalars]
+        assert array.held.tolist() == [c.held_rate for c in scalars]
+        assert array.congestion_events.tolist() == [
+            c.congestion_events for c in scalars
+        ]
