@@ -32,10 +32,10 @@ import json
 import os
 import pickle
 import shutil
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro.obs.ledger import atomic_write_text, atomic_writer
 from repro.telephony.session import SessionResult
 
 #: Counter names tracked by the cache; they mirror the ``cache.*``
@@ -143,17 +143,7 @@ def _bump(**deltas: int) -> None:
         for name, delta in deltas.items():
             totals[name] += delta
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(totals, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(totals))
     except OSError:
         # Counter persistence must never break an experiment.
         pass
@@ -213,17 +203,8 @@ def store(key: str, results: List[SessionResult]) -> None:
     path = _entry_path(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(results, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path, "wb") as handle:
+            pickle.dump(results, handle, protocol=pickle.HIGHEST_PROTOCOL)
     except OSError:
         # A read-only or full filesystem must not break the experiment.
         pass
@@ -270,17 +251,7 @@ def store_payload(key: str, payload: dict) -> None:
     path = _payload_path(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
     except OSError:
         pass
 

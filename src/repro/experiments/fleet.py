@@ -284,7 +284,7 @@ def fleet_sweep(
             heartbeat_path=heartbeat_path,
             **kwargs,
         )
-        blocks = run_tasks(tasks, jobs=jobs, progress=progress)
+        blocks = run_tasks(tasks, jobs=jobs, progress=progress, planned=True)
         results = [cell for block in blocks for cell in block]
     else:
         tasks = fleet_tasks(

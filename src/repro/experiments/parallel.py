@@ -299,6 +299,7 @@ def run_tasks(
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     cancel: Optional[CancelProbe] = None,
+    planned: bool = False,
 ) -> List:
     """Run tasks, fanning across processes; results are in task order.
 
@@ -311,8 +312,13 @@ def run_tasks(
     task, a single-core machine (workers would time-slice one CPU and
     pay IPC on top, measured as a 0.95× "speedup"), or a task list
     shorter than the worker count (the pool's fixed cost is amortised
-    over too few sessions).  Results are bit-identical either way; only
-    wall clock changes.
+    over too few sessions).  ``planned=True`` says the tasks were
+    already cut for ``jobs`` workers (the ``fleet --batch`` blocks of
+    :func:`repro.experiments.fleet.fleet_batch_tasks`): then any
+    multi-task list runs on ``min(workers, len(tasks))`` processes,
+    since running the blocks one after another would only add tick
+    loops.  Results are bit-identical either way; only wall clock
+    changes.
 
     ``progress`` is invoked as ``progress(done, total, result)`` after
     every finished session, in task order, from the calling process —
@@ -327,12 +333,16 @@ def run_tasks(
     """
     tasks = list(tasks)
     workers = resolve_jobs(jobs)
-    serial = (
-        workers <= 1
-        or len(tasks) <= 1
-        or (os.cpu_count() or 1) == 1
-        or len(tasks) < workers
-    )
+    if planned:
+        workers = min(workers, len(tasks))
+        serial = workers <= 1
+    else:
+        serial = (
+            workers <= 1
+            or len(tasks) <= 1
+            or (os.cpu_count() or 1) == 1
+            or len(tasks) < workers
+        )
     total = len(tasks)
     results: List = []
     if serial:

@@ -348,7 +348,9 @@ class GridSharedCell:
         tau = max(LTE_SUBFRAME, config.share_time_constant)
         self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
         self._decay = 1.0 - self._alpha
-        self._kappa = max(0.0, config.pf_weight_exponent)
+        #: One-element array, so :meth:`pf_weight` runs numpy's array
+        #: power loop, as :class:`SharedCellArray` does.
+        self._kappa = np.array([max(0.0, config.pf_weight_exponent)])
         self._weight_max = max(1.0, config.pf_weight_max)
         #: Per-member fallback load models (``CellLoadProcess``) + shares.
         self._fallbacks: list = []
@@ -397,16 +399,17 @@ class GridSharedCell:
 
     def pf_weight(self, index: int) -> float:
         """PF catch-up weight — :meth:`SharedCell.pf_weight` arithmetic,
-        with the power routed through the numpy float64 ufunc so the
-        scalar value equals :class:`SharedCellArray`'s elementwise
-        ``np.power`` bit-for-bit (the repo's numpy-ufunc-routed-scalars
-        idiom, see ``ReceiverState.finalise``)."""
+        with the power taken on one-element arrays so it runs the same
+        numpy loop as :class:`SharedCellArray`'s and agrees bit for bit.
+        numpy's *scalar* power squares for an exponent of 2.0 and takes
+        a square root for 0.5 where the array loop calls ``pow``, and
+        the two differ in the last bit for some ratios."""
         count = len(self._shares)
         if count <= 1:
             return 1.0
         mine = self._shares[index]
         ratio = (self._total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = float(np.power(np.float64(ratio), self._kappa))
+        weight = float(np.power(np.array([ratio]), self._kappa)[0])
         if weight > self._weight_max:
             return self._weight_max
         floor = 1.0 / self._weight_max

@@ -43,14 +43,45 @@ import json
 import os
 import platform
 import shutil
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import IO, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.meter import SessionMeter
 
 PathLike = Union[str, Path]
+
+
+@contextmanager
+def atomic_writer(path: PathLike, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file next to ``path`` for writing; on a clean
+    exit ``os.replace`` renames it over ``path``.
+
+    A reader sees the old file or the new one, never a torn one.  If
+    anything fails, the temporary file is removed and the old file is
+    left as it was.
+    """
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically (:func:`atomic_writer`)."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
+
 
 #: Schema version stamped into the manifest and every heartbeat record.
 LEDGER_VERSION = 1
@@ -267,7 +298,9 @@ class RunLedger:
         return ledger
 
     def _write_manifest(self) -> None:
-        self.manifest_path.write_text(json.dumps(self._manifest, indent=1) + "\n")
+        atomic_write_text(
+            self.manifest_path, json.dumps(self._manifest, indent=1) + "\n"
+        )
 
     # ------------------------------------------------------- heartbeats
 
@@ -376,12 +409,12 @@ class RunLedger:
         from repro.metrics.export import metrics_to_dict
 
         payload = metrics_to_dict(self.live if meter is None else meter)
-        self.registry_path.write_text(json.dumps(payload, indent=1) + "\n")
+        atomic_write_text(self.registry_path, json.dumps(payload, indent=1) + "\n")
         return self.registry_path
 
     def write_cache_stats(self, stats: dict) -> Path:
         """Copy a ``repro360 cache stats`` snapshot into the run."""
-        self.cache_stats_path.write_text(json.dumps(stats, indent=1) + "\n")
+        atomic_write_text(self.cache_stats_path, json.dumps(stats, indent=1) + "\n")
         return self.cache_stats_path
 
     def finish(

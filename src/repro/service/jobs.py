@@ -49,6 +49,7 @@ from repro.experiments import cache
 from repro.experiments.parallel import RunCancelled, resolve_jobs
 from repro.obs.ledger import (
     RunLedger,
+    atomic_write_text,
     gc_runs,
     list_runs,
     new_run_id,
@@ -825,8 +826,8 @@ class JobRegistry:
             "registry": outcome.registry,
             "run_dir": str(ledger.run_dir),
         }
-        (ledger.run_dir / RESULT_NAME).write_text(
-            json.dumps(result, indent=1) + "\n"
+        atomic_write_text(
+            ledger.run_dir / RESULT_NAME, json.dumps(result, indent=1) + "\n"
         )
         ledger.write_cache_stats(cache.stats())
         ledger.finish("ok", meter=outcome.meter)

@@ -24,9 +24,12 @@ both.  The machinery making that possible:
 - ``*Array`` twins that perform the scalar classes' float64 ops in the
   same order (:class:`~repro.lte.ue.UeUplinkArray`,
   :class:`~repro.rate_control.fbcc.batch.DetectorArray`, ...);
-- rare per-frame events (assembly, jitter, display, PSNR) routed
-  through the *same* scalar code both engines share
-  (:class:`~repro.telephony.uplink.ReceiverState`).
+- one receiver code path in both engines
+  (:class:`~repro.telephony.uplink.ReceiverState`, design rule 3):
+  nothing on the sender side reads the viewer, so the tick loop only
+  stages each completed undamaged frame (a session row and a frame id
+  in flat columns, a count per tick) and every session's receiver
+  replays its completions once, after the last tick.
 
 Cohorts must be *structurally* homogeneous — same grid cadences, same
 detector window, same TBS window (see
@@ -158,10 +161,10 @@ class BatchedSimulation:
         )
         self._kf_factor = np.array([c.video.keyframe_factor for c in self.configs])
 
-        #: frame_id -> (capture_s, per-session size_bytes, damaged flags)
-        #: — one cohort-wide entry per frame (capture is lockstep, so
-        #: the capture instant is shared by the whole cohort).
-        self._frames: Dict[int, Tuple[float, np.ndarray, np.ndarray]] = {}
+        #: Columnar frame table (capture per frame, ``(frames, n)``
+        #: sizes and damage flags) and completion stage, sized in
+        #: :meth:`run`.
+        self._open_frames(0)
         self._next_fid = 0
         self._frame_index = 0
         self._frames_sent = 0
@@ -184,38 +187,40 @@ class BatchedSimulation:
         self._baseline_fw_drops = np.zeros(n, dtype=np.int64)
         self._baseline_pacer_drops = np.zeros(n, dtype=np.int64)
         self._baseline_bytes = np.zeros(n)
-        #: Per-session earliest pending display instant, plus its scalar
-        #: min — the gate that keeps the flush phase off the hot path.
-        self._next_display = np.full(n, float("inf"))
-        self._next_flush = float("inf")
 
     # -- tick phases (numbered as in UplinkSession._tick) ---------------
 
-    def _arrivals(self, k: int, now: float) -> None:
+    def _arrivals(self, k: int) -> None:
         packets = self._in_flight.pop(k, None)
         if packets is None:
             return
-        receivers = self._receivers
-        next_display = self._next_display
         for rows, frame_ids, last, sizes in packets:
             self._stage_arrivals(k, rows, sizes)
-            n_last = int(last.sum())
-            if not n_last:
+            if not last.any():
                 continue
-            if n_last == last.size:
-                lrows, lfids = rows, frame_ids
-            else:
-                lrows, lfids = rows[last], frame_ids[last]
-            frames = self._frames
-            for s, fid in zip(lrows.tolist(), lfids.tolist()):
-                capture, frame_sizes, damaged = frames[fid]
-                if not damaged[s]:
-                    receiver = receivers[s]
-                    receiver.on_frame_complete(now, capture, frame_sizes.item(s))
-                    when = receiver.next_display
-                    next_display[s] = when
-                    if when < self._next_flush:
-                        self._next_flush = when
+            rows, frame_ids = rows[last], frame_ids[last]
+            intact = ~self._damaged[frame_ids, rows]
+            if not intact.all():
+                rows, frame_ids = rows[intact], frame_ids[intact]
+            # Stage the completed undamaged frames for the replay.
+            start = self._done
+            end = self._done = start + rows.size
+            self._done_rows[start:end] = rows
+            self._done_frames[start:end] = frame_ids
+            self._done_ticks[k] += rows.size
+
+    def _open_frames(self, ticks: int) -> None:
+        """Size the frame table and the completion stage for ``ticks``
+        ticks.  A session completes a frame at most once, so ``frames *
+        n`` bounds the stage; pages it never writes cost no memory."""
+        frames = ticks // self.profile.frame_ticks
+        self._captures = np.empty(frames)
+        self._frame_sizes = np.empty((frames, self.n))
+        self._damaged = np.zeros((frames, self.n), dtype=bool)
+        self._done_rows = np.empty(frames * self.n, dtype=np.int32)
+        self._done_frames = np.empty(frames * self.n, dtype=np.int32)
+        self._done_ticks = np.zeros(ticks + 1, dtype=np.int64)
+        self._done = 0
 
     def _open_stage(self, capacity: int, ticks: int) -> None:
         self._stage_rows = np.empty(capacity, dtype=np.int32)
@@ -261,13 +266,29 @@ class BatchedSimulation:
             if hi > lo:
                 log.arrivals = pairs[lo:hi]
 
-    def _flush_displays(self, now: float) -> None:
-        due = np.nonzero(self._next_display <= now)[0]
-        for s in due.tolist():
-            receiver = self._receivers[s]
-            receiver.flush(now, self.logs[s])
-            self._next_display[s] = receiver.next_display
-        self._next_flush = float(self._next_display.min())
+    def _replay_receivers(self, total_ticks: int, warm_ticks: int) -> None:
+        """Replay every session's receiver over its staged completions,
+        in completion order: one stable argsort by session, as for the
+        arrivals.  A completion's time is ``tick * MS``, the float the
+        tick loop computes.  Releases the frame table."""
+        m = self._done
+        rows = self._done_rows[:m]
+        order = np.argsort(rows, kind="stable")
+        bounds = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=bounds[1:])
+        frames = self._done_frames[:m][order]
+        times = np.repeat(np.arange(self._done_ticks.size) * MS, self._done_ticks)
+        arrivals = times[order]
+        captures = self._captures[frames]
+        sizes = self._frame_sizes[frames, rows[order]]
+        self._open_frames(0)
+        end, warm = total_ticks * MS, warm_ticks * MS
+        for receiver, log, lo, hi in zip(
+            self._receivers, self.logs, bounds[:-1].tolist(), bounds[1:].tolist()
+        ):
+            receiver.replay(
+                arrivals[lo:hi], captures[lo:hi], sizes[lo:hi], end, warm, log
+            )
 
     def _deliver_diag(self, k: int, now: float) -> None:
         # Records of ticks 1..k-1 in the first batch, diag_ticks after.
@@ -301,13 +322,11 @@ class BatchedSimulation:
             if accepted.all():
                 continue
             rejected = ~accepted
-            for s, frame_id in zip(
-                rows[rejected].tolist(), frame_ids[rejected].tolist()
-            ):
-                damaged = self._frames[frame_id][2]
-                if not damaged[s]:
-                    damaged[s] = True
-                    logs[s].frames_lost += 1
+            rows, frame_ids = rows[rejected], frame_ids[rejected]
+            fresh = ~self._damaged[frame_ids, rows]
+            self._damaged[frame_ids, rows] = True
+            for s in rows[fresh].tolist():
+                logs[s].frames_lost += 1
 
     def _capture(self, k: int, now: float) -> None:
         profile = self.profile
@@ -320,10 +339,8 @@ class BatchedSimulation:
         bits = size_bytes * BITS_PER_BYTE
         frame_id = self._next_fid
         self._next_fid += 1
-        # Arrays, not lists: a cohort-wide frame entry stays small (8
-        # bytes a session, not a boxed float), and the completion path
-        # reads single rows with ``.item``, which yields plain floats.
-        self._frames[frame_id] = (now, size_bytes, np.zeros(self.n, dtype=bool))
+        self._captures[frame_id] = now
+        self._frame_sizes[frame_id] = size_bytes
         # frames_sent is lockstep-uniform; sent_bits accumulates the
         # same per-capture float adds as the scalar log, as one vector.
         self._frames_sent += 1
@@ -336,27 +353,24 @@ class BatchedSimulation:
 
         # 1. in-flight packet arrivals
         if self._in_flight:
-            self._arrivals(k, now)
-        # 2. due displays
-        if self._next_flush <= now:
-            self._flush_displays(now)
-        # 3./4. channel and cell dynamics
+            self._arrivals(k)
+        # 2./3. channel and cell dynamics
         if k % profile.chan_ticks == 0:
             self._ue.channel.update(now)
         if k % profile.cell_ticks == 0:
             self._ue.cell.update()
-        # 5. diag batch delivery
+        # 4. diag batch delivery
         if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
-        # 6. frames leaving the encoder
+        # 5. frames leaving the encoder
         pipe = self._pipe
         while pipe and pipe[0][0] == k:
             _, frame_id, size_bytes = pipe.popleft()
             self._pacer.enqueue_all(frame_id, size_bytes)
-        # 7. pacing tick
+        # 6. pacing tick
         if k % profile.pacer_ticks == 0:
             self._pace()
-        # 8. LTE subframe
+        # 7. LTE subframe
         tbs, rounds = self._subframe(k, now)
         if rounds:
             self._in_flight.setdefault(k + profile.deliver_ticks, []).extend(rounds)
@@ -365,10 +379,10 @@ class BatchedSimulation:
         self._batch_level_sum += level
         self._sec_tbs += tbs
         self._sec_level_sum += level
-        # 9. frame capture
+        # 8. frame capture
         if k % profile.frame_ticks == 0:
             self._capture(k, now)
-        # 10. rate / buffer traces
+        # 9. rate / buffer traces
         if k % SAMPLE_TICKS == 0:
             rates = self._encoding.rate(now, self._ramp.rate).tolist()
             rtp_rates = self._rtp.rate.tolist()
@@ -376,22 +390,21 @@ class BatchedSimulation:
             for s, log in enumerate(self.logs):
                 log.rate_trace.append((now, rates[s], rtp_rates[s]))
                 log.buffer_levels.append((now, levels[s]))
-        # 11. end of warm-up
+        # 10. end of warm-up
         if k == warm_ticks:
             self._stage_ticks[:] = 0
             self._staged = 0
             self._frames_sent = 0
             self._sent_bits = np.zeros(self.n)
-            for log, receiver in zip(self.logs, self._receivers):
+            for log in self.logs:
                 log.reset()
-                receiver.reset_measurement()
                 log.start_time = now
             self._baseline_fw_drops = self._ue.buffer.dropped_packets.copy()
             self._baseline_pacer_drops = self._pacer.dropped_frames.copy()
             self._baseline_bytes = self._ue.bytes_sent.copy()
 
     def _subframe(self, k: int, now: float):
-        """Phase-8 grant pass; the cell-coupled engine
+        """Phase-7 grant pass; the cell-coupled engine
         (:class:`repro.sim.batch_cell.BatchedCellSimulation`) overrides
         this to advance the shared cells and route grants through their
         budgets."""
@@ -443,6 +456,7 @@ class BatchedSimulation:
             max(1, int(self.n * max(warmup, duration) * STAGE_PACKETS_PER_SECOND)),
             total_ticks,
         )
+        self._open_frames(total_ticks)
         if progress is not None:
             stride = max(1, int(progress_every))
             for k in range(1, total_ticks + 1):
@@ -458,9 +472,9 @@ class BatchedSimulation:
         pacer_drops = self._pacer.dropped_frames - self._baseline_pacer_drops
         congestion = self._encoding.congestion_events
         self._materialise_arrivals()
+        self._replay_receivers(total_ticks, warm_ticks)
         results = []
         for s, (config, log) in enumerate(zip(self.configs, self.logs)):
-            self._receivers[s].finalise(log)
             log.frames_sent = self._frames_sent
             log.sent_bits = float(self._sent_bits[s])
             log.congestion_events = int(congestion[s])

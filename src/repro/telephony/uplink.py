@@ -35,15 +35,18 @@ Four design rules make that achievable (see docs/PERFORMANCE.md):
    :class:`~repro.sim.blocks.CallDraws`;
 2. all time is derived from the integer tick counter (``now = k *
    1e-3``), never from float-accumulated periods;
-3. rare per-frame events (assembly, display, PSNR) run through
-   *shared* scalar code (:class:`ReceiverState`) in both engines;
+3. the viewer (jitter EWMA, playout, display, PSNR) runs through
+   *shared* code (:class:`ReceiverState`) in both engines, and runs
+   after the tick loop: nothing on the sender side reads it, so each
+   engine stages its completed frames and replays each session's
+   receiver once, after the last tick;
 4. per-batch level means are running ``+=`` sums in both engines, never
    ``sum()`` (which is compensated from Python 3.12 on).
 """
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -114,6 +117,10 @@ def batch_unsupported_reason(config: SessionConfig) -> Optional[str]:
         return "the online sweet-spot learner (target_buffer=None) is unsupported"
     if config.video.fps <= 0:
         return "fps must be positive"
+    video = config.video
+    if min(video.decode_latency, video.playout_min, video.playout_max) < 0.0:
+        # The post-run receiver replay relies on display >= arrival.
+        return "decode latency and playout bounds must be non-negative"
     named = {
         "channel.update_interval": config.lte.channel.update_interval,
         "lte.diag_interval": config.lte.diag_interval,
@@ -237,19 +244,16 @@ class UplinkProfile:
 class ReceiverState:
     """Per-session viewer: jitter-adaptive playout + display accounting.
 
-    This exact class runs in **both** engines (frame completions are
-    rare — tens per second — so scalar Python here costs nothing and
-    buys bit-identical jitter EWMAs, playout clamps and PSNR numbers).
+    Nothing on the sender side reads the viewer, so neither engine runs
+    it inside its tick loop: both stage every completed undamaged frame
+    and call :meth:`replay` once, after the last tick.  This exact class
+    serves **both** engines (design rule 3), which buys bit-identical
+    jitter EWMAs, playout clamps, display orders and PSNR numbers.
     """
 
     __slots__ = (
-        "_video",
-        "_pixels",
-        "_jitter",
-        "_last_transit",
-        "_heap",
-        "_last_capture",
         "clock_offset",
+        "_pixels",
         "_anchor_bpp",
         "_rd_anchor",
         "_rd_slope",
@@ -259,20 +263,14 @@ class ReceiverState:
         "_playout_max",
         "_jitter_mult",
         "_decode_latency",
-        "_pending_sizes",
     )
 
     def __init__(self, video: VideoConfig, rng):
-        self._video = video
-        self._pixels = float(video.width * video.height)
-        self._jitter = 0.0
-        self._last_transit: Optional[float] = None
-        self._heap: List[Tuple[float, float, float]] = []
-        self._last_capture = -1.0
         self.clock_offset = float(rng.normal(0.0, CLOCK_OFFSET_SIGMA))
-        # R-D constants hoisted out of the per-display path; the vector
-        # pass in finalise() mirrors psnr_from_bpp at complexity 1.0
-        # (bpp / max(1e-9, 1.0) == bpp, so the floats are identical).
+        self._pixels = float(video.width * video.height)
+        # The vector R-D pass in replay() mirrors psnr_from_bpp at
+        # complexity 1.0 (bpp / max(1e-9, 1.0) == bpp, so the floats
+        # are identical).
         self._anchor_bpp = anchor_bpp(video)
         self._rd_anchor = float(video.rd_anchor_psnr)
         self._rd_slope = float(video.rd_db_per_octave)
@@ -282,65 +280,71 @@ class ReceiverState:
         self._playout_max = float(video.playout_max)
         self._jitter_mult = float(video.jitter_multiplier)
         self._decode_latency = float(video.decode_latency)
-        # Displayed-frame sizes staged for finalise(): the per-display
-        # R-D math is deferred and vectorised there (≈120 np.log2 scalar
-        # dispatches per session off the hot path).
-        self._pending_sizes: List[float] = []
 
-    def on_frame_complete(self, arrival: float, capture: float, size_bytes: float) -> None:
-        """Last packet of an undamaged frame arrived at ``arrival``."""
-        transit = arrival - capture
-        if self._last_transit is not None:
-            deviation = abs(transit - self._last_transit)
-            self._jitter += (deviation - self._jitter) / 16.0
-        self._last_transit = transit
-        playout = min(
-            self._playout_max,
-            max(self._playout_min, self._jitter_mult * self._jitter),
-        )
-        display_time = arrival + self._decode_latency + playout
-        heapq.heappush(self._heap, (display_time, capture, size_bytes))
+    def replay(
+        self,
+        arrivals: np.ndarray,
+        captures: np.ndarray,
+        sizes: np.ndarray,
+        end: float,
+        warm: float,
+        log: SessionLog,
+    ) -> None:
+        """Play out a finished run's frames into ``log``.
 
-    @property
-    def next_display(self) -> float:
-        """Earliest pending display instant (+inf when none pending)."""
-        return self._heap[0][0] if self._heap else float("inf")
+        ``arrivals``, ``captures`` and ``sizes`` describe every completed
+        undamaged frame in completion order; ``end`` and ``warm`` are the
+        times of the last tick and of the warm-up tick (``k * MS``).
 
-    def flush(self, now: float, log: SessionLog) -> None:
-        """Display every frame whose playout deadline has passed."""
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            display_time, capture, size_bytes = heapq.heappop(heap)
-            delay = (display_time + self.clock_offset) - capture
-            log.frame_delays.append(delay)
-            if capture <= self._last_capture:
-                continue  # superseded by a newer displayed frame
-            self._last_capture = capture
-            log.frames_displayed += 1
-            log.display_times.append(display_time)
-            self._pending_sizes.append(size_bytes)
-
-    def reset_measurement(self) -> None:
-        """Drop staged display sizes (end of a warm-up phase, paired
-        with ``log.reset()``)."""
-        self._pending_sizes.clear()
-
-    def finalise(self, log: SessionLog) -> None:
-        """Materialise ``roi_psnrs``/``roi_levels`` from the staged
-        display sizes — one vector pass instead of one R-D evaluation
-        per displayed frame.
-
-        Bit-exact with the former inline arithmetic: scalar ``_log2``
-        is the same numpy ufunc the array call dispatches to (the exact
-        -equality property pinned by ``tests/test_kernels.py``), and
-        ``np.minimum``/``np.maximum`` equal the scalar clamps
-        elementwise.
+        The result is what a live playout heap would have logged.  Each
+        completion advances the jitter EWMA and fixes its display time,
+        which is never before its arrival (the profile refuses negative
+        display latencies).  A live loop would display the frame at its
+        flush tick, the smallest ``k`` with ``k * MS >= display_time``;
+        that tick is monotone in the display time, so the frames pop in
+        global ``(display_time, capture, size)`` order, the frames due
+        after ``end`` are never displayed, and those flushed by the
+        warm-up tick leave the log but still supersede older frames.
         """
-        sizes = self._pending_sizes
-        self._pending_sizes = []
-        if not sizes:
+        if not len(arrivals):
             return
-        bpp = np.asarray(sizes, dtype=float) * BITS_PER_BYTE / self._pixels
+        # The EWMA is a sequential recurrence: the one scalar pass.
+        deviations = np.abs(np.diff(arrivals - captures)).tolist()
+        jitter = [0.0]
+        level = 0.0
+        for deviation in deviations:
+            level += (deviation - level) / 16.0
+            jitter.append(level)
+        playout = np.minimum(
+            self._playout_max,
+            np.maximum(self._playout_min, self._jitter_mult * np.array(jitter)),
+        )
+        display = arrivals + self._decode_latency + playout
+        order = np.lexsort((sizes, captures, display))
+        display = display[order]
+        shown = int(np.searchsorted(display, end, side="right"))
+        display = display[:shown]
+        captures = captures[order[:shown]]
+        sizes = sizes[order[:shown]]
+        # A frame is superseded unless it is newer than every frame
+        # popped before it (the first compares with -1.0).
+        newest = np.maximum.accumulate(np.concatenate(([-1.0], captures[:-1])))
+        fresh = captures > newest
+        kept = int(np.searchsorted(display, warm, side="right"))
+        display, captures, sizes, fresh = (
+            display[kept:], captures[kept:], sizes[kept:], fresh[kept:]
+        )
+        log.frame_delays.extend(((display + self.clock_offset) - captures).tolist())
+        times = display[fresh].tolist()
+        if not times:
+            return
+        log.frames_displayed += len(times)
+        log.display_times.extend(times)
+        # Bit-exact with per-display psnr_from_bpp: scalar ``_log2`` is
+        # the same numpy ufunc the array call dispatches to (the exact
+        # -equality property pinned by ``tests/test_kernels.py``), and
+        # ``np.minimum``/``np.maximum`` equal the scalar clamps.
+        bpp = sizes[fresh] * BITS_PER_BYTE / self._pixels
         positive = bpp > 0.0
         safe_bpp = bpp if positive.all() else np.where(positive, bpp, 1.0)
         psnr = np.minimum(
@@ -354,9 +358,7 @@ class ReceiverState:
         if safe_bpp is not bpp:
             psnr = np.where(positive, psnr, self._psnr_floor)
         log.roi_psnrs.extend(psnr.tolist())
-        log.roi_levels.extend(
-            (t, 1.0) for t in log.display_times[len(log.roi_levels) :]
-        )
+        log.roi_levels.extend((t, 1.0) for t in times)
 
 
 class _Pkt:
@@ -379,10 +381,11 @@ class UplinkSession:
     batched engine replays with arrays (see the phase comments in
     :meth:`_tick`).  The state has the array twin's shape: the 40 ms
     diag batch is a running level sum fed straight to
-    :meth:`CongestionDetector.on_report_level`, the next display
-    instant is a cached float, in-flight pops run only while packets
-    are in flight, and the scheduler is not called on an empty BSR or
-    during a handover outage.
+    :meth:`CongestionDetector.on_report_level`, completed frames are
+    staged for the receiver's post-run :meth:`ReceiverState.replay`,
+    in-flight pops run only while packets are in flight, and the
+    scheduler is not called on an empty BSR or during a handover
+    outage.
     """
 
     def __init__(self, config: SessionConfig):
@@ -434,8 +437,9 @@ class UplinkSession:
         self._encoding_pipe: Deque[Tuple[int, int, float]] = deque()
         #: arrival_tick -> [(frame_id, size_bytes, is_last), ...]
         self._in_flight: Dict[int, List[Tuple[int, float, bool]]] = {}
-        #: Earliest pending display instant (the phase-2 gate).
-        self._next_flush = float("inf")
+        #: Flat (arrival, capture, size_bytes) triples of every completed
+        #: undamaged frame, replayed through the receiver after the run.
+        self._completions = array("d")
         #: Level sum of the open diag batch (one record per tick since
         #: the last delivery).
         self._batch_level_sum = 0.0
@@ -479,43 +483,36 @@ class UplinkSession:
         arrivals = self._in_flight.pop(k, None) if self._in_flight else None
         if arrivals is not None:
             table = self._frame_table
-            receiver = self._receiver
             for frame_id, size, last in arrivals:
                 log.arrivals.append((now, size))
                 if last:
                     entry = table.pop(frame_id, None)
                     if entry is not None and not entry[2]:
-                        receiver.on_frame_complete(now, entry[0], entry[1])
-                        self._next_flush = receiver.next_display
+                        self._completions.extend((now, entry[0], entry[1]))
 
-        # 2. display frames whose playout deadline passed
-        if self._next_flush <= now:
-            self._receiver.flush(now, log)
-            self._next_flush = self._receiver.next_display
-
-        # 3./4. channel and cell dynamics
+        # 2./3. channel and cell dynamics
         if k % profile.chan_ticks == 0:
             self._channel.update(now)
         if k % profile.cell_ticks == 0:
             self._cell.update()
 
-        # 5. diag batch delivery (before this tick's subframe record;
+        # 4. diag batch delivery (before this tick's subframe record;
         # tick 1 has no record yet)
         if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
 
-        # 6. frames leaving the encoder join the pacer queue
+        # 5. frames leaving the encoder join the pacer queue
         pipe = self._encoding_pipe
         while pipe and pipe[0][0] == k:
             _, frame_id, size_bytes = pipe.popleft()
             self._pacer.enqueue(frame_id, size_bytes)
 
-        # 7. pacing tick
+        # 6. pacing tick
         if k % profile.pacer_ticks == 0:
             self._pacer.refill(self._rtp.rate)
             self._pacer.drain(self._emit)
 
-        # 8. LTE subframe: BSR, grant, drain, diag accumulators.  The
+        # 7. LTE subframe: BSR, grant, drain, diag accumulators.  The
         # scheduler grants nothing (and draws nothing) on an empty BSR
         # or in a handover outage (ChannelProcess.cqi's zero).
         fw = self._fw
@@ -544,7 +541,7 @@ class UplinkSession:
         self._sec_tbs += tbs
         self._sec_level_sum += level
 
-        # 9. frame capture
+        # 8. frame capture
         if k % profile.frame_ticks == 0:
             rate_v = self._encoding.rate(now)
             size = rate_v * profile.frame_interval * self._noise.next()
@@ -559,15 +556,14 @@ class UplinkSession:
             log.frames_sent += 1
             log.sent_bits += size_bytes * BITS_PER_BYTE
 
-        # 10. rate / buffer trace samples
+        # 9. rate / buffer trace samples
         if k % SAMPLE_TICKS == 0:
             log.rate_trace.append((now, self._encoding.rate(now), self._rtp.rate))
             log.buffer_levels.append((now, level))
 
-        # 11. end of warm-up: drop everything measured so far
+        # 10. end of warm-up: drop everything measured so far
         if k == self._warm_ticks:
             log.reset()
-            self._receiver.reset_measurement()
             log.start_time = now
             self._baseline_fw_drops = fw.dropped_packets
             self._baseline_pacer_drops = self._pacer.dropped_frames
@@ -613,7 +609,15 @@ class UplinkSession:
         """Close the logs after the last tick (shared by :meth:`run`
         and the cell driver's external tick loop)."""
         log = self.log
-        self._receiver.finalise(log)
+        completions = np.frombuffer(self._completions).reshape(-1, 3)
+        self._receiver.replay(
+            completions[:, 0],
+            completions[:, 1],
+            completions[:, 2],
+            (self._warm_ticks + _ticks(duration)) * MS,
+            self._warm_ticks * MS,
+            log,
+        )
         log.congestion_events = self._encoding.congestion_events
         log.packets_lost += self._fw.dropped_packets - self._baseline_fw_drops
         log.frames_lost += self._pacer.dropped_frames - self._baseline_pacer_drops

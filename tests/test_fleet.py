@@ -288,6 +288,47 @@ def test_fleet_sweep_serial_equals_sharded():
     )
 
 
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records its width and
+    maps in-process."""
+
+    def __init__(self, widths, max_workers):
+        widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_fleet_batch_pools_every_multi_block_plan(monkeypatch):
+    """``fleet --batch`` uses exactly the workers its blocks were cut
+    for: one process per block up to ``jobs``, and no pool for one
+    block, whatever the host's CPU count."""
+    import repro.experiments.parallel as parallel
+
+    widths = []
+    monkeypatch.setattr(
+        parallel,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(widths, max_workers),
+    )
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+    # Three cells hold at most three blocks, so 8 workers get a plan of
+    # 3 blocks, which must still run pooled.
+    for jobs, expected in ((1, []), (2, [2]), (8, [3])):
+        widths.clear()
+        fleet_sweep(
+            "cellular", calls=[1], cells=3, duration=1.0, warmup=0.0, seed=1,
+            batch=True, jobs=jobs,
+        )
+        assert widths == expected
+
+
 def test_cell_task_is_picklable_and_runs():
     import pickle
 

@@ -3,6 +3,7 @@ the byte-identity of ledgered runs across every execution path."""
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.obs.ledger import (
     LEDGER_VERSION,
     RUN_DIR_ENV,
     RunLedger,
+    atomic_write_text,
     cohort_heartbeat_callback,
     load_registry,
     new_run_id,
@@ -33,6 +35,50 @@ from repro.telephony.fleet import member_configs
 
 from tests.test_batch import lockstep_config
 from tests.test_parallel import _ReversedCompletionPool, _digest
+
+
+class _TornHandle:
+    """A file handle whose write stores half the data, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+        return False
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "rename"])
+def test_atomic_write_failure_keeps_previous_file(tmp_path, monkeypatch, failure):
+    """A write that fails midway, or whose rename fails, leaves the old
+    file byte-identical and no temporary file behind."""
+    target = tmp_path / "manifest.json"
+    atomic_write_text(target, '{"status": "running"}\n')
+    before = target.read_bytes()
+    if failure == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: _TornHandle(real_fdopen(fd, mode))
+        )
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        atomic_write_text(target, '{"status": "ok", "padding": "%s"}\n' % ("x" * 64))
+    monkeypatch.undo()
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    atomic_write_text(target, "replaced")
+    assert target.read_text() == "replaced"
 
 
 def _session_task(seed):

@@ -11,20 +11,33 @@ PRB claims, back-to-back handovers, loads clamped at both ends) — and
 require identical state and outputs after every step.  The scalar
 references are the model classes both engines run, built with the
 lockstep engines' :class:`~repro.sim.blocks.BlockDraws`.
+
+The receiver's post-run :meth:`~repro.telephony.uplink.ReceiverState.
+replay` is fuzzed the same way, against the live playout heap both
+engines ran inside their tick loops before it (kept here as the oracle).
 """
 
+import heapq
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import CellConfig, ChannelConfig, FbccConfig, FleetConfig, LteConfig
+from repro.config import (
+    CellConfig,
+    ChannelConfig,
+    FbccConfig,
+    FleetConfig,
+    LteConfig,
+    VideoConfig,
+)
 from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
 from repro.lte.channel import ChannelArray, ChannelProcess
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
 from repro.lte.scheduler import EnbScheduler, SchedulerArray
 from repro.lte.shared_cell import GridSharedCell, SharedCellArray
+from repro.metrics.summary import SessionLog
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import (
     DetectorArray,
@@ -56,7 +69,11 @@ from repro.sim.blocks import (
     uniform_transform,
 )
 from repro.sim.rng import RngRegistry
-from repro.telephony.uplink import _Pkt
+from repro.telephony.uplink import MS, ReceiverState, _Pkt, batch_unsupported_reason
+from repro.units import BITS_PER_BYTE
+from repro.video.quality import psnr_from_bpp
+
+from tests.test_batch import lockstep_config
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -509,7 +526,7 @@ def fleet_configs(draw):
         prb_budget=draw(st.integers(1, 50)),
         share_time_constant=draw(st.floats(0.0005, 2.0)),
         pf_weight_exponent=draw(
-            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
         ),
         pf_weight_max=draw(st.floats(1.0, 8.0)),
         background_ues=draw(st.integers(1, 8)) if crowd else 0,
@@ -547,6 +564,18 @@ class _Fallbacks:
     serve=st.floats(0.0, 1.0),
     start=st.integers(1, 100),
     ticks=st.integers(1, 150),
+)
+@example(  # exponent 2.0: numpy's scalar power squares, the array one calls pow
+    cells=[
+        (FleetConfig(ues=1, pf_weight_exponent=0.0), 1),
+        (FleetConfig(ues=1, prb_budget=10, share_time_constant=1.0,
+                     pf_weight_exponent=2.0, pf_weight_max=4.0,
+                     background_ues=1), 2),
+    ],
+    seed=0,
+    serve=0.5,
+    start=1,
+    ticks=6,
 )
 def test_shared_cell_array_matches_grid_shared_cells(cells, seed, serve, start, ticks):
     """Ragged member counts, budgets down to 1 PRB, background crowds and
@@ -801,3 +830,163 @@ def test_encoding_hold_array_matches_encoding_rate_control(
         assert array.congestion_events.tolist() == [
             c.congestion_events for c in scalars
         ]
+
+
+# -- ReceiverState.replay vs the live playout heap ------------------------
+
+
+class _HeapReceiver:
+    """The live receiver both lockstep engines ran inside their tick
+    loops before the post-run replay: a jitter EWMA per completion, a
+    playout heap, and a flush of every due frame at each tick."""
+
+    def __init__(self, video: VideoConfig, clock_offset: float):
+        self._video = video
+        self._clock_offset = clock_offset
+        self._jitter = 0.0
+        self._last_transit = None
+        self._heap = []
+        self._last_capture = -1.0
+        self.shown_sizes = []
+
+    def on_frame_complete(self, arrival, capture, size_bytes):
+        video = self._video
+        transit = arrival - capture
+        if self._last_transit is not None:
+            deviation = abs(transit - self._last_transit)
+            self._jitter += (deviation - self._jitter) / 16.0
+        self._last_transit = transit
+        playout = min(
+            video.playout_max,
+            max(video.playout_min, video.jitter_multiplier * self._jitter),
+        )
+        display_time = arrival + video.decode_latency + playout
+        heapq.heappush(self._heap, (display_time, capture, size_bytes))
+
+    def flush(self, now, log):
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            display_time, capture, size_bytes = heapq.heappop(heap)
+            log.frame_delays.append((display_time + self._clock_offset) - capture)
+            if capture <= self._last_capture:
+                continue
+            self._last_capture = capture
+            log.frames_displayed += 1
+            log.display_times.append(display_time)
+            self.shown_sizes.append(size_bytes)
+
+
+def _live_playout(video, clock_offset, completions, total_ticks, warm_ticks):
+    """Drive :class:`_HeapReceiver` with the engines' old tick phases:
+    completions (phase 1), due displays (phase 2), warm-up reset."""
+    log = SessionLog()
+    receiver = _HeapReceiver(video, clock_offset)
+    due = {}
+    for tick, capture, size in completions:
+        due.setdefault(tick, []).append((capture, size))
+    for k in range(1, total_ticks + 1):
+        now = k * MS
+        for capture, size in due.get(k, ()):
+            receiver.on_frame_complete(now, capture, size)
+        receiver.flush(now, log)
+        if k == warm_ticks:
+            log.reset()
+            receiver.shown_sizes.clear()
+    pixels = float(video.width * video.height)
+    log.roi_psnrs = [
+        psnr_from_bpp(size * BITS_PER_BYTE / pixels, video)
+        for size in receiver.shown_sizes
+    ]
+    log.roi_levels = [(t, 1.0) for t in log.display_times]
+    return log
+
+
+#: Latencies on and off the 1 ms grid, zero included (a zero decode
+#: latency and playout bound display a frame at its completion tick).
+latencies = st.one_of(
+    st.sampled_from([0.0, 0.003, 0.03, 0.045]), st.floats(0.0, 0.2)
+)
+
+
+@st.composite
+def playout_cases(draw):
+    """A video config's playout knobs, a run length, a warm-up (none,
+    mid-run, or the whole run) and completions in tick order.  Captures
+    trail their arrivals by random transits, so jitter rises and falls
+    and later frames can display first; repeated captures and sizes give
+    equal display times and superseded frames; completions near the
+    last tick fall due after it."""
+    knobs = dict(
+        decode_latency=draw(latencies),
+        playout_min=draw(latencies),
+        playout_max=draw(latencies),
+        jitter_multiplier=draw(st.sampled_from([0.0, 1.0, 5.0, 37.5])),
+    )
+    total_ticks = draw(st.integers(1, 400))
+    warm_ticks = draw(
+        st.one_of(st.just(0), st.integers(1, total_ticks), st.just(total_ticks))
+    )
+    count = draw(st.integers(0, 60))
+    ticks = sorted(
+        draw(st.lists(st.integers(1, total_ticks), min_size=count, max_size=count))
+    )
+    completions = []
+    for tick in ticks:
+        capture_tick = draw(st.integers(max(0, tick - 250), tick))
+        size = draw(
+            st.one_of(st.sampled_from([0.0, 900.0, 4000.0]), st.floats(1.0, 6e4))
+        )
+        completions.append((tick, capture_tick * MS, size))
+    return knobs, total_ticks, warm_ticks, completions
+
+
+@FUZZ
+@given(case=playout_cases(), seed=st.integers(0, 2**32 - 1))
+@example(  # decode_latency + playout == 0: frames display on completion
+    case=(
+        dict(decode_latency=0.0, playout_min=0.0, playout_max=0.0,
+             jitter_multiplier=5.0),
+        6,
+        0,
+        [(1, 0.0, 900.0), (2, 0.002, 900.0), (2, 0.001, 900.0), (6, 0.004, 0.0)],
+    ),
+    seed=0,
+)
+@example(  # falling jitter displays the later frame first; warm-up mid-run
+    case=(
+        dict(decode_latency=0.045, playout_min=0.0, playout_max=0.2,
+             jitter_multiplier=5.0),
+        300,
+        60,
+        [(10, 0.0, 900.0), (50, 0.001, 900.0), (51, 0.040, 900.0), (52, 0.041, 4000.0)],
+    ),
+    seed=1,
+)
+def test_receiver_replay_matches_live_playout_heap(case, seed):
+    knobs, total_ticks, warm_ticks, completions = case
+    video = replace(VideoConfig(), **knobs)
+    receiver = ReceiverState(video, np.random.default_rng(seed))
+    expected = _live_playout(
+        video, receiver.clock_offset, completions, total_ticks, warm_ticks
+    )
+    table = np.array(
+        [(tick * MS, capture, size) for tick, capture, size in completions]
+    ).reshape(-1, 3)
+    log = SessionLog()
+    receiver.replay(
+        table[:, 0], table[:, 1], table[:, 2], total_ticks * MS, warm_ticks * MS, log
+    )
+    assert log.frame_delays == expected.frame_delays
+    assert log.display_times == expected.display_times
+    assert log.frames_displayed == expected.frames_displayed
+    assert log.roi_psnrs == expected.roi_psnrs
+    assert log.roi_levels == expected.roi_levels
+
+
+def test_profile_refuses_negative_display_latencies():
+    """The replay relies on a frame never displaying before it arrived."""
+    aligned = lockstep_config()
+    assert batch_unsupported_reason(aligned) is None
+    for knob in ("decode_latency", "playout_min", "playout_max"):
+        early = replace(aligned, video=replace(aligned.video, **{knob: -0.001}))
+        assert "non-negative" in batch_unsupported_reason(early)
