@@ -85,22 +85,26 @@ _RING_SLOTS = 256
 class FirmwareBufferArray:
     """``(n_sessions,)`` vectorised twin of :class:`FirmwareBuffer`.
 
-    Packets live in per-session circular rings; draining runs in
-    *rounds*, each round retiring at most one packet per session, so a
-    multi-packet grant replays exactly the scalar head-of-line loop
-    (same ``min``/epsilon arithmetic per packet, in the same order).
-    Packet identity is carried as ``(frame_id, is_last)`` — all the
-    lockstep receiver needs.
+    Packets live in per-session circular rings laid end to end in flat
+    1-D columns (session ``s``'s ring is slots ``s * _RING_SLOTS`` up to
+    the next session's); ``_head`` holds each session's flat head slot.
+    Draining runs in *rounds*, each round retiring at most one packet per
+    session, so a multi-packet grant replays exactly the scalar
+    head-of-line loop (same ``min``/epsilon arithmetic per packet, in the
+    same order).  Packet identity is carried as ``(frame_id, completes)``
+    — all the lockstep receiver needs; ``completes`` is whatever flag the
+    caller pushed (the engines push "last packet of an undamaged frame").
     """
 
     def __init__(self, capacities: np.ndarray):
         n = capacities.shape[0]
         self.capacity = capacities
-        self._left = np.zeros((n, _RING_SLOTS))
-        self._full = np.zeros((n, _RING_SLOTS))
-        self._frame = np.full((n, _RING_SLOTS), -1, dtype=np.int64)
-        self._last = np.zeros((n, _RING_SLOTS), dtype=bool)
-        self._head = np.zeros(n, dtype=np.int64)
+        self._left = np.zeros(n * _RING_SLOTS)
+        self._full = np.zeros(n * _RING_SLOTS)
+        self._frame = np.full(n * _RING_SLOTS, -1, dtype=np.int64)
+        self._completes = np.zeros(n * _RING_SLOTS, dtype=bool)
+        self._base = np.arange(n, dtype=np.int64) * _RING_SLOTS
+        self._head = self._base.copy()
         self._count = np.zeros(n, dtype=np.int64)
         self.level = np.zeros(n)
         self.dropped_packets = np.zeros(n, dtype=np.int64)
@@ -111,55 +115,60 @@ class FirmwareBufferArray:
         idx: np.ndarray,
         sizes: np.ndarray,
         frames: np.ndarray,
-        last: np.ndarray,
+        completes: np.ndarray,
     ) -> np.ndarray:
         """Enqueue one packet per session in ``idx``; returns the
         accepted mask (aligned with ``idx``)."""
         over = self.level[idx] + sizes > self.capacity[idx]
-        drop = idx[over]
-        if drop.size:
+        accepted = ~over
+        if over.any():
+            drop = idx[over]
             self.dropped_packets[drop] += 1
             self.dropped_bytes[drop] += sizes[over]
-        accepted = ~over
-        rows = idx[accepted]
-        if rows.size:
-            if (self._count[rows] >= _RING_SLOTS).any():
+            idx, sizes = idx[accepted], sizes[accepted]
+            frames, completes = frames[accepted], completes[accepted]
+        if idx.size:
+            count = self._count[idx]
+            if (count >= _RING_SLOTS).any():
                 raise RuntimeError("firmware packet ring overflow")
-            cols = (self._head[rows] + self._count[rows]) % _RING_SLOTS
-            self._left[rows, cols] = sizes[accepted]
-            self._full[rows, cols] = sizes[accepted]
-            self._frame[rows, cols] = frames[accepted]
-            self._last[rows, cols] = last[accepted]
-            self._count[rows] += 1
-            self.level[rows] += sizes[accepted]
+            base = self._base[idx]
+            slots = base + (self._head[idx] - base + count) % _RING_SLOTS
+            self._left[slots] = sizes
+            self._full[slots] = sizes
+            self._frame[slots] = frames
+            self._completes[slots] = completes
+            self._count[idx] = count + 1
+            self.level[idx] += sizes
         return accepted
 
     def drain_rows(self, rows: np.ndarray, grants: np.ndarray):
         """Transmit up to ``grants[i]`` bytes for session ``rows[i]``.
 
-        Returns a list of drain *rounds*, each ``(rows, frames, last,
-        sizes)`` — parallel 1-D arrays, one entry per packet fully sent
-        in that round.  Per-session packet order across rounds matches
-        the scalar head-of-line loop.  Only the listed sessions are
-        touched, so per-round work scales with the served set, not the
-        cohort.
+        Returns ``(rows, frames, completes, sizes)`` — parallel 1-D
+        arrays, one entry per packet fully sent — or ``None`` when no
+        packet completed.  The entries are the drain rounds' pops in
+        round order, so each session's packets are in the scalar
+        head-of-line order.  Only the listed sessions are touched, so
+        the work scales with the served set, not the cohort.
         """
         remaining = np.minimum(grants, self.level[rows])
-        alive = (remaining > 1e-12) & (self._count[rows] > 0)
+        # An empty ring has level 0.0, so a live remainder implies a
+        # queued packet.
+        alive = remaining > 1e-12
         if not alive.all():
             rows = rows[alive]
             remaining = remaining[alive]
-        rounds = []
+        popped = []
         while rows.size:
             heads = self._head[rows]
-            left = self._left[rows, heads]
+            left = self._left[heads]
             take = np.minimum(left, remaining)
             np.subtract(left, take, out=left)
             np.subtract(remaining, take, out=remaining)
             self.level[rows] -= take
             # Unconditional write-back: popped slots carry a stale
             # sub-epsilon residue, but push() overwrites slots wholesale.
-            self._left[rows, heads] = left
+            self._left[heads] = left
             done = left <= 1e-9
             pop_rows = rows[done]
             if not pop_rows.size:
@@ -167,39 +176,26 @@ class FirmwareBufferArray:
                 # scalar loop's ``take == remaining`` exit).
                 break
             pop_heads = heads[done]
-            rounds.append(
-                (
-                    pop_rows,
-                    self._frame[pop_rows, pop_heads],
-                    self._last[pop_rows, pop_heads],
-                    self._full[pop_rows, pop_heads],
-                )
-            )
-            self._head[pop_rows] = (pop_heads + 1) % _RING_SLOTS
+            popped.append((pop_rows, pop_heads))
+            nxt = pop_heads + 1
+            # Rings start at multiples of _RING_SLOTS: the slot after a
+            # ring's last is the next ring's first.
+            nxt[nxt % _RING_SLOTS == 0] -= _RING_SLOTS
+            self._head[pop_rows] = nxt
             cnt = self._count[pop_rows] - 1
             self._count[pop_rows] = cnt
-            emptied = pop_rows[cnt == 0]
-            if emptied.size:
-                self.level[emptied] = 0.0
+            emptied = cnt == 0
+            if emptied.any():
+                self.level[pop_rows[emptied]] = 0.0
             remaining = remaining[done]
-            cont = (remaining > 1e-12) & (cnt > 0)
+            cont = (remaining > 1e-12) & ~emptied
             rows = pop_rows[cont]
             remaining = remaining[cont]
-        return rounds
-
-    def drain(self, grants: np.ndarray):
-        """Transmit up to ``grants`` bytes per session.
-
-        Returns ``(rows, frames, last, sizes)`` — parallel 1-D arrays,
-        one entry per packet fully sent now, in head-of-line order per
-        session (concatenated across drain rounds).
-        """
-        rounds = self.drain_rows(np.nonzero(grants > 0.0)[0], grants[grants > 0.0])
-        if not rounds:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-                np.empty(0),
-            )
-        return tuple(np.concatenate(parts) for parts in zip(*rounds))
+        if not popped:
+            return None
+        if len(popped) == 1:
+            rows, slots = popped[0]
+        else:
+            rows = np.concatenate([part[0] for part in popped])
+            slots = np.concatenate([part[1] for part in popped])
+        return rows, self._frame[slots], self._completes[slots], self._full[slots]

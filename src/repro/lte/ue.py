@@ -182,10 +182,6 @@ class UeUplink:
 # Lockstep twin (batched engine, repro.sim.batch)
 # ----------------------------------------------------------------------
 
-#: Shared empty completions list for subframes that serve nobody.
-_NO_ROUNDS: list = []
-
-
 class UeUplinkArray:
     """``(n_sessions,)`` vectorised twin of :class:`UeUplink`.
 
@@ -223,10 +219,11 @@ class UeUplinkArray:
     def subframe(self, now: float, loads=None, cells=None):
         """One 1 ms subframe for every session.
 
-        Returns ``(tbs, rounds)`` where ``rounds`` is the (possibly
-        empty) list of :meth:`FirmwareBufferArray.drain_rows` completion
-        rounds and ``tbs`` the per-session bytes granted this subframe
-        (a shared zeros array when nobody was served — read-only).
+        Returns ``(tbs, sent)`` where ``sent`` is
+        :meth:`FirmwareBufferArray.drain_rows`' ``(rows, frames,
+        completes, sizes)`` of the packets fully sent, or ``None``, and
+        ``tbs`` the per-session bytes granted this subframe (a shared
+        zeros array when nobody was served — read-only).
         Post-drain levels are ``self.buffer.level``.
 
         ``loads``/``cells`` are the shared-cell hooks
@@ -247,11 +244,9 @@ class UeUplinkArray:
         rows, grants = self.scheduler.serve_subframe(
             reported, self.buffer.level, cqi, cqi_positive, load, cells=cells
         )
-        if rows.size:
-            rounds = self.buffer.drain_rows(rows, grants)
-            tbs = level_before - self.buffer.level
-            self.bytes_sent += tbs
-        else:
-            rounds = _NO_ROUNDS
-            tbs = self._zero_tbs
-        return tbs, rounds
+        if not rows.size:
+            return self._zero_tbs, None
+        sent = self.buffer.drain_rows(rows, grants)
+        tbs = level_before - self.buffer.level
+        self.bytes_sent += tbs
+        return tbs, sent

@@ -27,9 +27,10 @@ class SessionLog:
     #: (display time, compression level at the viewer's ROI centre).
     roi_levels: List[Tuple[float, float]] = field(default_factory=list)
     #: (arrival time, bytes) of received media packets.  The scalar
-    #: engine appends tuples; the batched engine swaps in an ``(m, 2)``
-    #: float64 array holding the same rows (see
-    #: ``BatchedSimulation._materialise_arrivals``).
+    #: lockstep engine appends tuples when it drains a packet, stamped
+    #: with its arrival time, and keeps only those due by the last tick;
+    #: the batched engine swaps in an ``(m, 2)`` float64 array holding
+    #: the same rows (see ``BatchedSimulation._materialise_arrivals``).
     arrivals: List[Tuple[float, float]] = field(default_factory=list)
     #: Frame-level mismatch time samples (s).
     mismatches: List[float] = field(default_factory=list)

@@ -481,25 +481,39 @@ def read_manifest(run_dir: PathLike) -> dict:
     return json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
 
 
-def read_heartbeats(run_dir: PathLike) -> List[dict]:
-    """Load every heartbeat record, in file (append) order.
+def read_heartbeat_lines(run_dir: PathLike) -> List[Tuple[str, dict]]:
+    """Every whole heartbeat record as ``(line, record)``, in file
+    (append) order.
 
-    A half-written trailing line (the run may still be live) is
-    silently dropped rather than raising.
+    The one heartbeat parser: :func:`read_heartbeats`, :func:`list_runs`
+    and the job server's event stream all read through it.  Heartbeats
+    are appended in place, so a writer that dies mid-append (or one
+    still appending) leaves a torn line; any line that is not a JSON
+    object is dropped rather than raising, and a missing or unreadable
+    file has no records.
     """
-    path = Path(run_dir) / HEARTBEAT_NAME
-    if not path.exists():
+    try:
+        text = (Path(run_dir) / HEARTBEAT_NAME).read_text()
+    except (OSError, UnicodeDecodeError):
         return []
-    records: List[dict] = []
-    for line in path.read_text().splitlines():
+    records: List[Tuple[str, dict]] = []
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             continue
+        if isinstance(record, dict):
+            records.append((line, record))
     return records
+
+
+def read_heartbeats(run_dir: PathLike) -> List[dict]:
+    """Load every whole heartbeat record, in file (append) order (torn
+    lines dropped, see :func:`read_heartbeat_lines`)."""
+    return [record for _, record in read_heartbeat_lines(run_dir)]
 
 
 def snapshot_paths(run_dir: PathLike) -> List[Path]:
@@ -592,7 +606,7 @@ class RunInfo:
     status: str  # terminal status, "running", "stale" or "invalid"
     age_s: float  # since the run started (manifest mtime fallback)
     size_bytes: int
-    heartbeats: int  # record count (line count of heartbeat.jsonl)
+    heartbeats: int  # whole records in heartbeat.jsonl (torn lines skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -636,13 +650,6 @@ def list_runs(
                 started = manifest_path.stat().st_mtime
             except OSError:
                 started = now
-        heartbeat = child / HEARTBEAT_NAME
-        beats = 0
-        if heartbeat.exists():
-            try:
-                beats = sum(1 for line in heartbeat.open() if line.strip())
-            except OSError:
-                beats = 0
         runs.append(
             RunInfo(
                 run_dir=child,
@@ -651,7 +658,7 @@ def list_runs(
                 status=run_status(child, stale_after_s=stale_after_s, now=now),
                 age_s=max(0.0, now - float(started)),
                 size_bytes=_dir_size(child),
-                heartbeats=beats,
+                heartbeats=len(read_heartbeat_lines(child)),
             )
         )
     return runs

@@ -211,34 +211,41 @@ _FRAME_SLOTS = 128
 class PacedSenderArray:
     """``(n_sessions,)`` vectorised twin of :class:`FramePacer`.
 
-    Frames wait in per-session circular rings; :meth:`tick` replays the
-    scalar token-bucket loop in *rounds*, each round emitting at most
-    one packet per session, so budgets, remainders and the
-    size-vs-budget break are float-identical per session.  Stale-frame
-    expiry is a rare per-session scalar loop (it only runs under heavy
-    congestion).
+    Frames wait in per-session circular rings laid end to end in flat
+    1-D columns (session ``s``'s ring is slots ``s * _FRAME_SLOTS`` up
+    to the next session's; ``_head`` holds each session's flat head
+    slot).  :meth:`tick` replays the scalar token-bucket loop in
+    *rounds*, each round emitting at most one packet per session, so
+    budgets, remainders and the size-vs-budget break are float-identical
+    per session.  Stale-frame expiry is a rare per-session scalar loop
+    (it only runs under heavy congestion).
     """
 
     def __init__(self, payloads: np.ndarray):
         n = payloads.shape[0]
         self._payload = payloads.astype(np.float64)
-        self._rows = np.arange(n)
-        self._fid = np.full((n, _FRAME_SLOTS), -1, dtype=np.int64)
-        self._rem = np.zeros((n, _FRAME_SLOTS))
-        self._head = np.zeros(n, dtype=np.int64)
+        self._base = np.arange(n, dtype=np.int64) * _FRAME_SLOTS
+        self._fid = np.full(n * _FRAME_SLOTS, -1, dtype=np.int64)
+        self._rem = np.zeros(n * _FRAME_SLOTS)
+        self._head = self._base.copy()
         self._count = np.zeros(n, dtype=np.int64)
         self._budget = np.zeros(n)
         self._queued = np.zeros(n)
         self.dropped_frames = np.zeros(n, dtype=np.int64)
+
+    def _slot(self, s: int, offset: int) -> int:
+        """Flat slot ``offset`` places behind session ``s``'s head."""
+        base = s * _FRAME_SLOTS
+        return base + (int(self._head[s]) - base + offset) % _FRAME_SLOTS
 
     def enqueue_all(self, frame_id: int, sizes: np.ndarray) -> None:
         """Every session queues its copy of frame ``frame_id`` (the
         lockstep profile captures frames on a shared cadence)."""
         if (self._count >= _FRAME_SLOTS).any():
             raise RuntimeError("pacer frame ring overflow")
-        cols = (self._head + self._count) % _FRAME_SLOTS
-        self._fid[self._rows, cols] = frame_id
-        self._rem[self._rows, cols] = sizes
+        slots = self._base + (self._head - self._base + self._count) % _FRAME_SLOTS
+        self._fid[slots] = frame_id
+        self._rem[slots] = sizes
         self._count += 1
         self._queued = self._queued + sizes
 
@@ -248,7 +255,6 @@ class PacedSenderArray:
             return
         stale = np.nonzero(mask)[0]
         for s in stale.tolist():
-            head = int(self._head[s])
             count = int(self._count[s])
             queued = self._queued[s]
             cap = max_bytes[s]
@@ -256,13 +262,13 @@ class PacedSenderArray:
             # Frames behind the head are dropped oldest-first; the head
             # may be partially on the wire and must complete.
             while queued > cap and count - dropped > 1:
-                col = (head + 1 + dropped) % _FRAME_SLOTS
-                queued = queued - self._rem[s, col]
+                queued = queued - self._rem[self._slot(s, 1 + dropped)]
                 dropped += 1
             if dropped:
-                new_head = (head + dropped) % _FRAME_SLOTS
-                self._fid[s, new_head] = self._fid[s, head]
-                self._rem[s, new_head] = self._rem[s, head]
+                head = int(self._head[s])
+                new_head = self._slot(s, dropped)
+                self._fid[new_head] = self._fid[head]
+                self._rem[new_head] = self._rem[head]
                 self._head[s] = new_head
                 self._count[s] = count - dropped
                 self._queued[s] = queued
@@ -285,7 +291,7 @@ class PacedSenderArray:
         live = np.nonzero((self._count > 0) & (self._budget > 0))[0]
         while live.size:
             heads = self._head[live]
-            size = np.minimum(self._payload[live], self._rem[live, heads])
+            size = np.minimum(self._payload[live], self._rem[heads])
             fits = size <= self._budget[live]
             rows = live[fits]
             if not rows.size:
@@ -293,14 +299,18 @@ class PacedSenderArray:
             heads = heads[fits]
             size = size[fits]
             self._budget[rows] -= size
-            remaining = self._rem[rows, heads] - size
-            self._rem[rows, heads] = remaining
+            remaining = self._rem[heads] - size
+            self._rem[heads] = remaining
             self._queued[rows] -= size
             last = remaining <= 0
-            done = rows[last]
-            if done.size:
-                self._head[done] = (heads[last] + 1) % _FRAME_SLOTS
+            if last.any():
+                done = rows[last]
+                nxt = heads[last] + 1
+                # Rings start at multiples of _FRAME_SLOTS: the slot
+                # after a ring's last is the next ring's first.
+                nxt[nxt % _FRAME_SLOTS == 0] -= _FRAME_SLOTS
+                self._head[done] = nxt
                 self._count[done] -= 1
-            emissions.append((rows, self._fid[rows, heads], size, last))
+            emissions.append((rows, self._fid[heads], size, last))
             live = rows[(self._count[rows] > 0) & (self._budget[rows] > 0)]
         return emissions

@@ -27,10 +27,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.ledger import read_heartbeat_lines
 from repro.service.jobs import JobRegistry
 
 #: The content type OpenMetrics scrapers negotiate.
@@ -168,22 +168,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 return
         lines: list = []
         if job.run_dir is not None:
-            heartbeat = Path(job.run_dir) / "heartbeat.jsonl"
-            try:
-                raw = heartbeat.read_text()
-            except OSError:
-                raw = ""
-            # Same tolerance as read_heartbeats: drop torn/partial lines
-            # (the run may be appending while we read).
-            for line in raw.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    json.loads(line)
-                except ValueError:
-                    continue
-                lines.append(line)
+            # The run may be appending while we read: torn lines drop.
+            lines = [line for line, _ in read_heartbeat_lines(job.run_dir)]
         body = "\n".join(lines[since:])
         if body:
             body += "\n"

@@ -29,7 +29,10 @@ both.  The machinery making that possible:
   nothing on the sender side reads the viewer, so the tick loop only
   stages each completed undamaged frame (a session row and a frame id
   in flat columns, a count per tick) and every session's receiver
-  replays its completions once, after the last tick.
+  replays its completions once, after the last tick;
+- arrivals staged when the packet is drained: the downstream path is a
+  fixed ``deliver_ticks``, so a packet drained at tick ``k`` arrives at
+  ``k + deliver_ticks`` and is filed under that tick at once.
 
 Cohorts must be *structurally* homogeneous — same grid cadences, same
 detector window, same TBS window (see
@@ -42,7 +45,7 @@ arbitrary sweep grids into valid cohorts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,54 +172,37 @@ class BatchedSimulation:
         self._frame_index = 0
         self._frames_sent = 0
         self._sent_bits = np.zeros(n)
-        #: Columnar arrival stage: session row and size of every arrived
-        #: packet in arrival order, plus a per-tick packet count (packets
-        #: share their tick's time).  Sized in :meth:`run`, grown by half
-        #: when full, materialised into each session's ``log.arrivals``
-        #: at the end of the run.
+        #: Columnar arrival stage: session row and size of every drained
+        #: packet in arrival order, plus a per-arrival-tick packet count
+        #: (packets share their tick's time).  Sized in :meth:`run`,
+        #: grown by half when full, materialised into each session's
+        #: ``log.arrivals`` at the end of the run.
         self._open_stage(0, 0)
         #: (done_tick, frame_id, per-session size_bytes array).
         self._pipe: Deque[Tuple[int, int, np.ndarray]] = deque()
-        #: arrival_tick -> [(rows, frame_ids, last, sizes), ...].
-        self._in_flight: Dict[int, List[tuple]] = {}
         self._seen_drops = np.zeros(n, dtype=np.int64)
         self._batch_level_sum = np.zeros(n)
         self._sec_tbs = np.zeros(n)
         self._sec_level_sum = np.zeros(n)
         self._last_flush_k = 0
+        #: Last tick of the run (set by :meth:`run`): packets due after
+        #: it never arrive and are not staged.
+        self._total_ticks = 0
         self._baseline_fw_drops = np.zeros(n, dtype=np.int64)
         self._baseline_pacer_drops = np.zeros(n, dtype=np.int64)
         self._baseline_bytes = np.zeros(n)
 
-    # -- tick phases (numbered as in UplinkSession._tick) ---------------
-
-    def _arrivals(self, k: int) -> None:
-        packets = self._in_flight.pop(k, None)
-        if packets is None:
-            return
-        for rows, frame_ids, last, sizes in packets:
-            self._stage_arrivals(k, rows, sizes)
-            if not last.any():
-                continue
-            rows, frame_ids = rows[last], frame_ids[last]
-            intact = ~self._damaged[frame_ids, rows]
-            if not intact.all():
-                rows, frame_ids = rows[intact], frame_ids[intact]
-            # Stage the completed undamaged frames for the replay.
-            start = self._done
-            end = self._done = start + rows.size
-            self._done_rows[start:end] = rows
-            self._done_frames[start:end] = frame_ids
-            self._done_ticks[k] += rows.size
+    # -- arrival and completion stages ----------------------------------
 
     def _open_frames(self, ticks: int) -> None:
-        """Size the frame table and the completion stage for ``ticks``
-        ticks.  A session completes a frame at most once, so ``frames *
-        n`` bounds the stage; pages it never writes cost no memory."""
+        """Size the frame table (flat ``frame * n + row`` columns) and
+        the completion stage for ``ticks`` ticks.  A session completes a
+        frame at most once, so ``frames * n`` bounds the stage; pages it
+        never writes cost no memory."""
         frames = ticks // self.profile.frame_ticks
         self._captures = np.empty(frames)
-        self._frame_sizes = np.empty((frames, self.n))
-        self._damaged = np.zeros((frames, self.n), dtype=bool)
+        self._frame_sizes = np.empty(frames * self.n)
+        self._damaged = np.zeros(frames * self.n, dtype=bool)
         self._done_rows = np.empty(frames * self.n, dtype=np.int32)
         self._done_frames = np.empty(frames * self.n, dtype=np.int32)
         self._done_ticks = np.zeros(ticks + 1, dtype=np.int64)
@@ -228,8 +214,10 @@ class BatchedSimulation:
         self._stage_ticks = np.zeros(ticks + 1, dtype=np.int64)
         self._staged = 0
 
-    def _stage_arrivals(self, k: int, rows: np.ndarray, sizes: np.ndarray) -> None:
-        """Stage one drain round's packets, which arrive at tick ``k``."""
+    def _stage_sent(self, arrival: int, sent) -> None:
+        """Stage one subframe's fully sent packets, which arrive at tick
+        ``arrival``, and the frames their last packets complete."""
+        rows, frames, completes, sizes = sent
         start = self._staged
         end = start + rows.size
         if end > self._stage_rows.size:
@@ -238,16 +226,34 @@ class BatchedSimulation:
             self._stage_sizes = _grown(self._stage_sizes, capacity, start)
         self._stage_rows[start:end] = rows
         self._stage_sizes[start:end] = sizes
-        self._stage_ticks[k] += rows.size
+        self._stage_ticks[arrival] += rows.size
         self._staged = end
+        if completes.any():
+            rows, frames = rows[completes], frames[completes]
+            start = self._done
+            end = self._done = start + rows.size
+            self._done_rows[start:end] = rows
+            self._done_frames[start:end] = frames
+            self._done_ticks[arrival] += rows.size
+
+    def _drop_measured_arrivals(self, k: int) -> None:
+        """End of warm-up at tick ``k``: drop the staged arrivals due by
+        ``k`` and keep those still in flight (the last ones staged)."""
+        ticks = self._stage_ticks
+        kept = int(ticks[k + 1 :].sum())
+        start = self._staged - kept
+        self._stage_rows[:kept] = self._stage_rows[start : self._staged]
+        self._stage_sizes[:kept] = self._stage_sizes[start : self._staged]
+        ticks[: k + 1] = 0
+        self._staged = kept
 
     def _materialise_arrivals(self) -> None:
         """Hand each session its staged arrivals as an ``(m, 2)`` float64
         view of ``(time, bytes)`` rows into one shared array.  One
         stable argsort by session keeps every session's packets in
-        arrival order, so the rows equal the scalar engine's live
-        appends; a packet's time is ``tick * MS``, the float the tick
-        loop computes.  Each column is released once read."""
+        arrival order, so the rows equal the scalar engine's; a packet's
+        time is ``tick * MS``, the float the tick loop computes.  Each
+        column is released once read."""
         m = self._staged
         rows = self._stage_rows[:m]
         order = np.argsort(rows, kind="stable")
@@ -280,7 +286,7 @@ class BatchedSimulation:
         times = np.repeat(np.arange(self._done_ticks.size) * MS, self._done_ticks)
         arrivals = times[order]
         captures = self._captures[frames]
-        sizes = self._frame_sizes[frames, rows[order]]
+        sizes = self._frame_sizes[frames.astype(np.int64) * self.n + rows[order]]
         self._open_frames(0)
         end, warm = total_ticks * MS, warm_ticks * MS
         for receiver, log, lo, hi in zip(
@@ -315,16 +321,24 @@ class BatchedSimulation:
             self._sec_level_sum = np.zeros(self.n)
             self._last_flush_k = k
 
+    # -- tick phases (numbered as in UplinkSession._tick) ---------------
+
     def _pace(self) -> None:
         logs = self.logs
+        n = self.n
+        damaged = self._damaged
         for rows, frame_ids, sizes, last in self._pacer.tick(self._rtp.rate):
-            accepted = self._ue.buffer.push(rows, sizes, frame_ids, last)
+            slots = frame_ids * n + rows
+            # A frame's damage is final once its last packet is pushed,
+            # so that packet carries whether it completes the frame.
+            completes = last & ~damaged[slots] if last.any() else last
+            accepted = self._ue.buffer.push(rows, sizes, frame_ids, completes)
             if accepted.all():
                 continue
             rejected = ~accepted
-            rows, frame_ids = rows[rejected], frame_ids[rejected]
-            fresh = ~self._damaged[frame_ids, rows]
-            self._damaged[frame_ids, rows] = True
+            rows, slots = rows[rejected], slots[rejected]
+            fresh = ~damaged[slots]
+            damaged[slots] = True
             for s in rows[fresh].tolist():
                 logs[s].frames_lost += 1
 
@@ -340,7 +354,7 @@ class BatchedSimulation:
         frame_id = self._next_fid
         self._next_fid += 1
         self._captures[frame_id] = now
-        self._frame_sizes[frame_id] = size_bytes
+        self._frame_sizes[frame_id * self.n : (frame_id + 1) * self.n] = size_bytes
         # frames_sent is lockstep-uniform; sent_bits accumulates the
         # same per-capture float adds as the scalar log, as one vector.
         self._frames_sent += 1
@@ -351,38 +365,37 @@ class BatchedSimulation:
         profile = self.profile
         now = k * MS
 
-        # 1. in-flight packet arrivals
-        if self._in_flight:
-            self._arrivals(k)
-        # 2./3. channel and cell dynamics
+        # 1./2. channel and cell dynamics
         if k % profile.chan_ticks == 0:
             self._ue.channel.update(now)
         if k % profile.cell_ticks == 0:
             self._ue.cell.update()
-        # 4. diag batch delivery
+        # 3. diag batch delivery
         if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
-        # 5. frames leaving the encoder
+        # 4. frames leaving the encoder
         pipe = self._pipe
         while pipe and pipe[0][0] == k:
             _, frame_id, size_bytes = pipe.popleft()
             self._pacer.enqueue_all(frame_id, size_bytes)
-        # 6. pacing tick
+        # 5. pacing tick
         if k % profile.pacer_ticks == 0:
             self._pace()
-        # 7. LTE subframe
-        tbs, rounds = self._subframe(k, now)
-        if rounds:
-            self._in_flight.setdefault(k + profile.deliver_ticks, []).extend(rounds)
+        # 6. LTE subframe; the sent packets arrive deliver_ticks later,
+        # if that is by the last tick
+        tbs, sent = self._subframe(k, now)
+        arrival = k + profile.deliver_ticks
+        if sent is not None and arrival <= self._total_ticks:
+            self._stage_sent(arrival, sent)
         self._bandwidth.on_record(tbs)
         level = self._ue.buffer.level
         self._batch_level_sum += level
         self._sec_tbs += tbs
         self._sec_level_sum += level
-        # 8. frame capture
+        # 7. frame capture
         if k % profile.frame_ticks == 0:
             self._capture(k, now)
-        # 9. rate / buffer traces
+        # 8. rate / buffer traces
         if k % SAMPLE_TICKS == 0:
             rates = self._encoding.rate(now, self._ramp.rate).tolist()
             rtp_rates = self._rtp.rate.tolist()
@@ -390,10 +403,9 @@ class BatchedSimulation:
             for s, log in enumerate(self.logs):
                 log.rate_trace.append((now, rates[s], rtp_rates[s]))
                 log.buffer_levels.append((now, levels[s]))
-        # 10. end of warm-up
+        # 9. end of warm-up
         if k == warm_ticks:
-            self._stage_ticks[:] = 0
-            self._staged = 0
+            self._drop_measured_arrivals(k)
             self._frames_sent = 0
             self._sent_bits = np.zeros(self.n)
             for log in self.logs:
@@ -404,7 +416,7 @@ class BatchedSimulation:
             self._baseline_bytes = self._ue.bytes_sent.copy()
 
     def _subframe(self, k: int, now: float):
-        """Phase-7 grant pass; the cell-coupled engine
+        """Phase-6 grant pass; the cell-coupled engine
         (:class:`repro.sim.batch_cell.BatchedCellSimulation`) overrides
         this to advance the shared cells and route grants through their
         budgets."""
@@ -449,9 +461,9 @@ class BatchedSimulation:
         self._metering = bool(meter)
         t0 = meter.span_start() if meter else 0.0
         warm_ticks = _ticks(warmup)
-        total_ticks = warm_ticks + _ticks(duration)
-        # The stage is emptied at the end of warm-up, so it holds the
-        # longer of the two phases.
+        total_ticks = self._total_ticks = warm_ticks + _ticks(duration)
+        # The stage is emptied at the end of warm-up (bar the packets in
+        # flight), so it holds about the longer of the two phases.
         self._open_stage(
             max(1, int(self.n * max(warmup, duration) * STAGE_PACKETS_PER_SECOND)),
             total_ticks,

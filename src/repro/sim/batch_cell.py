@@ -119,7 +119,6 @@ class BatchedCellSimulation(BatchedSimulation):
         # (run_cells) so merged fleet registries stay partition-
         # invariant however cells are sharded into blocks; the engine
         # meter carries only the block's wall-clock span.
-        self._total_ticks = total_ticks
         meter.span_end(self._RUN_SPAN, t0)
 
     def run_cells(

@@ -113,9 +113,11 @@ class BlockStreamArray:
 
     ``take(idx)`` returns one variate per listed session and advances
     only those sessions' cursors — exactly mirroring data-dependent
-    scalar consumption.  ``aligned=True`` asserts all sessions consume
-    in lockstep (e.g. the channel's every-update normal draw) and keeps
-    a single shared cursor, which makes :meth:`take_all` a plain column
+    scalar consumption.  The blocks lie end to end in one flat column
+    and each session's cursor is a flat index into it, so a take is one
+    1-D gather.  ``aligned=True`` asserts all sessions consume in
+    lockstep (e.g. the channel's every-update normal draw) and keeps a
+    single shared cursor, which makes :meth:`take_all` a plain column
     read.
     """
 
@@ -133,13 +135,18 @@ class BlockStreamArray:
         self._block = int(block)
         self._n = len(self._rngs)
         self._aligned = bool(aligned)
-        self._values = np.empty((self._n, self._block), dtype=np.float64)
+        self._flat = np.empty(self._n * self._block, dtype=np.float64)
+        #: ``(sessions, block)`` view of the flat column.
+        self._values = self._flat.reshape(self._n, self._block)
         for s in range(self._n):
             self._values[s] = self._transforms[s](self._rngs[s], self._block)
         if aligned:
             self._cursor = 0
         else:
-            self._cursors = np.zeros(self._n, dtype=np.int64)
+            #: Flat index of each session's next variate; a block is
+            #: used up when it reaches the session's ``_ends`` entry.
+            self._cursors = np.arange(self._n, dtype=np.int64) * self._block
+            self._ends = self._cursors + self._block
 
     def take_all(self) -> np.ndarray:
         """One variate for every session (aligned streams only)."""
@@ -161,12 +168,13 @@ class BlockStreamArray:
             return np.empty(0, dtype=np.float64)
         cursors = self._cursors
         c = cursors[idx]
-        if (c >= self._block).any():
-            for s in idx[c >= self._block].tolist():
+        spent = c >= self._ends[idx]
+        if spent.any():
+            for s in idx[spent].tolist():
                 self._values[s] = self._transforms[s](self._rngs[s], self._block)
-                cursors[s] = 0
+                cursors[s] = s * self._block
             c = cursors[idx]
-        out = self._values[idx, c]
+        out = self._flat[c]
         cursors[idx] = c + 1
         return out
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -363,14 +363,24 @@ class ReceiverState:
 
 class _Pkt:
     """Lightweight RTP packet for the scalar reference (duck-typed for
-    :class:`FirmwareBuffer`, which only reads ``size_bytes``)."""
+    :class:`FirmwareBuffer`, which only reads ``size_bytes``).
+    ``completes`` marks the last packet of an undamaged frame."""
 
-    __slots__ = ("size_bytes", "frame_id", "last")
+    __slots__ = ("size_bytes", "frame_id", "completes")
 
-    def __init__(self, size_bytes: float, frame_id: int, last: bool):
+    def __init__(self, size_bytes: float, frame_id: int, completes: bool):
         self.size_bytes = size_bytes
         self.frame_id = frame_id
-        self.last = last
+        self.completes = completes
+
+
+def _arrived_by(arrivals: list, time: float) -> int:
+    """How many of the time-ordered ``(time, bytes)`` ``arrivals`` are
+    due by ``time``; the rest, at the end, are still in flight."""
+    cut = len(arrivals)
+    while cut and arrivals[cut - 1][0] > time:
+        cut -= 1
+    return cut
 
 
 class UplinkSession:
@@ -381,9 +391,10 @@ class UplinkSession:
     batched engine replays with arrays (see the phase comments in
     :meth:`_tick`).  The state has the array twin's shape: the 40 ms
     diag batch is a running level sum fed straight to
-    :meth:`CongestionDetector.on_report_level`, completed frames are
-    staged for the receiver's post-run :meth:`ReceiverState.replay`,
-    in-flight pops run only while packets are in flight, and the
+    :meth:`CongestionDetector.on_report_level`, a packet's arrival (and
+    the frame it completes) is logged when it is drained, at its
+    arrival time ``deliver_ticks`` later, completed frames are staged
+    for the receiver's post-run :meth:`ReceiverState.replay`, and the
     scheduler is not called on an empty BSR or during a handover
     outage.
     """
@@ -429,14 +440,14 @@ class UplinkSession:
             video_rate=lambda: self._encoding.rate(self._now),
         )
 
-        #: frame_id -> [capture_s, size_bytes, damaged]
+        #: frame_id -> [capture_s, size_bytes, damaged], until the
+        #: frame's last packet is pushed, or drained if it completes an
+        #: undamaged frame.
         self._frame_table: Dict[int, list] = {}
         self._next_frame_id = 0
         self._frame_index = 0
         #: (done_tick, frame_id, size_bytes) encoder pipeline FIFO.
         self._encoding_pipe: Deque[Tuple[int, int, float]] = deque()
-        #: arrival_tick -> [(frame_id, size_bytes, is_last), ...]
-        self._in_flight: Dict[int, List[Tuple[int, float, bool]]] = {}
         #: Flat (arrival, capture, size_bytes) triples of every completed
         #: undamaged frame, replayed through the receiver after the run.
         self._completions = array("d")
@@ -460,17 +471,21 @@ class UplinkSession:
         #: Time of the last diag delivery (read by the RTP floor).
         self._now = 0.0
         self._warm_ticks = 0
+        #: Packets due after this tick never arrive and are not logged.
+        self._last_tick = 0
 
     # -- packet emission (pacer -> firmware buffer) --------------------
 
     def _emit(self, frame_id: int, size: float, last: bool) -> None:
-        if not self._fw.push(_Pkt(size, frame_id, last)):
-            entry = self._frame_table[frame_id]
+        entry = self._frame_table[frame_id]
+        # A frame's damage is final once its last packet is pushed, so
+        # that packet carries whether it completes the frame.
+        if not self._fw.push(_Pkt(size, frame_id, last and not entry[2])):
             if not entry[2]:
                 entry[2] = True
                 self.log.frames_lost += 1
-            if last:
-                self._frame_table.pop(frame_id, None)
+        if last and entry[2]:
+            del self._frame_table[frame_id]
 
     # -- the master tick ------------------------------------------------
 
@@ -479,42 +494,33 @@ class UplinkSession:
         now = k * MS
         log = self.log
 
-        # 1. packet arrivals scheduled deliver_ticks ago
-        arrivals = self._in_flight.pop(k, None) if self._in_flight else None
-        if arrivals is not None:
-            table = self._frame_table
-            for frame_id, size, last in arrivals:
-                log.arrivals.append((now, size))
-                if last:
-                    entry = table.pop(frame_id, None)
-                    if entry is not None and not entry[2]:
-                        self._completions.extend((now, entry[0], entry[1]))
-
-        # 2./3. channel and cell dynamics
+        # 1./2. channel and cell dynamics
         if k % profile.chan_ticks == 0:
             self._channel.update(now)
         if k % profile.cell_ticks == 0:
             self._cell.update()
 
-        # 4. diag batch delivery (before this tick's subframe record;
+        # 3. diag batch delivery (before this tick's subframe record;
         # tick 1 has no record yet)
         if k % profile.diag_ticks == 0 and k > 1:
             self._deliver_diag(k, now)
 
-        # 5. frames leaving the encoder join the pacer queue
+        # 4. frames leaving the encoder join the pacer queue
         pipe = self._encoding_pipe
         while pipe and pipe[0][0] == k:
             _, frame_id, size_bytes = pipe.popleft()
             self._pacer.enqueue(frame_id, size_bytes)
 
-        # 6. pacing tick
+        # 5. pacing tick
         if k % profile.pacer_ticks == 0:
             self._pacer.refill(self._rtp.rate)
             self._pacer.drain(self._emit)
 
-        # 7. LTE subframe: BSR, grant, drain, diag accumulators.  The
+        # 6. LTE subframe: BSR, grant, drain, diag accumulators.  The
         # scheduler grants nothing (and draws nothing) on an empty BSR
-        # or in a handover outage (ChannelProcess.cqi's zero).
+        # or in a handover outage (ChannelProcess.cqi's zero).  Sent
+        # packets due by the last tick are logged at once, stamped with
+        # their arrival time.
         fw = self._fw
         ring = self._bsr
         reported = ring[0]
@@ -531,17 +537,16 @@ class UplinkSession:
                 completed = fw.drain(grant)
                 tbs = level - fw.level
                 self.bytes_sent += tbs
-                if completed:
-                    slot = self._in_flight.setdefault(k + profile.deliver_ticks, [])
-                    for pkt in completed:
-                        slot.append((pkt.frame_id, pkt.size_bytes, pkt.last))
+                arrival = k + profile.deliver_ticks
+                if completed and arrival <= self._last_tick:
+                    self._stage_sent(arrival * MS, completed)
                 level = fw.level
         self._bandwidth.on_tbs(tbs)
         self._batch_level_sum += level
         self._sec_tbs += tbs
         self._sec_level_sum += level
 
-        # 8. frame capture
+        # 7. frame capture
         if k % profile.frame_ticks == 0:
             rate_v = self._encoding.rate(now)
             size = rate_v * profile.frame_interval * self._noise.next()
@@ -556,18 +561,31 @@ class UplinkSession:
             log.frames_sent += 1
             log.sent_bits += size_bytes * BITS_PER_BYTE
 
-        # 9. rate / buffer trace samples
+        # 8. rate / buffer trace samples
         if k % SAMPLE_TICKS == 0:
             log.rate_trace.append((now, self._encoding.rate(now), self._rtp.rate))
             log.buffer_levels.append((now, level))
 
-        # 10. end of warm-up: drop everything measured so far
+        # 9. end of warm-up: drop everything measured so far, except the
+        # arrivals still in flight
         if k == self._warm_ticks:
+            in_flight = log.arrivals[_arrived_by(log.arrivals, now) :]
             log.reset()
+            log.arrivals.extend(in_flight)
             log.start_time = now
             self._baseline_fw_drops = fw.dropped_packets
             self._baseline_pacer_drops = self._pacer.dropped_frames
             self._baseline_bytes = self.bytes_sent
+
+    def _stage_sent(self, arrival: float, completed) -> None:
+        """Log drained packets, which arrive at time ``arrival``, and
+        stage the frames their last packets complete."""
+        arrivals = self.log.arrivals
+        for pkt in completed:
+            arrivals.append((arrival, pkt.size_bytes))
+            if pkt.completes:
+                capture, size, _ = self._frame_table.pop(pkt.frame_id)
+                self._completions.extend((arrival, capture, size))
 
     def _deliver_diag(self, k: int, now: float) -> None:
         # Records of ticks 1..k-1 in the first batch, diag_ticks after.
@@ -614,7 +632,7 @@ class UplinkSession:
             completions[:, 0],
             completions[:, 1],
             completions[:, 2],
-            (self._warm_ticks + _ticks(duration)) * MS,
+            self._last_tick * MS,
             self._warm_ticks * MS,
             log,
         )
@@ -636,8 +654,9 @@ class UplinkSession:
         if not _ms_aligned(duration) or not _ms_aligned(warmup):
             raise ValueError("duration and warmup must be on the 1 ms grid")
         self._warm_ticks = _ticks(warmup)
+        self._last_tick = self._warm_ticks + _ticks(duration)
         tick = self._tick
-        for k in range(1, self._warm_ticks + _ticks(duration) + 1):
+        for k in range(1, self._last_tick + 1):
             tick(k)
         return self._finalise(duration)
 
@@ -701,6 +720,7 @@ class UplinkCellSession:
         total_ticks = warm_ticks + _ticks(duration)
         for member in members:
             member._warm_ticks = warm_ticks
+            member._last_tick = total_ticks
         cell = self.cell
         for k in range(1, total_ticks + 1):
             cell.begin_tick(k, k * MS)

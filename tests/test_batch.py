@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import SCHEMES, TRANSPORTS, SessionConfig
 from repro.experiments.batch import BatchRunner, plan_cohorts
@@ -237,35 +239,39 @@ def test_runner_pools_every_multi_cohort_plan(monkeypatch):
 
 
 def test_arrival_stage_keeps_per_session_order():
-    """Staged drain rounds, empty ones included, materialise into each
-    session's arrivals in arrival order, across column growth and the
-    warm-up reset."""
+    """Packets staged when drained, empty subframes included, materialise
+    into each session's arrivals in arrival order, across column growth
+    and the warm-up cut, which keeps the packets still in flight."""
     rng = np.random.default_rng(5)
-    n = 6
+    n, total, warm = 6, 600, 200
     sim = BatchedSimulation([lockstep_config(seed=s) for s in range(1, n + 1)])
-    sim._open_stage(4, 400)
-    expected = [[] for _ in range(n)]
-    for tick in range(1, 400):
-        for _ in range(int(rng.integers(0, 3))):
-            count = int(rng.integers(0, 4))  # 0: a round that completed nothing
-            rows = rng.choice(n, size=count, replace=False).astype(np.int64)
-            sizes = rng.uniform(1.0, 1200.0, size=count)
-            sim._stage_arrivals(tick, rows, sizes)
+    deliver = sim.profile.deliver_ticks
+    assert 0 < deliver < warm
+    sim._open_stage(4, total)
+    sim._open_frames(total)
+    staged = [[] for _ in range(n)]
+    for tick in range(1, total + 1):
+        count = int(rng.integers(0, 4))  # 0: a subframe that sent nothing
+        rows = rng.choice(n, size=count, replace=False).astype(np.int64)
+        sizes = rng.uniform(1.0, 1200.0, size=count)
+        sent = (rows, np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool), sizes)
+        if tick + deliver <= total:  # as the tick loop stages
+            sim._stage_sent(tick + deliver, sent)
             for row, size in zip(rows.tolist(), sizes.tolist()):
-                expected[row].append([tick * MS, size])
-        if tick == 100:  # the end of warm-up discards what came before
-            sim._stage_ticks[:] = 0
-            sim._staged = 0
-            expected = [[] for _ in range(n)]
+                staged[row].append((tick + deliver, size))
+        if tick == warm:
+            sim._drop_measured_arrivals(tick)
     sim._materialise_arrivals()
-    for log, rows in zip(sim.logs, expected):
-        assert np.asarray(log.arrivals).tolist() == rows
+    for log, entries in zip(sim.logs, staged):
+        expected = [[t * MS, size] for t, size in entries if t > warm]
+        assert np.asarray(log.arrivals).reshape(-1, 2).tolist() == expected
 
 
-class _EmptyRoundSimulation(BatchedSimulation):
-    """Adds a drain round that completed nothing to every subframe."""
+class _EmptyDrainSimulation(BatchedSimulation):
+    """Hands the stage a drain that sent no packet on every subframe
+    where the firmware buffer completed nothing."""
 
-    _EMPTY_ROUND = (
+    _NOTHING_SENT = (
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=bool),
@@ -273,15 +279,76 @@ class _EmptyRoundSimulation(BatchedSimulation):
     )
 
     def _subframe(self, k, now):
-        tbs, rounds = super()._subframe(k, now)
-        return tbs, [self._EMPTY_ROUND, *rounds]
+        tbs, sent = super()._subframe(k, now)
+        return tbs, self._NOTHING_SENT if sent is None else sent
 
 
 def test_empty_drain_rounds_keep_scalar_arrival_order():
+    """A tick that pops nothing stages nothing: ``drain_rows`` returns
+    ``None`` when a grant completes no packet, and an empty drain handed
+    to the stage leaves every session's arrivals bit-identical."""
+    from repro.lte.firmware_buffer import FirmwareBufferArray
+
+    buffer = FirmwareBufferArray(np.array([10000.0, 10000.0]))
+    one = np.array([0], dtype=np.int64)
+    buffer.push(one, np.array([1200.0]), one, np.array([True]))
+    assert buffer.drain_rows(one, np.array([500.0])) is None
+    rows, frames, completes, sizes = buffer.drain_rows(one, np.array([700.0]))
+    assert (rows.tolist(), frames.tolist(), completes.tolist(), sizes.tolist()) == (
+        [0], [0], [True], [1200.0]
+    )
+
     configs = [lockstep_config(seed=s, duration=2.0) for s in (4, 5)]
-    batched = _EmptyRoundSimulation(configs).run(warmup=0.5)
+    batched = _EmptyDrainSimulation(configs).run(warmup=0.5)
     for config, result in zip(configs, batched):
         assert_bit_identical(run_uplink_session(config, warmup=0.5), result)
+
+
+def _with_downstream_delay(config, radio_ms, core_ms, downlink_ms):
+    return replace(
+        config,
+        lte=replace(config.lte, radio_latency=radio_ms * MS),
+        path=replace(
+            config.path, core_delay=core_ms * MS, downlink_delay=downlink_ms * MS
+        ),
+    )
+
+
+def test_zero_downstream_delay_delivers_frames():
+    """With no radio, core or downlink delay a drained packet arrives in
+    its own tick: the session displays frames, and a cohort of one still
+    equals the scalar engine bit for bit."""
+    config = _with_downstream_delay(lockstep_config(seed=3, duration=3.0), 0, 0, 0)
+    assert UplinkProfile.from_config(config).deliver_ticks == 0
+    reference = run_uplink_session(config, warmup=1.0)
+    assert reference.log.frames_displayed > 0
+    assert reference.summary.throughput.mean > 0.0
+    (batched,) = run_batched([config], warmup=1.0)
+    assert_bit_identical(reference, batched)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seeds=st.lists(st.integers(1, 10_000), min_size=1, max_size=3),
+    delays=st.tuples(st.integers(0, 8), st.integers(0, 40), st.integers(0, 70)),
+    warm_ms=st.integers(0, 150),
+    duration_ms=st.integers(150, 900),
+)
+@example(seeds=[1, 2], delays=(3, 40, 65), warm_ms=0, duration_ms=600)
+@example(seeds=[1, 2], delays=(3, 40, 65), warm_ms=60, duration_ms=600)
+@example(seeds=[1, 2], delays=(0, 0, 0), warm_ms=120, duration_ms=600)
+def test_cohort_matches_scalar_across_in_flight_cuts(seeds, delays, warm_ms, duration_ms):
+    """A cohort equals its scalar sessions when the warm-up tick and the
+    last tick fall while packets are in flight: warm-up 0, a warm-up
+    shorter than the downstream delay, and no downstream delay at all."""
+    configs = [
+        _with_downstream_delay(lockstep_config(seed=seed), *delays) for seed in seeds
+    ]
+    warmup, duration = warm_ms * MS, duration_ms * MS
+    batched = run_batched(configs, duration=duration, warmup=warmup)
+    for config, result in zip(configs, batched):
+        reference = run_uplink_session(config, duration=duration, warmup=warmup)
+        assert_bit_identical(reference, result)
 
 
 def test_metered_progress_run_is_bit_identical_to_plain():

@@ -107,7 +107,8 @@ def _resolve_grant(spec, buffer: FirmwareBuffer) -> float:
 
 
 class FirmwarePair:
-    """N scalar buffers and one array twin driven in step."""
+    """N scalar buffers and one array twin driven in step; the scalar
+    ``_Pkt.completes`` carries the flag the array stores."""
 
     def __init__(self, caps):
         self.scalars = [FirmwareBuffer(cap) for cap in caps]
@@ -133,24 +134,26 @@ class FirmwarePair:
         grants = [
             _resolve_grant(spec, self.scalars[s]) for s, spec in zip(rows, grant_specs_)
         ]
-        rounds = self.array.drain_rows(
+        sent = self.array.drain_rows(
             np.array(rows, dtype=np.int64), np.array(grants, dtype=float)
         )
         got = {s: [] for s in rows}
-        for r_rows, frames, lasts, sizes in rounds:
-            for s, fid, last, size in zip(
-                r_rows.tolist(), frames.tolist(), lasts.tolist(), sizes.tolist()
-            ):
-                got[s].append((fid, last, size))
+        if sent is not None:
+            # One concatenated result: each session's packets, picked out
+            # in order, must be the scalar FIFO's.
+            for s, fid, completes, size in zip(*(column.tolist() for column in sent)):
+                got[s].append((fid, completes, size))
         for s, grant in zip(rows, grants):
             completed = self.scalars[s].drain(grant)
-            assert got[s] == [(p.frame_id, p.last, p.size_bytes) for p in completed]
+            assert got[s] == [(p.frame_id, p.completes, p.size_bytes) for p in completed]
 
     def check(self):
         array = self.array
         for s, scalar in enumerate(self.scalars):
             assert array.level[s] == scalar.level
             assert int(array._count[s]) == len(scalar)
+            # The head stays inside the session's slice of the flat ring.
+            assert s * _RING_SLOTS <= array._head[s] < (s + 1) * _RING_SLOTS
             assert int(array.dropped_packets[s]) == scalar.dropped_packets
             assert array.dropped_bytes[s] == scalar.dropped_bytes
 
@@ -184,7 +187,8 @@ def test_firmware_buffer_array_matches_scalar(case):
 @FUZZ
 @given(seed=st.integers(0, 2**32 - 1), n=sessions)
 def test_firmware_ring_wraps_like_the_scalar_fifo(seed, n):
-    """Hundreds of pushes per session wrap the 256-slot ring."""
+    """Hundreds of pushes per session wrap each session's 256 slots of
+    the flat ring into its own first slot, not the next session's."""
     rng = np.random.default_rng(seed)
     pair = FirmwarePair([20000.0] * n)
     rows = list(range(n))
@@ -263,6 +267,37 @@ def test_paced_sender_array_matches_grid_pacer(case):
             assert array._queued[s] == pacer.queued_bytes
             assert int(array._count[s]) == len(pacer.frames)
             assert int(array.dropped_frames[s]) == pacer.dropped_frames
+            assert s * _FRAME_SLOTS <= array._head[s] < (s + 1) * _FRAME_SLOTS
+
+
+@FUZZ
+@given(seed=st.integers(0, 2**32 - 1), n=sessions)
+def test_pacer_ring_wraps_like_the_scalar_queue(seed, n):
+    """Hundreds of frames per session wrap each session's slice of the
+    flat pacer ring, stale-frame expiry included."""
+    rng = np.random.default_rng(seed)
+    scalars = [FramePacer(1200) for _ in range(n)]
+    array = PacedSenderArray(np.full(n, 1200))
+    for fid in range(3 * _FRAME_SLOTS):
+        sizes = rng.uniform(0.0, 6000.0, n)
+        array.enqueue_all(fid, sizes)
+        for pacer, size in zip(scalars, sizes.tolist()):
+            pacer.enqueue(fid, size)
+        rates = rng.uniform(5.0e4, 3.0e6, n)
+        got = [[] for _ in range(n)]
+        for rows, fids, sizes, lasts in array.tick(rates):
+            for s, f, size, last in zip(
+                rows.tolist(), fids.tolist(), sizes.tolist(), lasts.tolist()
+            ):
+                got[s].append((f, size, last))
+        for s, (pacer, rate) in enumerate(zip(scalars, rates.tolist())):
+            emitted = []
+            pacer.refill(rate)
+            pacer.drain(lambda f, size, last: emitted.append((f, size, bool(last))))
+            assert got[s] == emitted
+            assert array._queued[s] == pacer.queued_bytes
+            assert int(array.dropped_frames[s]) == pacer.dropped_frames
+            assert s * _FRAME_SLOTS <= array._head[s] < (s + 1) * _FRAME_SLOTS
 
 
 # -- BlockStreamArray.take vs BlockStream.next ----------------------------

@@ -410,6 +410,35 @@ def test_endpoints_roundtrip(served):
     assert [row["id"] for row in client.jobs()] == [job["id"]]
 
 
+def test_every_heartbeat_reader_drops_a_torn_tail(served):
+    """A writer killed mid-append leaves a torn last line: the event
+    stream, ``runs list`` and the ledger checker all skip it."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.obs.ledger import HEARTBEAT_NAME, list_runs, read_heartbeats
+
+    registry, _server, client, _executor = served
+    job = client.submit({"kind": "perf"})
+    assert client.wait(job["id"], timeout=10.0)["state"] == "done"
+    run_dir = Path(registry.get(job["id"]).run_dir)
+    events = client.events(job["id"])
+    assert events
+    with open(run_dir / HEARTBEAT_NAME, "a") as handle:
+        handle.write('{"v": 1, "kind": "sess')
+    assert client.events(job["id"]) == events
+    assert read_heartbeats(run_dir) == events
+    (info,) = [info for info in list_runs(run_dir.parent) if info.run_dir == run_dir]
+    assert info.heartbeats == len(events)
+    tool = Path(__file__).resolve().parent.parent / "tools" / "check_run_ledger.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), str(run_dir)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"heartbeats={len(events)} " in proc.stdout
+
+
 def test_unknown_routes_and_bad_specs_are_clean_errors(served):
     _registry_, _server, client, _executor = served
     with pytest.raises(ServiceError) as error:
