@@ -232,7 +232,9 @@ def _run_job(args, kind: str, render, unit: str = "") -> int:
     snapshot is the full argument namespace (JSON-safe plain values
     only), sealed ``ok`` after ``render(outcome)`` or ``error`` on any
     failure.  A bad spec or a ValueError from the job exits 2;
-    ``--progress`` prints one ``unit`` completion line per task.
+    ``--progress`` prints one line per finished task with the ``unit``
+    count done so far (a lockstep cohort or cell block advances it by
+    its size).
     """
     from repro.experiments import cache
     from repro.obs.ledger import RunLedger, resolve_run_root
@@ -345,9 +347,7 @@ def cmd_metrics(args) -> int:
         header = f"sessions={args.sessions} workers={resolve_jobs(args.jobs)}\n"
         _render_metrics(args, outcome.meter, header=header)
 
-    return _run_job(
-        args, "metrics", render, unit="cohort" if args.batch else "session"
-    )
+    return _run_job(args, "metrics", render, unit="session")
 
 
 def cmd_fleet(args) -> int:
@@ -389,9 +389,7 @@ def cmd_fleet(args) -> int:
                 handle.write("\n")
             print(f"fleet registry written to {args.metrics_output}", file=sys.stderr)
 
-    return _run_job(
-        args, "fleet", render, unit="cell block" if args.batch else "cell"
-    )
+    return _run_job(args, "fleet", render, unit="cell")
 
 
 def cmd_sweep(args) -> int:

@@ -28,6 +28,7 @@ from repro.experiments.parallel import (
     ProgressCallback,
     balanced_cuts,
     merged_meter,
+    per_item_progress,
     resolve_jobs,
     run_tasks,
 )
@@ -38,6 +39,18 @@ from repro.telephony.fleet import CellResult
 #: between members of one cell, so no two simulated UEs in a sweep can
 #: collide on a seed (cells would need >1000 members).
 CELL_SEED_STRIDE = 1_000_000
+
+
+def cell_schedule(calls: Sequence[int], cells: int, seed: int) -> List[Tuple[int, int]]:
+    """``(members, cell_seed)`` of every cell of a sweep, in (point, cell)
+    order — the one seed schedule of the event and batched sweeps."""
+    if any(ues < 1 for ues in calls):
+        raise ValueError("calls-per-cell values must be >= 1")
+    return [
+        (ues, seed + CELL_SEED_STRIDE * (point_index * cells + cell_index))
+        for point_index, ues in enumerate(calls)
+        for cell_index in range(cells)
+    ]
 
 
 def _finite_mean(values: Sequence[float]) -> float:
@@ -105,28 +118,23 @@ def fleet_tasks(
     meter: bool = False,
 ) -> List[CellTask]:
     """The sweep's task list, in deterministic (point, cell) order."""
-    tasks: List[CellTask] = []
-    for point_index, ues in enumerate(calls):
-        if ues < 1:
-            raise ValueError("calls-per-cell values must be >= 1")
-        for cell_index in range(cells):
-            tasks.append(
-                CellTask(
-                    scenario_name=scenario_name,
-                    scheme=scheme,
-                    transport=transport,
-                    duration=duration,
-                    warmup=warmup,
-                    seed=seed + CELL_SEED_STRIDE * (point_index * cells + cell_index),
-                    ues=ues,
-                    background_ues=background_ues,
-                    background_load=background_load,
-                    prb_budget=prb_budget,
-                    rotate_profiles=rotate_profiles,
-                    meter=meter,
-                )
-            )
-    return tasks
+    return [
+        CellTask(
+            scenario_name=scenario_name,
+            scheme=scheme,
+            transport=transport,
+            duration=duration,
+            warmup=warmup,
+            seed=cell_seed,
+            ues=ues,
+            background_ues=background_ues,
+            background_load=background_load,
+            prb_budget=prb_budget,
+            rotate_profiles=rotate_profiles,
+            meter=meter,
+        )
+        for ues, cell_seed in cell_schedule(calls, cells, seed)
+    ]
 
 
 def lockstep_scenario(
@@ -190,14 +198,9 @@ def fleet_batch_tasks(
     live per-cell engine meters, ``heartbeat_path`` streams each block's
     tick progress into a run-ledger heartbeat file.
     """
-    if any(ues < 1 for ues in calls):
-        raise ValueError("calls-per-cell values must be >= 1")
-    seeds = [
-        seed + CELL_SEED_STRIDE * (point_index * cells + cell_index)
-        for point_index in range(len(calls))
-        for cell_index in range(cells)
-    ]
-    members = [ues for ues in calls for _ in range(cells)]
+    schedule = cell_schedule(calls, cells, seed)
+    members = [ues for ues, _ in schedule]
+    seeds = [cell_seed for _, cell_seed in schedule]
     return [
         CellBlockTask(
             scenario_name=scenario_name,
@@ -266,7 +269,8 @@ def fleet_sweep(
 
     ``heartbeat_path`` (batch path only) streams each block's
     tick-by-tick cohort progress into a run-ledger heartbeat file while
-    the sweep runs.
+    the sweep runs.  On either path ``progress(done, total, result)``
+    counts cells: a finished block advances ``done`` by its cell count.
     """
     calls = list(calls)
     if batch:
@@ -284,7 +288,12 @@ def fleet_sweep(
             heartbeat_path=heartbeat_path,
             **kwargs,
         )
-        blocks = run_tasks(tasks, jobs=jobs, progress=progress, planned=True)
+        blocks = run_tasks(
+            tasks,
+            jobs=jobs,
+            progress=per_item_progress(progress, [len(t.seeds) for t in tasks]),
+            planned=True,
+        )
         results = [cell for block in blocks for cell in block]
     else:
         tasks = fleet_tasks(

@@ -2,11 +2,12 @@
 
 Every session of an experiment grid is an isolated discrete-event
 simulation with its own seed, so the (user × repetition × condition)
-fan-out is embarrassingly parallel.  This module runs
-:class:`SessionTask` descriptions across a ``ProcessPoolExecutor`` and
-returns results **in task order**, which — together with the unchanged
-per-session seed derivation — makes parallel runs bit-identical to
-serial ones.
+fan-out is embarrassingly parallel.  This module runs task descriptions
+(:class:`SessionTask`, :class:`CellTask`, and the lockstep
+:class:`CellBlockTask` and :class:`CohortTask`) across one
+``ProcessPoolExecutor`` and returns results **in task order**, which —
+together with the unchanged per-session seed derivation — makes
+parallel runs bit-identical to serial ones.
 
 Worker count resolution (first match wins):
 
@@ -22,6 +23,7 @@ count (see the function docstring — documented in docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,23 +33,8 @@ from repro.obs.meter import SessionMeter
 from repro.telephony.session import SessionResult
 
 #: Signature of the ``run_tasks`` progress callback:
-#: ``progress(done, total, result)`` after each finished session.
+#: ``progress(done, total, result)`` after each finished task.
 ProgressCallback = Callable[[int, int, SessionResult], None]
-
-#: Signature of the ``run_tasks`` cancellation probe: a nullary callable
-#: returning True once the sweep should stop (``threading.Event.is_set``
-#: bound to an event is the common shape).
-CancelProbe = Callable[[], bool]
-
-
-class RunCancelled(RuntimeError):
-    """A sweep was cancelled between tasks (see ``run_tasks(cancel=)``).
-
-    Raised from the *calling* process, never from inside a worker:
-    already-running tasks finish, queued ones are abandoned.  The
-    service's job queue (:mod:`repro.service.jobs`) maps this onto its
-    ``cancelled`` job state.
-    """
 
 #: Process-wide default set by ``set_default_jobs`` (e.g. from --jobs).
 _DEFAULT_JOBS: Optional[int] = None
@@ -290,6 +277,94 @@ class CellBlockTask:
         )
 
 
+class CohortOutcome:
+    """One finished lockstep cohort: its results and its engine meter.
+
+    Shaped like a result object (a ``meter`` attribute plus the result
+    list) so :meth:`repro.obs.ledger.RunLedger.progress` can absorb the
+    cohort's engine meter into the live registry as each cohort lands.
+    """
+
+    __slots__ = ("results", "meter")
+
+    def __init__(self, results: List[SessionResult], meter: SessionMeter):
+        self.results = results
+        self.meter = meter
+
+
+@dataclass(frozen=True)
+class CohortTask:
+    """Everything a worker process needs to run one lockstep cohort.
+
+    The ``metrics --batch`` sharding unit, planned by
+    :func:`repro.experiments.batch.run_cohorts`: a signature-homogeneous
+    run of a sweep's configs advanced through
+    :func:`repro.sim.batch.run_batched`, or, when ``scalar`` is set (a
+    group below the crossover), session by session through the scalar
+    lockstep reference.  The two engines are bit-identical.  ``run()``
+    returns a :class:`CohortOutcome` whose meter carries the cohort's
+    ``batch.*`` counters and ``batch.run`` spans.
+    """
+
+    configs: tuple
+    warmup: float = 0.0
+    scalar: bool = False
+    #: Run-ledger heartbeat file the cohort streams progress records
+    #: into from inside its tick loop
+    #: (:func:`repro.obs.ledger.cohort_heartbeat_callback`).
+    heartbeat_path: Optional[str] = None
+    #: Cohort label carried by those records (its plan position).
+    label: int = 0
+
+    def run(self) -> CohortOutcome:
+        progress = None
+        if self.heartbeat_path is not None:
+            from repro.obs.ledger import cohort_heartbeat_callback
+
+            progress = cohort_heartbeat_callback(self.heartbeat_path, label=self.label)
+        meter = SessionMeter()
+        if not self.scalar:
+            from repro.sim.batch import run_batched
+
+            results = run_batched(
+                self.configs, warmup=self.warmup, meter=meter, progress=progress
+            )
+            return CohortOutcome(results, meter)
+        from repro.telephony.uplink import run_uplink_session
+
+        meter.inc("batch.scalar_fallbacks", float(len(self.configs)))
+        results = []
+        for index, config in enumerate(self.configs):
+            results.append(run_uplink_session(config, warmup=self.warmup))
+            if progress is not None:
+                # Scalar cohorts have no shared tick loop; report whole
+                # sessions instead (tick stays monotone per stream).
+                progress(index + 1, len(self.configs), len(self.configs))
+        return CohortOutcome(results, meter)
+
+
+def per_item_progress(
+    progress: Optional[ProgressCallback], sizes: Sequence[int]
+) -> Optional[ProgressCallback]:
+    """Re-count a per-task ``progress`` callback in the tasks' items.
+
+    Task ``i`` of a lockstep sweep carries ``sizes[i]`` sessions (a
+    cohort) or cells (a cell block); the returned callback reports
+    ``done``/``total`` in those items, so a sweep of one 256-session
+    cohort ends at ``256/256`` rather than ``1/1``.  The result passes
+    through unchanged.
+    """
+    if progress is None:
+        return None
+    ends = list(itertools.accumulate(sizes))
+    total = ends[-1] if ends else 0
+
+    def _progress(done: int, _tasks: int, result) -> None:
+        progress(ends[done - 1], total, result)
+
+    return _progress
+
+
 def _run_task(task):
     return task.run()
 
@@ -298,14 +373,16 @@ def run_tasks(
     tasks: Sequence,
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    cancel: Optional[CancelProbe] = None,
     planned: bool = False,
 ) -> List:
     """Run tasks, fanning across processes; results are in task order.
 
-    Tasks are anything with a picklable ``.run()`` — per-session
-    :class:`SessionTask` or per-cell :class:`CellTask` (whole cells are
-    the sharding unit for fleet sweeps).
+    Tasks are anything with a picklable ``.run()``: per-session
+    :class:`SessionTask`, per-cell :class:`CellTask` (whole cells are
+    the sharding unit for fleet sweeps), and the lockstep
+    :class:`CellBlockTask` (``fleet --batch``) and :class:`CohortTask`
+    (``metrics --batch``).  This is the only process pool of the
+    package.
 
     Falls back to serial execution — no pool spin-up, no pickling —
     whenever a pool cannot win: one effective worker or at most one
@@ -313,23 +390,19 @@ def run_tasks(
     pay IPC on top, measured as a 0.95× "speedup"), or a task list
     shorter than the worker count (the pool's fixed cost is amortised
     over too few sessions).  ``planned=True`` says the tasks were
-    already cut for ``jobs`` workers (the ``fleet --batch`` blocks of
-    :func:`repro.experiments.fleet.fleet_batch_tasks`): then any
-    multi-task list runs on ``min(workers, len(tasks))`` processes,
-    since running the blocks one after another would only add tick
-    loops.  Results are bit-identical either way; only wall clock
-    changes.
+    already cut for ``jobs`` workers (the cell blocks of
+    :func:`repro.experiments.fleet.fleet_batch_tasks`, the cohorts of
+    :func:`repro.experiments.batch.run_cohorts`): then any multi-task
+    list runs on ``min(workers, len(tasks))`` processes, since running
+    the blocks one after another would only add tick loops.  Results
+    are bit-identical either way; only wall clock changes.
 
     ``progress`` is invoked as ``progress(done, total, result)`` after
-    every finished session, in task order, from the calling process —
+    every finished task, in task order, from the calling process —
     long sweeps can report per-worker health without touching results.
-
-    ``cancel`` is probed before each serial task and after each pooled
-    completion; once it returns True the sweep raises
-    :class:`RunCancelled` from the calling process (in-flight worker
-    tasks drain, queued ones never start).  Cancellation cannot corrupt
-    results: every task that *did* run is bit-identical to its serial
-    counterpart.
+    If it raises (the job service cancels this way), the error reaches
+    the caller only after the pool has shut down, so no worker process
+    outlives the call.
     """
     tasks = list(tasks)
     workers = resolve_jobs(jobs)
@@ -347,8 +420,6 @@ def run_tasks(
     results: List = []
     if serial:
         for task in tasks:
-            if cancel is not None and cancel():
-                raise RunCancelled(f"cancelled after {len(results)}/{total} tasks")
             result = task.run()
             results.append(result)
             if progress is not None:
@@ -361,8 +432,6 @@ def run_tasks(
             results.append(result)
             if progress is not None:
                 progress(len(results), total, result)
-            if cancel is not None and cancel():
-                raise RunCancelled(f"cancelled after {len(results)}/{total} tasks")
     return results
 
 

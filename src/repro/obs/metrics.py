@@ -260,7 +260,7 @@ _SPECS = (
     # --------------------------------------------------------------- batch
     MetricSpec(
         "batch.cohorts", "gauge", "batch", "",
-        "repro.experiments.batch.BatchRunner.run_metered",
+        "repro.experiments.batch.run_cohorts",
         "Cohorts the lockstep sweep was planned into (batched and scalar); "
         "depends on the worker count, like fleet.workers.",
     ),
@@ -278,7 +278,7 @@ _SPECS = (
     ),
     MetricSpec(
         "batch.scalar_fallbacks", "counter", "batch", "",
-        "repro.experiments.batch.BatchRunner.run",
+        "repro.experiments.parallel.CohortTask.run",
         "Sessions of signature groups smaller than the batching "
         "crossover, run on the scalar engine.",
     ),

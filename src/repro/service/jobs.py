@@ -30,7 +30,7 @@ content-addressed cache (so identical resubmissions — even across a
 server restart — complete instantly with ``cache_hit=true``), every
 executed job runs under a :class:`repro.obs.ledger.RunLedger` in the
 registry's run root, and cancellation propagates into the sweep between
-tasks via the ``run_tasks`` cancel probe.
+tasks through its progress callback (:func:`_guard`).
 """
 
 import dataclasses
@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SCHEMES, TRANSPORTS
 from repro.experiments import cache
-from repro.experiments.parallel import RunCancelled, resolve_jobs
+from repro.experiments.parallel import resolve_jobs
 from repro.obs.ledger import (
     RunLedger,
     atomic_write_text,
@@ -184,7 +184,7 @@ SPEC_CLASSES = {"metrics": MetricsSpec, "fleet": FleetSpec, "perf": PerfSpec}
 JOB_KINDS = tuple(SPEC_CLASSES)
 
 
-class JobCancelled(RunCancelled):
+class JobCancelled(RuntimeError):
     """A job was cancelled before or during execution."""
 
 
@@ -320,17 +320,34 @@ def job_key(spec: dict) -> str:
 
 
 def _guard(progress, cancel):
-    """Chain a cancel probe into a ``(done, total, result)`` callback."""
+    """Chain a cancel probe into a ``(done, total, result)`` callback.
+
+    The probe runs after every finished task of a metrics or fleet
+    sweep; once it returns True the sweep raises :class:`JobCancelled`
+    from the calling process, and ``run_tasks`` shuts its pool down on
+    the way out.
+    """
     if cancel is None:
         return progress
 
     def _wrapped(done: int, total: int, result) -> None:
         if cancel():
-            raise JobCancelled(f"cancelled after {done}/{total} tasks")
+            raise JobCancelled(f"cancelled at {done}/{total}")
         if progress is not None:
             progress(done, total, result)
 
     return _wrapped
+
+
+def _sweep_progress(kind, workers, ledger, progress, cancel):
+    """A sweep's ``(progress, heartbeat_path)``: the ledger (when open)
+    absorbs each finished task, then the cancel probe, then ``progress``;
+    the heartbeat path is None without a ledger."""
+    guarded = _guard(progress, cancel)
+    if ledger is None:
+        return guarded, None
+    effective = ledger.progress(kind=kind, workers=workers, inner=guarded)
+    return effective, str(ledger.heartbeat_path)
 
 
 def _cache_delta(before: Dict[str, int]) -> Dict[str, int]:
@@ -357,28 +374,23 @@ def execute_job(
     ``jobs`` is the worker-process count (the CLI's ``--jobs``), not
     part of the spec: it changes wall-clock, never results, so the same
     key may legitimately run with different pool sizes.  ``ledger``
-    streams run telemetry; ``progress``/``cancel`` have ``run_tasks``
-    semantics, with cancellation surfacing as :class:`JobCancelled`.
+    streams run telemetry; ``progress`` has ``run_tasks`` semantics
+    (lockstep sweeps count sessions or cells, not cohorts or blocks), and
+    ``cancel`` is a nullary probe checked between tasks, surfacing as
+    :class:`JobCancelled`.
     """
     spec = normalise_spec(spec)
     kind = spec["kind"]
     workers = resolve_jobs(jobs)
     cache_before = cache.counters()
 
-    try:
-        if kind == "metrics":
-            outcome = _execute_metrics(
-                spec, jobs, workers, ledger, progress, cancel, cache_before
-            )
-        elif kind == "fleet":
-            outcome = _execute_fleet(spec, jobs, workers, ledger, progress, cancel)
-        else:
-            outcome = _execute_perf(spec, jobs, ledger, cancel)
-    except JobCancelled:
-        raise
-    except RunCancelled as error:
-        raise JobCancelled(str(error)) from error
-    return outcome
+    if kind == "metrics":
+        return _execute_metrics(
+            spec, jobs, workers, ledger, progress, cancel, cache_before
+        )
+    if kind == "fleet":
+        return _execute_fleet(spec, jobs, workers, ledger, progress, cancel)
+    return _execute_perf(spec, jobs, ledger, cancel)
 
 
 def _execute_metrics(
@@ -387,7 +399,9 @@ def _execute_metrics(
     from repro.experiments.fleet import deterministic_registry_dict
     from repro.experiments.parallel import SessionTask, merged_meter, run_tasks
 
-    guarded = _guard(progress, cancel)
+    effective, heartbeat = _sweep_progress(
+        "session", workers, ledger, progress, cancel
+    )
     if spec["batch"]:
         from repro.experiments.fleet import lockstep_scenario
 
@@ -401,13 +415,6 @@ def _execute_metrics(
             )
             for index in range(spec["sessions"])
         ]
-        effective = guarded
-        heartbeat = None
-        if ledger is not None:
-            effective = ledger.progress(
-                kind="session", workers=workers, inner=guarded
-            )
-            heartbeat = str(ledger.heartbeat_path)
         _, fleet = batch_metrics_sweep(
             configs,
             warmup=spec["warmup"],
@@ -430,12 +437,7 @@ def _execute_metrics(
             )
             for index in range(spec["sessions"])
         ]
-        effective = guarded
-        if ledger is not None:
-            effective = ledger.progress(
-                kind="session", workers=workers, inner=guarded
-            )
-        results = run_tasks(tasks, jobs=jobs, progress=effective, cancel=cancel)
+        results = run_tasks(tasks, jobs=jobs, progress=effective)
         fleet = merged_meter(
             results, workers=workers, cache_counters=_cache_delta(cache_before)
         )
@@ -461,18 +463,22 @@ def batch_metrics_sweep(
 ):
     """The ``metrics --batch`` sweep over explicit lockstep configs.
 
-    Runs ``configs`` through :class:`~repro.experiments.batch.BatchRunner`
+    Runs ``configs`` through :func:`~repro.experiments.batch.run_cohorts`
     and returns ``(results, fleet)``: results in input order and the
     fleet meter the job reports (the cohorts' engine meters, the
     ``fleet.*`` sweep facts and any ``cache_counters``).  Its
     :func:`~repro.experiments.fleet.deterministic_registry_dict` does
     not depend on ``jobs`` (``tools/check_batch_determinism.py``).
     """
-    from repro.experiments.batch import BatchRunner
+    from repro.experiments.batch import run_cohorts
     from repro.experiments.parallel import merged_meter
 
-    results, engine = BatchRunner(jobs=jobs).run_metered(
-        configs, warmup=warmup, progress=progress, heartbeat_path=heartbeat_path
+    results, engine = run_cohorts(
+        configs,
+        warmup=warmup,
+        jobs=jobs,
+        progress=progress,
+        heartbeat_path=heartbeat_path,
     )
     fleet = merged_meter(
         results, workers=resolve_jobs(jobs), cache_counters=cache_counters
@@ -487,13 +493,7 @@ def batch_metrics_sweep(
 def _execute_fleet(spec, jobs, workers, ledger, progress, cancel) -> JobOutcome:
     from repro.experiments.fleet import deterministic_registry_dict, fleet_sweep
 
-    guarded = _guard(progress, cancel)
-    effective = guarded
-    heartbeat = None
-    if ledger is not None:
-        effective = ledger.progress(kind="cell", workers=workers, inner=guarded)
-        if spec["batch"]:
-            heartbeat = str(ledger.heartbeat_path)
+    effective, heartbeat = _sweep_progress("cell", workers, ledger, progress, cancel)
     sweep = fleet_sweep(
         spec["scenario"],
         calls=spec["calls"],

@@ -38,7 +38,7 @@ Cohorts must be *structurally* homogeneous — same grid cadences, same
 detector window, same TBS window (see
 :meth:`~repro.telephony.uplink.UplinkProfile.signature`).  Everything
 parametric (RSS, speed, load, seeds, rates, margins, targets) may vary
-per session; :class:`repro.experiments.batch.BatchRunner` plans
+per session; :func:`repro.experiments.batch.run_cohorts` plans
 arbitrary sweep grids into valid cohorts.
 """
 
@@ -113,7 +113,7 @@ class BatchedSimulation:
                     "cohort is not structurally homogeneous: "
                     f"{profile.signature()} != {signature} "
                     "(every session must share the grid cadences; "
-                    "BatchRunner plans a sweep grid into cohorts)"
+                    "run_cohorts plans a sweep grid into cohorts)"
                 )
         self.configs = list(configs)
         self.profile = profiles[0]
@@ -508,9 +508,9 @@ class BatchedSimulation:
         Both counters are per-session sums (sessions, session-ticks), so
         they add up to the same totals however a signature group is cut
         into batched cohorts.  How many cohorts there were is a fact of
-        the plan, not of the cohort: :meth:`BatchRunner.run_metered
-        <repro.experiments.batch.BatchRunner.run_metered>` records it as
-        a gauge.  The span records wall clock and, like every span,
+        the plan, not of the cohort:
+        :func:`repro.experiments.batch.run_cohorts` records it as a
+        gauge.  The span records wall clock and, like every span,
         never enters deterministic snapshots.
         """
         meter.inc("batch.sessions", float(self.n))

@@ -1,9 +1,10 @@
 """Batched lockstep engine: bit-exact equivalence with the scalar
 reference, cohort validation, the columnar arrival stage, and the
-cohort-planning BatchRunner."""
+cohort planner behind ``run_cohorts``."""
 
 import dataclasses
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SCHEMES, TRANSPORTS, SessionConfig
-from repro.experiments.batch import BatchRunner, plan_cohorts
+from repro.experiments.batch import plan_cohorts, run_cohorts
 from repro.experiments.fleet import deterministic_registry_dict
+from repro.service.jobs import batch_metrics_sweep, execute_job
 from repro.sim.batch import BatchedSimulation, run_batched
 from repro.sim.batch_cell import run_batched_cells
 from repro.telephony.uplink import (
@@ -24,6 +26,7 @@ from repro.telephony.uplink import (
     run_uplink_cell,
     run_uplink_session,
 )
+from tests.test_fleet import _RecordingPool
 
 LOG_LIST_FIELDS = (
     "arrivals",
@@ -165,35 +168,47 @@ def test_plan_cohorts_groups_by_signature_and_slices():
     assert plan_cohorts(configs, jobs=4, min_cohort=6) == [[0, 1, 2, 3, 4], [5]]
 
 
-def test_batch_runner_matches_direct_cohort_results():
+@pytest.fixture
+def crossover(monkeypatch):
+    """Set the scalar crossover ``run_cohorts`` plans with (the batched
+    and scalar engines are bit-identical, so it moves wall clock only)."""
+
+    def _set(value):
+        monkeypatch.setattr("repro.experiments.batch.DEFAULT_SCALAR_CROSSOVER", value)
+
+    return _set
+
+
+def test_batch_runner_matches_direct_cohort_results(crossover):
     configs = [lockstep_config(seed=s, duration=3.0) for s in range(1, 5)]
     direct = run_batched(configs, warmup=0.5)
+    # Below the default crossover run_cohorts takes the scalar engine.
+    scalar, _ = run_cohorts(configs, warmup=0.5, jobs=1)
+    for a, b in zip(direct, scalar):
+        assert_bit_identical(a, b)
     # Cutting a homogeneous group into smaller cohorts must not change
     # any session (per-session RNG streams are independent).
     assert [len(c) for c in plan_cohorts(configs, jobs=2, min_cohort=2)] == [2, 2]
-    sharded = BatchRunner(jobs=2, scalar_crossover=2).run(configs, warmup=0.5)
+    crossover(2)
+    sharded, _ = run_cohorts(configs, warmup=0.5, jobs=2)
     for a, b in zip(direct, sharded):
         assert_bit_identical(a, b)
-    # Below the crossover the runner takes the scalar engine.
-    for a, b in zip(direct, BatchRunner(jobs=1).run(configs, warmup=0.5)):
-        assert_bit_identical(a, b)
 
 
-def test_plan_cannot_change_results():
+def test_plan_cannot_change_results(crossover):
     """A ragged sweep (two durations, 70 + 9 sessions, so one group sits
     below the crossover) gives byte-identical sessions for every plan."""
     long_runs = [lockstep_config(seed=s, duration=2.0) for s in range(1, 71)]
     short_runs = [lockstep_config(seed=s, duration=1.0) for s in range(101, 110)]
     configs = long_runs[:30] + short_runs + long_runs[30:]
-    crossover = 20
+    crossover(20)
     outcomes = []
     for blocks in (1, 2, 3):
-        cohorts = plan_cohorts(configs, jobs=blocks, min_cohort=crossover)
+        cohorts = plan_cohorts(configs, jobs=blocks, min_cohort=20)
         assert sorted(len(c) for c in cohorts) == sorted(
             [9] + [len(c) for c in np.array_split(np.arange(70), blocks)]
         )
-        runner = BatchRunner(jobs=blocks, scalar_crossover=crossover)
-        results, meter = runner.run_metered(configs, warmup=0.5)
+        results, meter = run_cohorts(configs, warmup=0.5, jobs=blocks)
         assert meter.metrics.gauges["batch.cohorts"] == len(cohorts)
         outcomes.append(results)
     first = outcomes[0]
@@ -206,36 +221,66 @@ def test_plan_cannot_change_results():
         assert_bit_identical(reference, first[index])
 
 
-class _RecordingPool:
-    """Stands in for ``ProcessPoolExecutor``: records its width and
-    maps in-process."""
-
-    def __init__(self, widths, max_workers):
-        widths.append(max_workers)
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-    def shutdown(self):
-        pass
-
-
-def test_runner_pools_every_multi_cohort_plan(monkeypatch):
-    """The runner uses exactly the workers the plan was cut for: one
-    process per cohort up to ``jobs``, and no pool for one cohort."""
-    import repro.experiments.batch as batch
+def test_runner_pools_every_multi_cohort_plan(monkeypatch, crossover):
+    """``run_cohorts`` uses exactly the workers the plan was cut for: one
+    process per cohort up to ``jobs``, and no pool for one cohort,
+    whatever the host's CPU count."""
+    import repro.experiments.parallel as parallel
 
     widths = []
     monkeypatch.setattr(
-        batch, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(widths, max_workers)
+        parallel,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(widths, max_workers),
     )
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+    crossover(2)
     configs = [lockstep_config(seed=s, duration=1.0) for s in range(1, 7)]
     # 6 sessions with a floor of 2 hold at most 3 cohorts, so 8 workers
     # get a plan of 3 cohorts, which must still run pooled.
     for jobs, expected in ((1, []), (2, [2]), (8, [3])):
         widths.clear()
-        BatchRunner(jobs=jobs, scalar_crossover=2).run(configs)
+        run_cohorts(configs, jobs=jobs)
         assert widths == expected
+
+
+def _two_cohort_sweep():
+    """76 sessions: two cohorts of the default crossover (38) at jobs=2."""
+    return [lockstep_config(seed=s, duration=0.5) for s in range(1, 77)]
+
+
+def test_pooled_sweep_leaves_no_worker_behind_when_progress_raises():
+    """A progress callback that raises (the job service cancels this way)
+    must not strand the cohort pool's worker processes."""
+
+    def progress(done, total, outcome):
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        batch_metrics_sweep(_two_cohort_sweep(), jobs=2, progress=progress)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_batch_progress_counts_sessions(tmp_path):
+    """``metrics --batch`` progress counts sessions out of the sweep, in
+    the callback and in the ledger's parent heartbeats alike."""
+    from repro.obs.ledger import RunLedger, read_heartbeats
+
+    seen = []
+    spec = {"kind": "metrics", "batch": True, "sessions": 76, "duration": 0.5}
+    with RunLedger.open("metrics", root=tmp_path) as ledger:
+        execute_job(
+            spec,
+            jobs=2,
+            ledger=ledger,
+            progress=lambda done, total, outcome: seen.append(
+                (done, total, len(outcome.results))
+            ),
+        )
+        ledger.finish("ok")
+    assert seen == [(38, 76, 38), (76, 76, 38)]
+    beats = [r for r in read_heartbeats(ledger.run_dir) if r["kind"] == "session"]
+    assert [(r["done"], r["total"]) for r in beats] == [(38, 76), (76, 76)]
 
 
 def test_arrival_stage_keeps_per_session_order():
@@ -372,7 +417,7 @@ def test_metered_progress_run_is_bit_identical_to_plain():
 
     counters = meter.metrics.counters
     total_ticks = ticks[-1][1]
-    # The cohort count is a plan fact, recorded by BatchRunner only.
+    # The cohort count is a plan fact, recorded by run_cohorts only.
     assert "batch.cohorts" not in counters
     assert counters["batch.sessions"] == 3.0
     assert counters["batch.subframes"] == 3.0 * total_ticks
@@ -385,14 +430,14 @@ def test_metered_progress_run_is_bit_identical_to_plain():
     assert all(a[0] < b[0] for a, b in zip(ticks, ticks[1:]))
 
 
-def test_cohort_counters_are_slicing_invariant():
+def test_cohort_counters_are_slicing_invariant(crossover):
     """However the plan cuts a sweep into cohorts, the deterministic
     registry is identical; the cohort count is a gauge outside it."""
     configs = [lockstep_config(seed=s, duration=3.0) for s in range(1, 5)]
+    crossover(2)
 
     def registry(jobs):
-        runner = BatchRunner(jobs=jobs, scalar_crossover=2)
-        _, meter = runner.run_metered(configs, warmup=0.5)
+        _, meter = run_cohorts(configs, warmup=0.5, jobs=jobs)
         return meter
 
     whole = registry(jobs=1)
@@ -403,11 +448,10 @@ def test_cohort_counters_are_slicing_invariant():
     assert sharded.metrics.gauges["batch.cohorts"] == 2.0
 
 
-def test_scalar_crossover_routes_small_cohorts_to_scalar_engine():
+def test_scalar_crossover_routes_small_cohorts_to_scalar_engine(crossover):
     configs = [lockstep_config(seed=s, duration=3.0) for s in (1, 2)]
-    results, meter = BatchRunner(scalar_crossover=8, jobs=1).run_metered(
-        configs, warmup=0.5
-    )
+    crossover(8)
+    results, meter = run_cohorts(configs, warmup=0.5, jobs=1)
     assert meter.metrics.counters["batch.scalar_fallbacks"] == 2.0
     assert "batch.cohorts" not in meter.metrics.counters
     assert meter.metrics.gauges["batch.cohorts"] == 1.0
@@ -421,7 +465,7 @@ def test_batch_runner_raises_on_unsupported_by_default():
         lockstep_config(), video=replace(lockstep_config().video, fps=30.0)
     )
     with pytest.raises(ValueError, match="lockstep"):
-        BatchRunner().run([lockstep_config(), bad])
+        run_cohorts([lockstep_config(), bad])
 
 
 @pytest.mark.parametrize(
@@ -435,7 +479,7 @@ def test_every_engine_entry_point_refuses_unmodelled_labels(scheme, transport):
     runs = {
         "run_uplink_session": lambda: run_uplink_session(config),
         "run_batched": lambda: run_batched([config]),
-        "BatchRunner.run": lambda: BatchRunner(jobs=1).run([config]),
+        "run_cohorts": lambda: run_cohorts([config], jobs=1)[0],
         "run_uplink_cell": lambda: run_uplink_cell(config, ues=2),
         "run_batched_cells": lambda: run_batched_cells([[config, config]]),
     }

@@ -329,6 +329,33 @@ def test_fleet_batch_pools_every_multi_block_plan(monkeypatch):
         assert widths == expected
 
 
+def test_pooled_batch_progress_counts_cells(tmp_path):
+    """``fleet --batch`` progress counts cells out of the sweep, in the
+    callback and in the ledger's parent heartbeats alike."""
+    from repro.obs.ledger import RunLedger, read_heartbeats
+    from repro.service.jobs import execute_job
+
+    seen = []
+    spec = {
+        "kind": "fleet", "batch": True, "calls": [1, 2], "cells": 2,
+        "duration": 1.0, "warmup": 0.0, "seed": 1,
+    }
+    with RunLedger.open("fleet", root=tmp_path) as ledger:
+        execute_job(
+            spec,
+            jobs=2,
+            ledger=ledger,
+            progress=lambda done, total, block: seen.append(
+                (done, total, len(block))
+            ),
+        )
+        ledger.finish("ok")
+    # Members 1, 1, 2, 2 cut into two blocks balanced by sessions.
+    assert seen == [(3, 4, 3), (4, 4, 1)]
+    beats = [r for r in read_heartbeats(ledger.run_dir) if r["kind"] == "cell"]
+    assert [(r["done"], r["total"]) for r in beats] == [(3, 4), (4, 4)]
+
+
 def test_cell_task_is_picklable_and_runs():
     import pickle
 

@@ -10,7 +10,7 @@ import pytest
 from repro import cli
 from repro.config import FleetConfig
 from repro.experiments import parallel
-from repro.experiments.batch import BatchRunner
+from repro.experiments.batch import run_cohorts
 from repro.experiments.fleet import deterministic_registry_dict, fleet_sweep
 from repro.experiments.parallel import SessionTask, run_tasks
 from repro.metrics.export import meter_from_dict, metrics_to_dict
@@ -205,12 +205,15 @@ def test_pool_path_streams_in_task_order(tmp_path, monkeypatch):
     assert sessions[0]["eta_s"] is not None
 
 
-def test_batched_cohort_path_streams_ticks_and_stays_identical(tmp_path):
+def test_batched_cohort_path_streams_ticks_and_stays_identical(
+    tmp_path, monkeypatch
+):
     configs = [lockstep_config(seed=s, duration=3.0) for s in (1, 2, 3)]
-    runner = BatchRunner(scalar_crossover=0)
-    plain = runner.run(configs, warmup=0.5)
+    # Crossover 0: the three sessions run as one batched cohort.
+    monkeypatch.setattr("repro.experiments.batch.DEFAULT_SCALAR_CROSSOVER", 0)
+    plain, _ = run_cohorts(configs, warmup=0.5)
     with RunLedger.open("metrics", root=tmp_path) as ledger:
-        ledgered, engine = runner.run_metered(
+        ledgered, engine = run_cohorts(
             configs,
             warmup=0.5,
             progress=ledger.progress("session"),
