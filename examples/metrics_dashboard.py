@@ -37,7 +37,7 @@ SKETCHES = ("receiver.mismatch_s", "receiver.delay_s", "receiver.psnr_db")
 
 def render(fleet, tasks=None) -> None:
     """The run-health report for one fleet registry."""
-    counters = fleet.metrics.counters
+    counters = fleet.counters
 
     print("\n=== run health ===")
     frames = counters.get("receiver.frames", 0.0)
@@ -51,7 +51,7 @@ def render(fleet, tasks=None) -> None:
     print(f"uplink drops       {counters.get('lte.drops', 0):g}")
 
     for name in SKETCHES:
-        hist = fleet.metrics.histogram(name)
+        hist = fleet.histogram(name)
         if hist is None or not hist.count:
             continue
         unit = METRIC_CATALOGUE[name].unit
@@ -60,18 +60,18 @@ def render(fleet, tasks=None) -> None:
         print(bar_chart(labels, [float(count) for count in hist.counts]))
 
     print("\n=== span profile (wall clock) ===")
-    for name, stats in fleet.spans.as_dict().items():
+    for name, stats in fleet.as_dict()["spans"].items():
         print(
             f"  {name:<22} count={stats['count']:<8} "
             f"mean={stats['mean_s'] * 1e3:8.3f} ms  total={stats['total_s']:.3f} s"
         )
-    straggler = fleet.metrics.gauges.get("fleet.straggler_index")
+    straggler = fleet.gauges.get("fleet.straggler_index")
     if straggler is not None and tasks is not None:
         task = tasks[int(straggler)]
         print(
             f"\nstraggler: task {int(straggler)} "
             f"(profile {task.profile_name}, seed {task.seed}) at "
-            f"{fleet.metrics.gauges['fleet.straggler_s']:.2f} s wall clock"
+            f"{fleet.gauges['fleet.straggler_s']:.2f} s wall clock"
         )
 
 

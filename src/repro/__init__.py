@@ -40,10 +40,7 @@ from repro.obs import (
     METRIC_CATALOGUE,
     NULL_BUS,
     NULL_METER,
-    SPAN_CATALOGUE,
-    MetricsRegistry,
     SessionMeter,
-    SpanProfiler,
     TraceBus,
     TraceEvent,
 )
@@ -75,12 +72,9 @@ __all__ = [
     "SessionResult",
     "EVENT_CATALOGUE",
     "METRIC_CATALOGUE",
-    "SPAN_CATALOGUE",
     "NULL_BUS",
     "NULL_METER",
-    "MetricsRegistry",
     "SessionMeter",
-    "SpanProfiler",
     "TraceBus",
     "TraceEvent",
     "TelephonySession",

@@ -293,16 +293,16 @@ def _render_metrics(args, fleet, header: str) -> None:
             handle.write(header)
             handle.write("counters\n")
             for subsystem, names in sorted(
-                fleet.metrics.counters_by_subsystem().items()
+                fleet.counters_by_subsystem().items()
             ):
                 handle.write(f"  {subsystem}\n")
                 for name, value in names.items():
                     handle.write(f"    {name:<28} {value:g}\n")
-            if fleet.metrics.gauges:
+            if fleet.gauges:
                 handle.write("gauges\n")
-                for name, value in sorted(fleet.metrics.gauges.items()):
+                for name, value in sorted(fleet.gauges.items()):
                     handle.write(f"  {name:<30} {value:g}\n")
-            for name, hist in sorted(fleet.metrics.histograms().items()):
+            for name, hist in sorted(fleet.histograms.items()):
                 unit = METRIC_CATALOGUE[name].unit if name in METRIC_CATALOGUE else ""
                 unit_txt = f" ({unit})" if unit else ""
                 handle.write(
@@ -312,7 +312,7 @@ def _render_metrics(args, fleet, header: str) -> None:
                 labels = [f"<={bound:g}" for bound in hist.buckets] + ["+Inf"]
                 handle.write(bar_chart(labels, [float(c) for c in hist.counts]))
                 handle.write("\n")
-            spans = fleet.spans.as_dict()
+            spans = fleet.as_dict()["spans"]
             if spans:
                 handle.write("spans (wall clock)\n")
                 for name, stats in spans.items():

@@ -320,7 +320,7 @@ def deterministic_registry_dict(meter: SessionMeter) -> dict:
     count, so they are excluded.  The CI ``fleet-smoke`` leg diffs two
     of these snapshots byte-for-byte.
     """
-    snapshot = meter.metrics.as_dict()
+    snapshot = meter.as_dict()
     return {
         "counters": dict(sorted(snapshot["counters"].items())),
         "histograms": snapshot["histograms"],

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import Context, ContextVar
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,6 +36,14 @@ from repro.telephony.session import SessionResult
 #: Signature of the ``run_tasks`` progress callback:
 #: ``progress(done, total, result)`` after each finished task.
 ProgressCallback = Callable[[int, int, SessionResult], None]
+
+#: The running job's cancel probe as a lockstep tick callback
+#: ``probe(tick, ticks, sessions)``, set by
+#: :func:`repro.service.jobs.execute_job`.  A lockstep task run in the
+#: calling process polls it at its tick loop's progress stride, so a
+#: one-task sweep can stop before its last tick; pooled tasks run in an
+#: empty context and are probed per finished task as before.
+TICK_PROBE: ContextVar = ContextVar("TICK_PROBE", default=None)
 
 #: Process-wide default set by ``set_default_jobs`` (e.g. from --jobs).
 _DEFAULT_JOBS: Optional[int] = None
@@ -260,20 +269,15 @@ class CellBlockTask:
                     seed=seed,
                 )
             )
-        progress = None
-        if self.heartbeat_path is not None:
-            from repro.obs.ledger import cohort_heartbeat_callback
-
-            progress = cohort_heartbeat_callback(
-                self.heartbeat_path, label=self.seeds[0] if self.seeds else 0
-            )
         return run_batched_cells(
             cells,
             fleets=fleets,
             duration=self.duration,
             warmup=self.warmup,
             meter=self.meter,
-            progress=progress,
+            progress=_tick_progress(
+                self.heartbeat_path, self.seeds[0] if self.seeds else 0
+            ),
         )
 
 
@@ -317,11 +321,7 @@ class CohortTask:
     label: int = 0
 
     def run(self) -> CohortOutcome:
-        progress = None
-        if self.heartbeat_path is not None:
-            from repro.obs.ledger import cohort_heartbeat_callback
-
-            progress = cohort_heartbeat_callback(self.heartbeat_path, label=self.label)
+        progress = _tick_progress(self.heartbeat_path, self.label)
         meter = SessionMeter()
         if not self.scalar:
             from repro.sim.batch import run_batched
@@ -341,6 +341,28 @@ class CohortTask:
                 # sessions instead (tick stays monotone per stream).
                 progress(index + 1, len(self.configs), len(self.configs))
         return CohortOutcome(results, meter)
+
+
+def _tick_progress(heartbeat_path: Optional[str], label):
+    """A lockstep task's tick-loop callback: heartbeat records into
+    ``heartbeat_path`` (when set), then the job's :data:`TICK_PROBE`
+    (when set); None when there is neither."""
+    callbacks = []
+    if heartbeat_path is not None:
+        from repro.obs.ledger import cohort_heartbeat_callback
+
+        callbacks.append(cohort_heartbeat_callback(heartbeat_path, label=label))
+    probe = TICK_PROBE.get()
+    if probe is not None:
+        callbacks.append(probe)
+    if len(callbacks) < 2:
+        return callbacks[0] if callbacks else None
+
+    def _progress(tick: int, ticks: int, sessions: int) -> None:
+        for callback in callbacks:
+            callback(tick, ticks, sessions)
+
+    return _progress
 
 
 def per_item_progress(
@@ -366,7 +388,8 @@ def per_item_progress(
 
 
 def _run_task(task):
-    return task.run()
+    # An empty context: a pooled task never sees the caller's TICK_PROBE.
+    return Context().run(task.run)
 
 
 def run_tasks(
@@ -467,7 +490,7 @@ def merged_meter(
             continue
         fleet.merge(meter)
         sessions += 1
-        run_span = meter.spans.stats.get("session.run")
+        run_span = meter.spans.get("session.run")
         if run_span is not None and run_span.max_s > straggler_s:
             straggler_s = run_span.max_s
             straggler_index = index

@@ -34,7 +34,6 @@ from typing import IO, Iterable, Iterator, List, Optional, Union
 from repro.metrics.summary import SessionLog, SessionSummary
 from repro.obs.bus import TraceEvent
 from repro.obs.metrics import METRIC_CATALOGUE, MetricSpec
-from repro.obs.spans import SPAN_CATALOGUE
 
 PathLike = Union[str, Path]
 
@@ -265,18 +264,17 @@ def meter_from_dict(payload: dict):
     Counter/gauge/histogram state round-trips exactly; span statistics
     round-trip their accumulators (count, total, min, max).
     """
-    from repro.obs.meter import SessionMeter
+    from repro.obs.meter import SessionMeter, SpanStats
     from repro.obs.metrics import Histogram
-    from repro.obs.spans import SpanStats
 
     version = payload.get("version")
     if version != EXPORT_VERSION:
         raise ValueError(f"unsupported export version: {version!r}")
     meter = SessionMeter()
-    meter.metrics.counters.update(
+    meter.counters.update(
         {name: float(value) for name, value in payload.get("counters", {}).items()}
     )
-    meter.metrics.gauges.update(
+    meter.gauges.update(
         {name: float(value) for name, value in payload.get("gauges", {}).items()}
     )
     for name, data in payload.get("histograms", {}).items():
@@ -284,14 +282,14 @@ def meter_from_dict(payload: dict):
         hist.counts = [int(count) for count in data["counts"]]
         hist.sum = float(data["sum"])
         hist.count = int(data["count"])
-        meter.metrics._hists[name] = hist
+        meter.histograms[name] = hist
     for name, data in payload.get("spans", {}).items():
         stats = SpanStats()
         stats.count = int(data["count"])
         stats.total_s = float(data["total_s"])
         stats.min_s = float(data["min_s"]) if stats.count else float("inf")
         stats.max_s = float(data["max_s"])
-        meter.spans.stats[name] = stats
+        meter.spans[name] = stats
     return meter
 
 
@@ -320,6 +318,11 @@ def _om_spec(name: str) -> Optional[MetricSpec]:
     return METRIC_CATALOGUE.get(name)
 
 
+def _span_family(name: str) -> str:
+    """Spans export as ``repro_span_<name>_seconds`` summaries."""
+    return openmetrics_family("span." + name) + "_seconds"
+
+
 def metrics_to_openmetrics(meter) -> str:
     """Render a meter in the OpenMetrics text exposition format.
 
@@ -336,18 +339,17 @@ def metrics_to_openmetrics(meter) -> str:
         if help_text:
             lines.append(f"# HELP {family} {help_text}")
 
-    metrics = meter.metrics
-    for name in sorted(metrics.counters):
+    for name in sorted(meter.counters):
         spec = _om_spec(name)
         family = openmetrics_family(name, spec.unit if spec else "")
         _head(family, "counter", spec.description if spec else "")
-        lines.append(f"{family}_total {_om_number(metrics.counters[name])}")
-    for name in sorted(metrics.gauges):
+        lines.append(f"{family}_total {_om_number(meter.counters[name])}")
+    for name in sorted(meter.gauges):
         spec = _om_spec(name)
         family = openmetrics_family(name, spec.unit if spec else "")
         _head(family, "gauge", spec.description if spec else "")
-        lines.append(f"{family} {_om_number(metrics.gauges[name])}")
-    for name, hist in sorted(metrics.histograms().items()):
+        lines.append(f"{family} {_om_number(meter.gauges[name])}")
+    for name, hist in sorted(meter.histograms.items()):
         spec = _om_spec(name)
         family = openmetrics_family(name, spec.unit if spec else "")
         _head(family, "histogram", spec.description if spec else "")
@@ -359,9 +361,9 @@ def metrics_to_openmetrics(meter) -> str:
         lines.append(f'{family}_bucket{{le="+Inf"}} {cumulative[-1]}')
         lines.append(f"{family}_sum {_om_number(hist.sum)}")
         lines.append(f"{family}_count {hist.count}")
-    for name, stats in meter.spans.as_dict().items():
-        spec = SPAN_CATALOGUE.get(name)
-        family = openmetrics_family("span." + name) + "_seconds"
+    for name, stats in meter.as_dict()["spans"].items():
+        spec = _om_spec(name)
+        family = _span_family(name)
         _head(family, "summary", spec.description if spec else "")
         lines.append(f"{family}_sum {repr(float(stats['total_s']))}")
         lines.append(f"{family}_count {stats['count']}")
@@ -375,14 +377,15 @@ def write_metrics_openmetrics(path: PathLike, meter) -> None:
 
 
 def _om_reverse_table() -> dict:
-    """Family name -> ("metric"|"span", catalogue name) for every
-    catalogue entry, built from the same :func:`openmetrics_family`
-    mapping the exporter uses so the two can never drift."""
+    """Family name -> catalogue spec for every catalogue entry, built
+    from the same family mapping the exporter uses so the two can never
+    drift."""
     table = {}
     for name, spec in METRIC_CATALOGUE.items():
-        table[openmetrics_family(name, spec.unit)] = ("metric", name)
-    for name in SPAN_CATALOGUE:
-        table[openmetrics_family("span." + name) + "_seconds"] = ("span", name)
+        if spec.kind == "span":
+            table[_span_family(name)] = spec
+        else:
+            table[openmetrics_family(name, spec.unit)] = spec
     return table
 
 
@@ -417,15 +420,14 @@ def read_openmetrics(text: str, strict: bool = True):
     the summary exposition does not encode (re-export is still
     byte-identical, since only ``_sum``/``_count`` are emitted).
 
-    Family names resolve through the metric/span catalogues — the same
+    Family names resolve through the catalogue — the same
     :func:`openmetrics_family` mapping the exporter uses.  An unknown
     family raises :class:`ValueError` under ``strict`` (the default) and
     is skipped otherwise, so a scrape from a newer server can still be
     loaded by an older client with ``strict=False``.
     """
-    from repro.obs.meter import SessionMeter
+    from repro.obs.meter import SessionMeter, SpanStats
     from repro.obs.metrics import Histogram
-    from repro.obs.spans import SpanStats
 
     table = _om_reverse_table()
     meter = SessionMeter()
@@ -463,18 +465,18 @@ def read_openmetrics(text: str, strict: bool = True):
                     break
         if family is None:
             raise ValueError(f"sample before its # TYPE line: {line!r}")
-        resolved = table.get(family)
-        if resolved is None:
+        spec = table.get(family)
+        if spec is None:
             if strict:
-                raise ValueError(f"family not in any catalogue: {family!r}")
+                raise ValueError(f"family not in the catalogue: {family!r}")
             continue
-        domain, name = resolved
+        name = spec.name
         kind = types[family]
 
         if kind == "counter":
-            meter.metrics.counters[name] = float(value_text)
+            meter.counters[name] = float(value_text)
         elif kind == "gauge":
-            meter.metrics.gauges[name] = float(value_text)
+            meter.gauges[name] = float(value_text)
         elif kind == "histogram":
             state = partial.setdefault(
                 family, {"bounds": [], "cumulative": [], "sum": 0.0, "count": 0}
@@ -487,8 +489,8 @@ def read_openmetrics(text: str, strict: bool = True):
                 state["sum"] = float(value_text)
             elif suffix == "_count":
                 state["count"] = int(float(value_text))
-        elif kind == "summary" and domain == "span":
-            stats = meter.spans.stats.setdefault(name, SpanStats())
+        elif kind == "summary" and spec.kind == "span":
+            stats = meter.spans.setdefault(name, SpanStats())
             if suffix == "_sum":
                 stats.total_s = float(value_text)
             elif suffix == "_count":
@@ -502,7 +504,7 @@ def read_openmetrics(text: str, strict: bool = True):
         raise ValueError("exposition does not end with # EOF")
 
     for family, state in partial.items():
-        _, name = table[family]
+        name = table[family].name
         hist = Histogram(tuple(state["bounds"]))
         previous = 0
         counts = []
@@ -517,7 +519,7 @@ def read_openmetrics(text: str, strict: bool = True):
         hist.counts = counts
         hist.sum = state["sum"]
         hist.count = state["count"]
-        meter.metrics._hists[name] = hist
+        meter.histograms[name] = hist
     return meter
 
 

@@ -1,15 +1,14 @@
-"""Structured session observability: traces, metrics, spans, the meter.
+"""Structured session observability: traces, the meter, run ledgers.
 
-Three catalogue-driven layers share one design (typed spec tuples,
-falsy null objects, single-truthiness-check hot paths):
+Two catalogue-driven layers share one design (typed spec tuples, falsy
+null objects, single-truthiness-check hot paths):
 
 * **traces** — :class:`TraceBus` + ``EVENT_CATALOGUE`` (per-event log),
-* **metrics** — :class:`MetricsRegistry` + ``METRIC_CATALOGUE``
-  (counters, gauges, fixed-bucket histograms),
-* **spans** — :class:`SpanProfiler` + ``SPAN_CATALOGUE`` (wall-clock
-  stage timings), bundled per session by :class:`SessionMeter`.
+* **the meter** — :class:`SessionMeter` + ``METRIC_CATALOGUE``
+  (counters, gauges, fixed-bucket histograms and wall-clock stage
+  spans, one registry per session or fleet).
 
-A fourth layer builds on them per *run* instead of per session:
+A third layer builds on the meter per *run* instead of per session:
 **ledgers** — :class:`RunLedger` (``repro.obs.ledger``) gives a sweep a
 run directory with a manifest, a heartbeat JSONL stream and periodic
 OpenMetrics snapshots of the live fleet registry.
@@ -35,26 +34,14 @@ from repro.obs.ledger import (
     resolve_run_root,
     snapshot_paths,
 )
-from repro.obs.meter import NULL_METER, NullMeter, SessionMeter, coerce_meter
+from repro.obs.meter import NULL_METER, NullMeter, SessionMeter, SpanStats, coerce_meter
 from repro.obs.metrics import (
     METRIC_CATALOGUE,
     METRIC_KINDS,
     METRIC_NAMES,
     Histogram,
     MetricSpec,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
     catalogue_names,
-)
-from repro.obs.spans import (
-    NULL_SPANS,
-    NullSpanProfiler,
-    SPAN_CATALOGUE,
-    SPAN_NAMES,
-    SpanProfiler,
-    SpanSpec,
-    SpanStats,
 )
 
 __all__ = [
@@ -72,16 +59,7 @@ __all__ = [
     "METRIC_NAMES",
     "Histogram",
     "MetricSpec",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetrics",
     "catalogue_names",
-    "SPAN_CATALOGUE",
-    "SPAN_NAMES",
-    "NULL_SPANS",
-    "NullSpanProfiler",
-    "SpanProfiler",
-    "SpanSpec",
     "SpanStats",
     "NULL_METER",
     "NullMeter",

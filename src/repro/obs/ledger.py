@@ -25,7 +25,7 @@ of staring at a silent terminal:
     ``cache_stats.json``   a copy of ``repro360 cache stats`` so cache
                            hit/miss provenance survives with the run.
 
-Determinism contract — the same one :class:`repro.obs.spans.SpanProfiler`
+Determinism contract — the same one :class:`repro.obs.meter.SessionMeter`
 obeys: the ledger only ever *reads* results and meters and writes into
 its own files.  It never touches an RNG stream, never schedules
 simulation events, and never feeds anything back into the simulation,

@@ -1,38 +1,11 @@
-"""The deterministic metrics registry and its typed catalogue.
+"""The metric catalogue and fixed-bucket histogram state.
 
 Where the trace bus (``repro.obs.bus``) records *individual* events for
-one session, the metrics layer aggregates: counters, gauges and
-fixed-bucket histograms keyed by a typed :data:`METRIC_CATALOGUE` —
-the same single-source-of-truth pattern as ``EVENT_CATALOGUE``.
-Registries are plain accumulators, so per-worker registries from a
-parallel sweep merge into one *fleet* registry with exact totals
-(``repro.experiments.parallel.merged_meter``).
-
-Determinism contract: a registry only ever *reads* component state and
-writes into its own dictionaries.  It never touches an RNG stream,
-never schedules simulation events, and never feeds anything back into
-the simulation, so a metered session is byte-identical to a plain one
-(asserted down to per-stream RNG bit-generator states in
-``tests/test_obs.py``).  Metric values themselves are pure functions of
-the simulation, hence bit-identical across serial/parallel runs; only
-the *span* profiler (``repro.obs.spans``) records wall-clock, and that
-wall-clock never enters simulation state.
-
-Metric names are stable identifiers validated against the catalogue on
-first use — a typo'd ``inc`` raises instead of silently creating a new
-series, which is what keeps docs, exporters and the
-``tools/check_metrics.py`` drift gate honest.
-
->>> registry = MetricsRegistry()
->>> registry.inc("receiver.frames")
->>> registry.inc("receiver.frames", 2)
->>> registry.counters["receiver.frames"]
-3.0
->>> registry.observe("receiver.delay_s", 0.18)
->>> registry.histogram("receiver.delay_s").count
-1
->>> bool(NULL_METRICS), bool(registry)
-(False, True)
+one session, the meter (``repro.obs.meter``) aggregates: counters,
+gauges, fixed-bucket histograms and wall-clock spans, every name keyed
+by the typed :data:`METRIC_CATALOGUE` — the same single-source-of-truth
+pattern as ``EVENT_CATALOGUE``.  Docs, exporters and the
+``tools/check_metrics.py`` drift gate all read this one table.
 """
 
 from __future__ import annotations
@@ -45,7 +18,7 @@ class MetricSpec(NamedTuple):
     """Catalogue entry for one metric name."""
 
     name: str
-    kind: str  # "counter" | "gauge" | "histogram"
+    kind: str  # "counter" | "gauge" | "histogram" | "span"
     subsystem: str
     unit: str
     site: str
@@ -55,8 +28,9 @@ class MetricSpec(NamedTuple):
     buckets: Tuple[float, ...] = ()
 
 
-#: The three metric kinds the registry understands.
-METRIC_KINDS = ("counter", "gauge", "histogram")
+#: The four kinds the meter understands; a span is wall-clock stage
+#: timing, kept out of simulation state and deterministic snapshots.
+METRIC_KINDS = ("counter", "gauge", "histogram", "span")
 
 _SPECS = (
     # ------------------------------------------------------------- session
@@ -347,6 +321,49 @@ _SPECS = (
         "repro.service.jobs.JobRegistry.service_registry",
         "Wall-clock seconds since the job registry was created.",
     ),
+    # --------------------------------------------------------------- spans
+    MetricSpec(
+        "session.run", "span", "session", "s",
+        "repro.telephony.session.TelephonySession.run",
+        "One whole session run (wall clock; drives straggler reporting).",
+    ),
+    MetricSpec(
+        "sender.encode", "span", "telephony", "s",
+        "repro.telephony.sender.PanoramicSender._on_capture",
+        "Compress + encode + packetise one captured frame.",
+    ),
+    MetricSpec(
+        "lte.subframe", "span", "lte", "s",
+        "repro.lte.ue.UeUplink._subframe",
+        "One active 1 ms uplink subframe (grant, drain, diag record).",
+    ),
+    MetricSpec(
+        "rate_control.tick", "span", "rate_control", "s",
+        "repro.rate_control.fbcc.controller.FbccTransport.on_diag / "
+        "repro.rate_control.gcc.controller.GccSenderControl.on_feedback",
+        "One rate-control decision: an FBCC diag tick or a GCC "
+        "REMB/receiver-report update.",
+    ),
+    MetricSpec(
+        "receiver.display", "span", "telephony", "s",
+        "repro.telephony.receiver.PanoramicReceiver._display",
+        "Render + measure one displayed frame (PSNR, mismatch, delay).",
+    ),
+    MetricSpec(
+        "fleet.cell_run", "span", "fleet", "s",
+        "repro.telephony.fleet.CellSession.run",
+        "One whole shared-cell run: every member session, one clock.",
+    ),
+    MetricSpec(
+        "batch.run", "span", "batch", "s",
+        "repro.sim.batch.BatchedSimulation.run",
+        "One batched lockstep cohort: every session, one 1 ms grid.",
+    ),
+    MetricSpec(
+        "batch.cell_run", "span", "batch", "s",
+        "repro.sim.batch_cell.BatchedCellSimulation.run_cells",
+        "One batched cell block: C cells x N members, one 1 ms grid.",
+    ),
 )
 
 #: Name → spec for every metric the stack can record.
@@ -404,126 +421,6 @@ class Histogram:
             "counts": list(self.counts),
             "sum": self.sum,
             "count": self.count,
-        }
-
-
-class NullMetrics:
-    """Metering disabled: falsy, every record call is a no-op."""
-
-    enabled = False
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-
-    def __bool__(self) -> bool:
-        return False
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Discard the increment."""
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Discard the gauge write."""
-
-    def observe(self, name: str, value: float) -> None:
-        """Discard the observation."""
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        return None
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return {}
-
-
-#: The shared disabled registry.
-NULL_METRICS = NullMetrics()
-
-
-def _spec_of(name: str, kind: str) -> MetricSpec:
-    spec = METRIC_CATALOGUE.get(name)
-    if spec is None:
-        raise KeyError(
-            f"unknown metric {name!r}: not in METRIC_CATALOGUE "
-            f"(repro.obs.metrics)"
-        )
-    if spec.kind != kind:
-        raise ValueError(f"metric {name!r} is a {spec.kind}, not a {kind}")
-    return spec
-
-
-class MetricsRegistry:
-    """Catalogue-validated counters, gauges and fixed-bucket histograms."""
-
-    enabled = True
-
-    def __init__(self):
-        #: Exact counter totals, name → value.
-        self.counters: Dict[str, float] = {}
-        #: Last-written gauge values, name → value.
-        self.gauges: Dict[str, float] = {}
-        self._hists: Dict[str, Histogram] = {}
-
-    def __bool__(self) -> bool:
-        return True
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to a catalogue counter."""
-        counters = self.counters
-        if name not in counters:
-            _spec_of(name, "counter")
-            counters[name] = 0.0
-        counters[name] += amount
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a catalogue gauge to ``value`` (last write wins on merge)."""
-        if name not in self.gauges:
-            _spec_of(name, "gauge")
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into a catalogue histogram."""
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = Histogram(_spec_of(name, "histogram").buckets)
-            self._hists[name] = hist
-        hist.observe(value)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        """The named histogram's state, or None if never observed."""
-        return self._hists.get(name)
-
-    def histograms(self) -> Dict[str, Histogram]:
-        """Name → histogram for every observed histogram."""
-        return dict(self._hists)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (counters/buckets sum,
-        gauges overwrite)."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0.0) + value
-        self.gauges.update(other.gauges)
-        for name, hist in other._hists.items():
-            mine = self._hists.get(name)
-            if mine is None:
-                mine = Histogram(hist.buckets)
-                self._hists[name] = mine
-            mine.merge(hist)
-
-    def counters_by_subsystem(self) -> Dict[str, Dict[str, float]]:
-        """Counter table grouped by the catalogue's subsystem labels."""
-        grouped: Dict[str, Dict[str, float]] = {}
-        for name, value in sorted(self.counters.items()):
-            spec = METRIC_CATALOGUE.get(name)
-            subsystem = spec.subsystem if spec else "other"
-            grouped.setdefault(subsystem, {})[name] = value
-        return grouped
-
-    def as_dict(self) -> dict:
-        """JSON-safe snapshot of the whole registry."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: hist.as_dict() for name, hist in sorted(self._hists.items())
-            },
         }
 
 

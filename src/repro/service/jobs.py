@@ -30,7 +30,8 @@ content-addressed cache (so identical resubmissions — even across a
 server restart — complete instantly with ``cache_hit=true``), every
 executed job runs under a :class:`repro.obs.ledger.RunLedger` in the
 registry's run root, and cancellation propagates into the sweep between
-tasks through its progress callback (:func:`_guard`).
+tasks through its progress callback (:func:`_guard`), and within a
+lockstep task run in-process at its tick loop's progress stride.
 """
 
 import dataclasses
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SCHEMES, TRANSPORTS
 from repro.experiments import cache
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import TICK_PROBE, resolve_jobs
 from repro.obs.ledger import (
     RunLedger,
     atomic_write_text,
@@ -325,7 +326,10 @@ def _guard(progress, cancel):
     The probe runs after every finished task of a metrics or fleet
     sweep; once it returns True the sweep raises :class:`JobCancelled`
     from the calling process, and ``run_tasks`` shuts its pool down on
-    the way out.
+    the way out.  ``_guard(None, cancel)`` is also the sweep's
+    :data:`~repro.experiments.parallel.TICK_PROBE`: it has the tick-loop
+    signature ``(tick, ticks, sessions)``, so a lockstep task run in
+    this process checks ``cancel`` at every progress stride too.
     """
     if cancel is None:
         return progress
@@ -376,21 +380,26 @@ def execute_job(
     key may legitimately run with different pool sizes.  ``ledger``
     streams run telemetry; ``progress`` has ``run_tasks`` semantics
     (lockstep sweeps count sessions or cells, not cohorts or blocks), and
-    ``cancel`` is a nullary probe checked between tasks, surfacing as
-    :class:`JobCancelled`.
+    ``cancel`` is a nullary probe checked between tasks (and, in an
+    in-process lockstep task, every ``DEFAULT_PROGRESS_TICKS`` ticks),
+    surfacing as :class:`JobCancelled`.
     """
     spec = normalise_spec(spec)
     kind = spec["kind"]
     workers = resolve_jobs(jobs)
     cache_before = cache.counters()
 
-    if kind == "metrics":
-        return _execute_metrics(
-            spec, jobs, workers, ledger, progress, cancel, cache_before
-        )
-    if kind == "fleet":
+    if kind == "perf":
+        return _execute_perf(spec, jobs, ledger, cancel)
+    token = TICK_PROBE.set(None if cancel is None else _guard(None, cancel))
+    try:
+        if kind == "metrics":
+            return _execute_metrics(
+                spec, jobs, workers, ledger, progress, cancel, cache_before
+            )
         return _execute_fleet(spec, jobs, workers, ledger, progress, cancel)
-    return _execute_perf(spec, jobs, ledger, cancel)
+    finally:
+        TICK_PROBE.reset(token)
 
 
 def _execute_metrics(

@@ -209,7 +209,7 @@ def test_plan_cannot_change_results(crossover):
             [9] + [len(c) for c in np.array_split(np.arange(70), blocks)]
         )
         results, meter = run_cohorts(configs, warmup=0.5, jobs=blocks)
-        assert meter.metrics.gauges["batch.cohorts"] == len(cohorts)
+        assert meter.gauges["batch.cohorts"] == len(cohorts)
         outcomes.append(results)
     first = outcomes[0]
     for other in outcomes[1:]:
@@ -415,13 +415,13 @@ def test_metered_progress_run_is_bit_identical_to_plain():
     for reference, result in zip(plain, observed):
         assert_bit_identical(reference, result)
 
-    counters = meter.metrics.counters
+    counters = meter.counters
     total_ticks = ticks[-1][1]
     # The cohort count is a plan fact, recorded by run_cohorts only.
     assert "batch.cohorts" not in counters
     assert counters["batch.sessions"] == 3.0
     assert counters["batch.subframes"] == 3.0 * total_ticks
-    assert "batch.run" in meter.spans.as_dict()
+    assert "batch.run" in meter.as_dict()["spans"]
 
     # progress: ticks nondecreasing, constant total/sessions, ends at total.
     assert ticks[-1][0] == total_ticks
@@ -443,18 +443,18 @@ def test_cohort_counters_are_slicing_invariant(crossover):
     whole = registry(jobs=1)
     sharded = registry(jobs=2)
     assert deterministic_registry_dict(whole) == deterministic_registry_dict(sharded)
-    assert whole.metrics.counters["batch.sessions"] == 4.0
-    assert whole.metrics.gauges["batch.cohorts"] == 1.0
-    assert sharded.metrics.gauges["batch.cohorts"] == 2.0
+    assert whole.counters["batch.sessions"] == 4.0
+    assert whole.gauges["batch.cohorts"] == 1.0
+    assert sharded.gauges["batch.cohorts"] == 2.0
 
 
 def test_scalar_crossover_routes_small_cohorts_to_scalar_engine(crossover):
     configs = [lockstep_config(seed=s, duration=3.0) for s in (1, 2)]
     crossover(8)
     results, meter = run_cohorts(configs, warmup=0.5, jobs=1)
-    assert meter.metrics.counters["batch.scalar_fallbacks"] == 2.0
-    assert "batch.cohorts" not in meter.metrics.counters
-    assert meter.metrics.gauges["batch.cohorts"] == 1.0
+    assert meter.counters["batch.scalar_fallbacks"] == 2.0
+    assert "batch.cohorts" not in meter.counters
+    assert meter.gauges["batch.cohorts"] == 1.0
     reference = run_batched(configs, warmup=0.5)
     for a, b in zip(reference, results):
         assert_bit_identical(a, b)

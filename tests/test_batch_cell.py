@@ -127,7 +127,7 @@ def test_ragged_block_cells_match_solo_blocks_and_scalar_cells():
     block = run_batched_cells(cells, fleets=fleets, warmup=0.5, meter=True)
     assert [len(cell.results) for cell in block] == list(counts)
     exhausted = [
-        cell.meter.metrics.counters["fleet.cell_prb_exhausted"] for cell in block
+        cell.meter.counters["fleet.cell_prb_exhausted"] for cell in block
     ]
     assert exhausted[2] > 0.0 and exhausted[3] > 0.0
     for members, fleet, result in zip(cells, fleets, block):
@@ -206,12 +206,12 @@ def test_metered_cell_run_is_bit_identical_to_plain():
     assert all(n == 4 for _, _, n in ticks)  # 2 cells x 2 members
     total_ticks = ticks[-1][1]
     for index, cell in enumerate(metered):
-        counters = cell.meter.metrics.counters
+        counters = cell.meter.counters
         assert counters["fleet.cells"] == 1.0
         assert counters["batch.sessions"] == 2.0
         assert counters["batch.subframes"] == 2.0 * total_ticks
         assert counters["fleet.cell_prb_exhausted"] >= 0.0
-        spans = cell.meter.spans.as_dict()
+        spans = cell.meter.as_dict()["spans"]
         if index == 0:
             assert "batch.cell_run" in spans
         else:
@@ -237,8 +237,8 @@ def test_cell_counters_are_partition_invariant():
             "fleet.cell_prb_exhausted",
         ):
             assert (
-                solo.meter.metrics.counters[name]
-                == blocked.meter.metrics.counters[name]
+                solo.meter.counters[name]
+                == blocked.meter.counters[name]
             ), name
 
 

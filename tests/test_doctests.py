@@ -14,6 +14,7 @@ import repro.metrics.freeze
 import repro.metrics.stability
 import repro.metrics.stats
 import repro.obs.bus
+import repro.obs.meter
 import repro.telephony.timestamping
 import repro.units
 import repro.video.projection
@@ -28,6 +29,7 @@ MODULES = [
     repro.compression.pyramid_geo,
     repro.lte.competitors,
     repro.obs.bus,
+    repro.obs.meter,
     repro.telephony.timestamping,
     repro.metrics.freeze,
     repro.metrics.stability,

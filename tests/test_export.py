@@ -135,16 +135,16 @@ def test_read_openmetrics_round_trip_is_byte_identical():
 def test_read_openmetrics_reconstructs_values():
     meter = _metered_fixture()
     parsed = export.read_openmetrics(export.metrics_to_openmetrics(meter))
-    assert parsed.metrics.counters["session.runs"] == 3.0
-    assert parsed.metrics.gauges["service.uptime_s"] == 12.5
-    histogram = parsed.metrics.histogram("service.queue_wait_s")
-    original = meter.metrics.histogram("service.queue_wait_s")
+    assert parsed.counters["session.runs"] == 3.0
+    assert parsed.gauges["service.uptime_s"] == 12.5
+    histogram = parsed.histogram("service.queue_wait_s")
+    original = meter.histogram("service.queue_wait_s")
     assert histogram.buckets == original.buckets
     assert histogram.counts == original.counts  # de-cumulated per bucket
     assert histogram.sum == original.sum
     assert histogram.count == original.count
     # Spans come back as summaries: sum/count survive, min/max do not.
-    assert parsed.spans.stats["session.run"].count == 1
+    assert parsed.spans["session.run"].count == 1
 
 
 def test_read_openmetrics_requires_eof():
@@ -165,8 +165,8 @@ def test_read_openmetrics_unknown_family_strict_vs_lenient():
     with pytest.raises(ValueError, match="rogue_widgets"):
         export.read_openmetrics(rogue)
     parsed = export.read_openmetrics(rogue, strict=False)
-    assert parsed.metrics.counters["session.runs"] == 3.0
-    assert "rogue_widgets" not in str(parsed.metrics.counters)
+    assert parsed.counters["session.runs"] == 3.0
+    assert "rogue_widgets" not in str(parsed.counters)
 
 
 def test_read_openmetrics_accepts_live_scrape(tmp_path):
@@ -181,3 +181,172 @@ def test_read_openmetrics_accepts_live_scrape(tmp_path):
     text = export.metrics_to_openmetrics(result.meter)
     parsed = export.read_openmetrics(text)
     assert export.metrics_to_openmetrics(parsed) == text
+
+
+# ----------------------------------------------------------------------
+# Pinned on-disk formats
+# ----------------------------------------------------------------------
+
+# A ``write_metrics_json`` document and a ``metrics_to_openmetrics`` text
+# of the same meter (two each of counters, gauges, histograms and spans),
+# kept as literal bytes: loading and re-exporting must give these bytes
+# back.  A round trip of fresh output alone cannot catch a format drift.
+PINNED_METRICS_JSON = """\
+{
+ "version": 1,
+ "counters": {
+  "session.runs": 3.0,
+  "batch.sessions": 40.0
+ },
+ "gauges": {
+  "batch.cohorts": 2.0,
+  "service.uptime_s": 12.5
+ },
+ "histograms": {
+  "fbcc.video_rate_mbps": {
+   "buckets": [
+    0.5,
+    1.0,
+    2.0,
+    3.0,
+    4.0,
+    5.0,
+    6.0,
+    8.0,
+    10.0
+   ],
+   "counts": [
+    0,
+    0,
+    0,
+    1,
+    0,
+    0,
+    0,
+    0,
+    0,
+    0
+   ],
+   "sum": 2.5,
+   "count": 1
+  },
+  "receiver.delay_s": {
+   "buckets": [
+    0.05,
+    0.1,
+    0.15,
+    0.2,
+    0.3,
+    0.5,
+    0.75,
+    1.0,
+    1.5,
+    2.0
+   ],
+   "counts": [
+    1,
+    1,
+    0,
+    0,
+    1,
+    0,
+    0,
+    0,
+    0,
+    0,
+    1
+   ],
+   "sum": 3.37,
+   "count": 4
+  }
+ },
+ "spans": {
+  "session.run": {
+   "count": 2,
+   "total_s": 0.75,
+   "mean_s": 0.375,
+   "min_s": 0.25,
+   "max_s": 0.5
+  },
+  "batch.run": {
+   "count": 1,
+   "total_s": 0.125,
+   "mean_s": 0.125,
+   "min_s": 0.125,
+   "max_s": 0.125
+  }
+ }
+}
+"""
+
+PINNED_OPENMETRICS = """\
+# TYPE repro_batch_sessions counter
+# HELP repro_batch_sessions Sessions advanced by the batched lockstep engines (the same for any plan: groups below the crossover always run scalar).
+repro_batch_sessions_total 40
+# TYPE repro_session_runs counter
+# HELP repro_session_runs Sessions run to completion.
+repro_session_runs_total 3
+# TYPE repro_batch_cohorts gauge
+# HELP repro_batch_cohorts Cohorts the lockstep sweep was planned into (batched and scalar); depends on the worker count, like fleet.workers.
+repro_batch_cohorts 2
+# TYPE repro_service_uptime_seconds gauge
+# HELP repro_service_uptime_seconds Wall-clock seconds since the job registry was created.
+repro_service_uptime_seconds 12.5
+# TYPE repro_fbcc_video_rate_mbps histogram
+# HELP repro_fbcc_video_rate_mbps Distribution of the Eq. (6) encoding rate Rv, sampled per tick.
+repro_fbcc_video_rate_mbps_bucket{le="0.5"} 0
+repro_fbcc_video_rate_mbps_bucket{le="1"} 0
+repro_fbcc_video_rate_mbps_bucket{le="2"} 0
+repro_fbcc_video_rate_mbps_bucket{le="3"} 1
+repro_fbcc_video_rate_mbps_bucket{le="4"} 1
+repro_fbcc_video_rate_mbps_bucket{le="5"} 1
+repro_fbcc_video_rate_mbps_bucket{le="6"} 1
+repro_fbcc_video_rate_mbps_bucket{le="8"} 1
+repro_fbcc_video_rate_mbps_bucket{le="10"} 1
+repro_fbcc_video_rate_mbps_bucket{le="+Inf"} 1
+repro_fbcc_video_rate_mbps_sum 2.5
+repro_fbcc_video_rate_mbps_count 1
+# TYPE repro_receiver_delay_seconds histogram
+# HELP repro_receiver_delay_seconds Distribution of capture-to-display frame delay.
+repro_receiver_delay_seconds_bucket{le="0.05"} 1
+repro_receiver_delay_seconds_bucket{le="0.1"} 2
+repro_receiver_delay_seconds_bucket{le="0.15"} 2
+repro_receiver_delay_seconds_bucket{le="0.2"} 2
+repro_receiver_delay_seconds_bucket{le="0.3"} 3
+repro_receiver_delay_seconds_bucket{le="0.5"} 3
+repro_receiver_delay_seconds_bucket{le="0.75"} 3
+repro_receiver_delay_seconds_bucket{le="1"} 3
+repro_receiver_delay_seconds_bucket{le="1.5"} 3
+repro_receiver_delay_seconds_bucket{le="2"} 3
+repro_receiver_delay_seconds_bucket{le="+Inf"} 4
+repro_receiver_delay_seconds_sum 3.37
+repro_receiver_delay_seconds_count 4
+# TYPE repro_span_session_run_seconds summary
+# HELP repro_span_session_run_seconds One whole session run (wall clock; drives straggler reporting).
+repro_span_session_run_seconds_sum 0.75
+repro_span_session_run_seconds_count 2
+# TYPE repro_span_batch_run_seconds summary
+# HELP repro_span_batch_run_seconds One batched lockstep cohort: every session, one 1 ms grid.
+repro_span_batch_run_seconds_sum 0.125
+repro_span_batch_run_seconds_count 1
+# EOF
+"""
+
+
+def test_pinned_metrics_json_round_trips_byte_for_byte(tmp_path):
+    meter = export.meter_from_dict(json.loads(PINNED_METRICS_JSON))
+    export.write_metrics_json(tmp_path / "registry.json", meter)
+    assert (tmp_path / "registry.json").read_text() == PINNED_METRICS_JSON
+    assert export.metrics_to_openmetrics(meter) == PINNED_OPENMETRICS
+
+
+def test_pinned_openmetrics_round_trips_byte_for_byte(tmp_path):
+    meter = export.read_openmetrics(PINNED_OPENMETRICS)
+    export.write_metrics_openmetrics(tmp_path / "metrics.om", meter)
+    assert (tmp_path / "metrics.om").read_text() == PINNED_OPENMETRICS
+    assert meter.counters == {"batch.sessions": 40.0, "session.runs": 3.0}
+    assert meter.gauges == {"batch.cohorts": 2.0, "service.uptime_s": 12.5}
+    delay = meter.histogram("receiver.delay_s")
+    assert delay.counts == [1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert [name for name in meter.spans] == ["session.run", "batch.run"]
+    assert meter.spans["session.run"].count == 2

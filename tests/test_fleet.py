@@ -253,13 +253,13 @@ _PER_UE_COUNTERS = ("session.runs", "lte.subframes", "receiver.frames")
 def test_cell_meter_totals_equal_sum_of_member_meters():
     config = SessionConfig(scheme="poi360", transport="fbcc", duration=5.0, seed=3)
     cell = run_cell(config, ues=4, duration=5.0, warmup=1.0, meter=True)
-    merged = cell.meter.metrics.counters
-    members = [result.meter.metrics.counters for result in cell.results]
+    merged = cell.meter.counters
+    members = [result.meter.counters for result in cell.results]
     assert merged["fleet.cells"] == 1.0
     for name in _PER_UE_COUNTERS:
         assert merged[name] == sum(counters[name] for counters in members)
     assert merged["session.runs"] == 4.0
-    jain_hist = cell.meter.metrics.histogram("fleet.cell_jain")
+    jain_hist = cell.meter.histogram("fleet.cell_jain")
     assert jain_hist is not None and jain_hist.count == 1
 
 

@@ -228,7 +228,7 @@ def test_batched_cohort_path_streams_ticks_and_stays_identical(
     assert cohorts, "no in-engine cohort heartbeats"
     assert cohorts[-1]["tick"] == cohorts[-1]["ticks"]
     assert cohorts[-1]["sessions"] == 3
-    assert engine.metrics.counters["batch.sessions"] == 3.0
+    assert engine.counters["batch.sessions"] == 3.0
     assert len(snapshot_paths(ledger.run_dir)) >= 1
 
 
@@ -253,8 +253,8 @@ def test_batched_cell_path_streams_ticks_and_stays_identical(tmp_path):
     assert all(r["kind"] == "cohort" for r in records)
     assert records[-1]["cohort"] == 7
     registry = load_registry(ledger.run_dir)
-    assert registry.metrics.counters["fleet.cells"] == 2.0
-    assert registry.metrics.counters["batch.sessions"] == 4.0
+    assert registry.counters["fleet.cells"] == 2.0
+    assert registry.counters["batch.sessions"] == 4.0
 
 
 def test_fleet_batch_sweep_ledgered_equals_plain(tmp_path):

@@ -1,4 +1,4 @@
-"""Metrics registry, span profiler, meter, fleet merge and exporters."""
+"""The meter (counters, gauges, histograms, spans), fleet merge and exporters."""
 
 import importlib.util
 import json
@@ -20,12 +20,10 @@ from repro.metrics.export import (
 from repro.obs import (
     METRIC_CATALOGUE,
     NULL_METER,
-    SPAN_NAMES,
     Histogram,
-    MetricsRegistry,
     NullMeter,
     SessionMeter,
-    SpanProfiler,
+    SpanStats,
     catalogue_names,
     coerce_meter,
 )
@@ -94,7 +92,7 @@ def test_histogram_merge_rejects_different_buckets():
 
 
 def test_registry_rejects_unknown_and_wrong_kind():
-    registry = MetricsRegistry()
+    registry = SessionMeter()
     with pytest.raises(KeyError):
         registry.inc("no.such.metric")
     with pytest.raises(KeyError):
@@ -105,10 +103,14 @@ def test_registry_rejects_unknown_and_wrong_kind():
         registry.observe("receiver.frames", 1.0)  # counter, not histogram
     with pytest.raises(ValueError):
         registry.set_gauge("receiver.frames", 1.0)
+    with pytest.raises(ValueError):
+        registry.inc("session.run")  # span, not counter
+    with pytest.raises(ValueError):
+        registry.span_end("session.runs", 0.0)  # counter, not span
 
 
 def test_registry_merge_sums_counters_and_buckets():
-    a, b = MetricsRegistry(), MetricsRegistry()
+    a, b = SessionMeter(), SessionMeter()
     a.inc("receiver.frames", 3)
     b.inc("receiver.frames", 4)
     b.inc("receiver.nacks", 2)
@@ -126,7 +128,7 @@ def test_registry_merge_sums_counters_and_buckets():
 
 
 def test_counters_by_subsystem_uses_catalogue_labels():
-    registry = MetricsRegistry()
+    registry = SessionMeter()
     registry.inc("receiver.frames")
     registry.inc("lte.drops", 5)
     grouped = registry.counters_by_subsystem()
@@ -138,46 +140,47 @@ def test_catalogue_names_filters_by_kind():
     gauges = catalogue_names(["gauge"])
     assert "fleet.workers" in gauges
     assert "receiver.frames" not in gauges
+    spans = catalogue_names(["span"])
+    assert "session.run" in spans and "session.runs" not in spans
     assert catalogue_names() == tuple(METRIC_CATALOGUE)
 
 
 # ----------------------------------------------------------------------
-# Span profiler
+# Spans
 # ----------------------------------------------------------------------
 
 
+def _record(meter, name, elapsed_s):
+    """Fold an exact span sample (``span_end`` reads the wall clock)."""
+    meter.spans.setdefault(name, SpanStats()).record(elapsed_s)
+
+
 def test_span_profiler_accumulates_and_validates():
-    spans = SpanProfiler()
-    spans.record("sender.encode", 0.002)
-    spans.record("sender.encode", 0.004)
-    stats = spans.stats["sender.encode"]
+    meter = SessionMeter()
+    _record(meter, "sender.encode", 0.002)
+    _record(meter, "sender.encode", 0.004)
+    stats = meter.spans["sender.encode"]
     assert stats.count == 2
     assert stats.total_s == pytest.approx(0.006)
     assert stats.mean_s == pytest.approx(0.003)
     assert stats.min_s == pytest.approx(0.002)
     assert stats.max_s == pytest.approx(0.004)
+    meter.span_end("sender.encode", meter.span_start())
+    assert stats.count == 3
     with pytest.raises(KeyError):
-        spans.record("no.such.span", 0.1)
-
-
-def test_span_context_manager_records():
-    spans = SpanProfiler()
-    with spans.span("session.run"):
-        pass
-    assert spans.stats["session.run"].count == 1
-    assert spans.stats["session.run"].total_s >= 0.0
+        meter.span_end("no.such.span", meter.span_start())
 
 
 def test_span_merge_folds_extrema():
-    a, b = SpanProfiler(), SpanProfiler()
-    a.record("lte.subframe", 0.001)
-    b.record("lte.subframe", 0.010)
-    b.record("rate_control.tick", 0.002)
+    a, b = SessionMeter(), SessionMeter()
+    _record(a, "lte.subframe", 0.001)
+    _record(b, "lte.subframe", 0.010)
+    _record(b, "rate_control.tick", 0.002)
     a.merge(b)
-    assert a.stats["lte.subframe"].count == 2
-    assert a.stats["lte.subframe"].max_s == pytest.approx(0.010)
-    assert a.stats["lte.subframe"].min_s == pytest.approx(0.001)
-    assert set(a.as_dict()) == {"lte.subframe", "rate_control.tick"}
+    assert a.spans["lte.subframe"].count == 2
+    assert a.spans["lte.subframe"].max_s == pytest.approx(0.010)
+    assert a.spans["lte.subframe"].min_s == pytest.approx(0.001)
+    assert set(a.as_dict()["spans"]) == {"lte.subframe", "rate_control.tick"}
 
 
 # ----------------------------------------------------------------------
@@ -192,10 +195,7 @@ def test_null_meter_is_falsy_noop():
     NULL_METER.observe("anything", 1.0)
     NULL_METER.set_gauge("anything", 1.0)
     NULL_METER.span_end("anything", NULL_METER.span_start())
-    with NULL_METER.span("anything"):
-        pass
-    assert NULL_METER.metrics.counters == {}
-    assert NULL_METER.spans.stats == {}
+    assert vars(NULL_METER) == {}  # holds no state at all
 
 
 def test_coerce_meter():
@@ -211,7 +211,7 @@ def test_session_meter_as_dict_is_json_safe():
     meter = SessionMeter()
     meter.inc("receiver.frames")
     meter.observe("receiver.delay_s", 0.2)
-    meter.spans.record("session.run", 1.5)
+    _record(meter, "session.run", 1.5)
     payload = meter.as_dict()
     json.dumps(payload)  # must not raise
     assert payload["counters"]["receiver.frames"] == 1
@@ -224,36 +224,36 @@ def test_session_meter_as_dict_is_json_safe():
 
 
 def test_metered_session_counts_match_log(metered_result):
-    counters = metered_result.meter.metrics.counters
+    counters = metered_result.meter.counters
     log = metered_result.log
     assert counters["sender.frames"] == log.frames_sent
     assert counters["receiver.frames"] == log.frames_displayed
     assert counters["session.runs"] == 1
     assert counters["lte.subframes"] > 1000
-    delay_hist = metered_result.meter.metrics.histogram("receiver.delay_s")
+    delay_hist = metered_result.meter.histogram("receiver.delay_s")
     assert delay_hist.count == log.frames_displayed
     assert delay_hist.sum == pytest.approx(sum(log.frame_delays))
 
 
 def test_metered_session_records_every_span(metered_result):
-    recorded = set(metered_result.meter.spans.stats)
+    recorded = set(metered_result.meter.spans)
     # fleet.* spans only fire in shared-cell runs (tests/test_fleet.py);
     # batch.* spans only in batched-engine runs (tests/test_batch*.py).
     solo_spans = {
         name
-        for name in SPAN_NAMES
+        for name in catalogue_names(["span"])
         if not name.startswith(("fleet.", "batch."))
     }
     assert recorded == solo_spans
-    assert metered_result.meter.spans.stats["session.run"].count == 1
+    assert metered_result.meter.spans["session.run"].count == 1
 
 
 def test_metered_result_pickles(metered_result):
     clone = pickle.loads(pickle.dumps(metered_result))
-    assert clone.meter.metrics.counters == metered_result.meter.metrics.counters
+    assert clone.meter.counters == metered_result.meter.counters
     assert (
-        clone.meter.spans.stats["session.run"].count
-        == metered_result.meter.spans.stats["session.run"].count
+        clone.meter.spans["session.run"].count
+        == metered_result.meter.spans["session.run"].count
     )
 
 
@@ -285,17 +285,17 @@ def test_fleet_merge_parallel_equals_serial():
     fleet_parallel = merged_meter(parallel, workers=2)
     # Metric values are pure functions of the simulation, so the merged
     # registries agree exactly; only span wall-clock differs.
-    assert fleet_serial.metrics.counters.keys() == fleet_parallel.metrics.counters.keys()
-    for name, value in fleet_serial.metrics.counters.items():
-        assert fleet_parallel.metrics.counters[name] == value, name
-    for name, hist in fleet_serial.metrics.histograms().items():
-        other = fleet_parallel.metrics.histogram(name)
+    assert fleet_serial.counters.keys() == fleet_parallel.counters.keys()
+    for name, value in fleet_serial.counters.items():
+        assert fleet_parallel.counters[name] == value, name
+    for name, hist in fleet_serial.histograms.items():
+        other = fleet_parallel.histogram(name)
         assert other.counts == hist.counts, name
         assert other.sum == pytest.approx(hist.sum), name
-    assert fleet_serial.metrics.counters["fleet.sessions"] == 2
-    assert fleet_parallel.metrics.gauges["fleet.workers"] == 2
-    assert fleet_parallel.metrics.gauges["fleet.straggler_index"] in (0, 1)
-    assert fleet_parallel.metrics.gauges["fleet.straggler_s"] > 0.0
+    assert fleet_serial.counters["fleet.sessions"] == 2
+    assert fleet_parallel.gauges["fleet.workers"] == 2
+    assert fleet_parallel.gauges["fleet.straggler_index"] in (0, 1)
+    assert fleet_parallel.gauges["fleet.straggler_s"] > 0.0
 
 
 def test_progress_callback_runs_in_task_order():
@@ -306,8 +306,8 @@ def test_progress_callback_runs_in_task_order():
 
 def test_merged_meter_folds_cache_counters():
     fleet = merged_meter([], workers=1, cache_counters={"entry_hits": 3, "entry_misses": 0})
-    assert fleet.metrics.counters["cache.entry_hits"] == 3
-    assert "cache.entry_misses" not in fleet.metrics.counters  # zeros elided
+    assert fleet.counters["cache.entry_hits"] == 3
+    assert "cache.entry_misses" not in fleet.counters  # zeros elided
 
 
 # ----------------------------------------------------------------------

@@ -232,6 +232,32 @@ def test_execute_job_cancel_mid_sweep():
     assert seen and seen[-1][0] < 3
 
 
+def _cancelled_at(spec):
+    """Run ``spec`` at ``--jobs 1`` with a probe that is always True;
+    return the ``(done, total)`` the JobCancelled message reports."""
+    with pytest.raises(JobCancelled) as raised:
+        execute_job(spec, jobs=1, cancel=lambda: True)
+    done, total = str(raised.value).rsplit(" ", 1)[-1].split("/")
+    return int(done), int(total)
+
+
+def test_jobs1_batched_metrics_job_cancels_inside_its_cohort():
+    """One serial cohort is one task; the probe still fires mid-run."""
+    spec = {"kind": "metrics", "batch": True, "sessions": 40, "duration": 6.0,
+            "warmup": 1.0}
+    done, total = _cancelled_at(spec)
+    # Stopped at the first progress stride (in ticks), not after the
+    # whole sweep (40/40).
+    assert done < total
+
+
+def test_jobs1_batched_fleet_job_cancels_inside_its_block():
+    spec = {"kind": "fleet", "batch": True, "calls": [2, 4], "duration": 6.0,
+            "warmup": 1.0}
+    done, total = _cancelled_at(spec)
+    assert done < total
+
+
 def test_execute_perf_cancel_before_first_leg():
     with pytest.raises(JobCancelled):
         execute_job({"kind": "perf", "duration": 1.0}, cancel=lambda: True)
@@ -298,8 +324,8 @@ def test_duplicate_submission_dedups_by_key(tmp_path, fake):
         other = registry.submit({"kind": "perf", "duration": 1.0})
         assert other is not first
         meter = registry.service_meter()
-        assert meter.metrics.counters["service.jobs_deduped"] == 1
-        assert meter.metrics.counters["service.jobs_submitted"] == 2
+        assert meter.counters["service.jobs_deduped"] == 1
+        assert meter.counters["service.jobs_submitted"] == 2
         fake.release()
         assert registry.wait(first.id, timeout=10.0).state == "done"
         assert registry.wait(other.id, timeout=10.0).state == "done"
@@ -319,7 +345,7 @@ def test_cancel_running_job_seals_a_cancelled_ledger(tmp_path, fake):
         assert registry.wait(job.id, timeout=10.0).state == "cancelled"
         assert read_manifest(job.run_dir)["status"] == "cancelled"
         meter = registry.service_meter()
-        assert meter.metrics.counters["service.jobs_cancelled"] == 1
+        assert meter.counters["service.jobs_cancelled"] == 1
     finally:
         fake.release()
         registry.close()
@@ -356,7 +382,7 @@ def test_failed_job_seals_an_error_ledger(tmp_path, monkeypatch):
         assert registry.wait(job.id, timeout=10.0).state == "failed"
         assert "engine exploded" in job.error
         assert read_manifest(job.run_dir)["status"] == "error"
-        assert registry.service_meter().metrics.counters[
+        assert registry.service_meter().counters[
             "service.jobs_failed"
         ] == 1
     finally:
@@ -376,7 +402,7 @@ def test_cache_hit_replays_without_running(tmp_path, monkeypatch):
         assert again.result == first.result
         assert len(executor.calls) == 1  # nothing re-ran
         meter = registry.service_meter()
-        assert meter.metrics.counters["service.jobs_cache_hits"] == 1
+        assert meter.counters["service.jobs_cache_hits"] == 1
     finally:
         registry.close()
 
@@ -466,9 +492,9 @@ def test_metrics_scrape_passes_the_catalogue_gate(served):
     spec.loader.exec_module(module)
     assert module.check(text) == []
     meter = client.metrics()
-    assert meter.metrics.counters["service.jobs_completed"] == 1
-    assert meter.metrics.counters["service.requests"] >= 1
-    assert "service.uptime_s" in meter.metrics.gauges
+    assert meter.counters["service.jobs_completed"] == 1
+    assert meter.counters["service.requests"] >= 1
+    assert "service.uptime_s" in meter.gauges
 
 
 def test_concurrent_submitters_account_for_every_request(served):
@@ -492,7 +518,7 @@ def test_concurrent_submitters_account_for_every_request(served):
     assert not errors
     for job in registry.list():
         assert registry.wait(job.id, timeout=10.0).state == "done"
-    counters = registry.service_meter().metrics.counters
+    counters = registry.service_meter().counters
     # Every one of the 24 submissions is accounted for exactly once:
     # it either created a job record or attached to an active one.
     assert (
@@ -551,7 +577,7 @@ def test_restart_recovery_and_cache_replay(tmp_path):
         assert replay.state == "done" and replay.cache_hit
         assert replay.result == original
         # The sealed run's registry folds into the /metrics view.
-        counters = recovered.service_registry().metrics.counters
+        counters = recovered.service_registry().counters
         assert counters.get("fleet.sessions", 0) > 0
         assert counters["service.jobs_cache_hits"] == 1
     finally:
@@ -573,7 +599,7 @@ def test_registry_gc_prunes_only_sealed_runs(tmp_path, monkeypatch):
         ).exists()
         removed = registry.gc(keep_days=0.0)
         assert removed == [job.run_dir]
-        counters = registry.service_meter().metrics.counters
+        counters = registry.service_meter().counters
         assert counters["service.runs_gc_removed"] == 1
     finally:
         registry.close()

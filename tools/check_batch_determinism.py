@@ -100,7 +100,7 @@ def sweep_document(configs: list, jobs: int):
         for result in results
     ]
     document = {"registry": deterministic_registry_dict(fleet), "sessions": sessions}
-    cohorts = int(fleet.metrics.gauges["batch.cohorts"])
+    cohorts = int(fleet.gauges["batch.cohorts"])
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode(), cohorts
 
 

@@ -4,9 +4,9 @@
 A small OpenMetrics text-format parser plus a catalogue-drift gate, in
 the same spirit as ``tools/check_doc_links.py``: CI runs a tiny metered
 sweep, exports OpenMetrics, and this script fails the build when the
-export stops parsing or drifts from ``repro.obs``'s METRIC_CATALOGUE /
-SPAN_CATALOGUE (renamed metric, changed kind, broken histogram
-invariants, missing ``# EOF``).
+export stops parsing or drifts from ``repro.obs``'s METRIC_CATALOGUE
+(renamed metric, changed kind, broken histogram invariants, missing
+``# EOF``).
 
 Checks:
 
@@ -37,7 +37,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.metrics.export import openmetrics_family  # noqa: E402
 from repro.obs.metrics import METRIC_CATALOGUE  # noqa: E402
-from repro.obs.spans import SPAN_CATALOGUE  # noqa: E402
 
 TYPE_RE = re.compile(r"^# TYPE (?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<type>\w+)$")
 HELP_RE = re.compile(r"^# HELP (?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*) .*$")
@@ -55,9 +54,10 @@ def expected_families():
     """Family name → (kind, catalogue name) for every catalogue entry."""
     table = {}
     for name, spec in METRIC_CATALOGUE.items():
-        table[openmetrics_family(name, spec.unit)] = (spec.kind, name)
-    for name in SPAN_CATALOGUE:
-        table[openmetrics_family("span." + name) + "_seconds"] = ("summary", name)
+        if spec.kind == "span":
+            table[openmetrics_family("span." + name) + "_seconds"] = ("summary", name)
+        else:
+            table[openmetrics_family(name, spec.unit)] = (spec.kind, name)
     return table
 
 
@@ -94,7 +94,7 @@ def check(text):
             if family not in known:
                 problems.append(
                     f"line {number}: family {family} not derived from "
-                    f"METRIC_CATALOGUE/SPAN_CATALOGUE (catalogue drift?)"
+                    f"METRIC_CATALOGUE (catalogue drift?)"
                 )
             elif known[family][0] != kind:
                 problems.append(
