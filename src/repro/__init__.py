@@ -38,8 +38,6 @@ from repro.metrics.summary import SessionLog, SessionSummary
 from repro.obs import (
     EVENT_CATALOGUE,
     METRIC_CATALOGUE,
-    NULL_BUS,
-    NULL_METER,
     SessionMeter,
     TraceBus,
     TraceEvent,
@@ -72,8 +70,6 @@ __all__ = [
     "SessionResult",
     "EVENT_CATALOGUE",
     "METRIC_CATALOGUE",
-    "NULL_BUS",
-    "NULL_METER",
     "SessionMeter",
     "TraceBus",
     "TraceEvent",

@@ -32,14 +32,9 @@ def make_scheme(name, config, grid, viewer, trace=None, meter=None):
     (``mode_switch`` / ``mode.mismatch`` events,
     ``compression.*`` metrics).
     """
-    from repro.obs.bus import NULL_BUS
-    from repro.obs.meter import NULL_METER
-
     name = name.lower()
     if name == "poi360":
-        return AdaptiveCompression(
-            config, grid, trace=trace or NULL_BUS, meter=meter or NULL_METER
-        )
+        return AdaptiveCompression(config, grid, trace=trace, meter=meter)
     if name == "conduit":
         return ConduitCompression(config, grid, viewer)
     if name == "pyramid":

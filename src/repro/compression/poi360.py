@@ -28,8 +28,6 @@ import numpy as np
 from repro.compression.base import CompressionScheme
 from repro.compression.modes import Mode, ModeFamily
 from repro.config import CompressionConfig
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.video.frame import TileGrid
 
 
@@ -47,7 +45,7 @@ class AdaptiveCompression(CompressionScheme):
     RATE_FIT_MARGIN = 0.85
 
     def __init__(
-        self, config: CompressionConfig, grid: TileGrid, trace=NULL_BUS, meter=NULL_METER
+        self, config: CompressionConfig, grid: TileGrid, trace=None, meter=None
     ):
         self._config = config
         self._grid = grid
@@ -78,7 +76,7 @@ class AdaptiveCompression(CompressionScheme):
         effective = self._effective_index()
         if effective != self._last_effective:
             self.mode_switches += 1
-            if self._trace:
+            if self._trace is not None:
                 self._trace.emit(
                     "mode_switch",
                     from_index=self._last_effective,
@@ -86,7 +84,7 @@ class AdaptiveCompression(CompressionScheme):
                     desired_index=self._desired_index,
                     cap_index=self._cap_index,
                 )
-            if self._meter:
+            if self._meter is not None:
                 self._meter.inc("compression.mode_switches")
             self._last_effective = effective
 
@@ -106,9 +104,9 @@ class AdaptiveCompression(CompressionScheme):
                 current, self._family.mode_for_mismatch(mismatch_s + margin).index
             )
         self._desired_index = target
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit("mode.mismatch", m_s=mismatch_s, desired_index=target)
-        if self._meter:
+        if self._meter is not None:
             self._meter.observe("compression.desired_index", target)
         self._note_switch()
 

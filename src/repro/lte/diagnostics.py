@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional
 
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 
 
 class DiagRecord(NamedTuple):
@@ -42,7 +40,7 @@ IdleFiller = Callable[[float], None]
 class DiagMonitor:
     """Collects per-subframe records and delivers them in 40 ms batches."""
 
-    def __init__(self, sim, interval: float, trace=NULL_BUS, meter=NULL_METER):
+    def __init__(self, sim, interval: float, trace=None, meter=None):
         self._sim = sim
         self._pending: List[DiagRecord] = []
         self._listeners: List[DiagListener] = []
@@ -75,14 +73,14 @@ class DiagMonitor:
         if not self._pending:
             return
         batch, self._pending = self._pending, []
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit(
                 "diag.batch",
                 n=len(batch),
                 mean_level=sum(r.buffer_bytes for r in batch) / len(batch),
                 tbs_bytes=sum(r.tbs_bytes for r in batch),
             )
-        if self._meter:
+        if self._meter is not None:
             self._meter.inc("lte.diag_batches")
         for listener in self._listeners:
             listener(batch)

@@ -36,8 +36,6 @@ from repro.lte.diagnostics import DiagMonitor
 from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.lte.scheduler import EnbScheduler
 from repro.net.packet import Packet
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.sim.blocks import CallDraws
 from repro.sim.engine import Simulation
 from repro.units import LTE_SUBFRAME
@@ -55,8 +53,8 @@ class UeUplink:
         config: LteConfig,
         rng: np.random.Generator,
         sink: Optional[PacketSink] = None,
-        trace=NULL_BUS,
-        meter=NULL_METER,
+        trace=None,
+        meter=None,
     ):
         self._sim = sim
         self._config = config
@@ -105,20 +103,20 @@ class UeUplink:
     def _channel_update(self) -> None:
         channel = self.channel
         channel.update(self._sim._now)
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit("lte.cqi", cqi=channel.cqi_value, rss_dbm=channel.rss_dbm)
-        if self._meter:
+        if self._meter is not None:
             self._meter.observe("lte.cqi", channel.cqi_value)
 
     def send(self, packet: Packet) -> bool:
         """Enqueue a paced RTP packet into the firmware buffer."""
         accepted = self.buffer.push(packet)
         if not accepted:
-            if self._trace:
+            if self._trace is not None:
                 self._trace.emit(
                     "lte.drop", size_bytes=packet.size_bytes, level=self.buffer.level
                 )
-            if self._meter:
+            if self._meter is not None:
                 self._meter.inc("lte.drops")
         if self._tick.paused:
             self._fill_idle(self._sim.now)
@@ -141,8 +139,6 @@ class UeUplink:
         return self.buffer.level
 
     def _subframe(self) -> bool:
-        meter = self._meter
-        t0 = meter.span_start() if meter else 0.0
         buffer = self.buffer
         ring = self._bsr_ring
         reported = ring[0]
@@ -168,11 +164,10 @@ class UeUplink:
                         schedule(latency, sink, packet)
                 level = buffer.level
         self._record(level, tbs)
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit("fw_buffer", level=level, tbs=tbs)
-        if meter:
-            meter.inc("lte.subframes")
-            meter.span_end("lte.subframe", t0)
+        if self._meter is not None:
+            self._meter.inc("lte.subframes")
         # Keep ticking while any in-flight BSR slot or the buffer itself
         # is non-zero; otherwise pause until the next send() wakes us.
         return bool(level) or any(ring)

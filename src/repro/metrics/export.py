@@ -261,7 +261,10 @@ def meter_from_dict(payload: dict):
 
     Inverse of :func:`metrics_to_dict`, used to reload a run ledger's
     final ``registry.json`` artifact (``repro360 metrics --from-run``).
-    Counter/gauge/histogram state round-trips exactly; span statistics
+    Counter/gauge/histogram state round-trips exactly — counter and
+    gauge values keep their JSON type (``merged_meter`` writes the
+    ``fleet.workers`` gauge as an int), so re-exporting a reloaded
+    registry reproduces the file byte for byte; span statistics
     round-trip their accumulators (count, total, min, max).
     """
     from repro.obs.meter import SessionMeter, SpanStats
@@ -271,12 +274,8 @@ def meter_from_dict(payload: dict):
     if version != EXPORT_VERSION:
         raise ValueError(f"unsupported export version: {version!r}")
     meter = SessionMeter()
-    meter.counters.update(
-        {name: float(value) for name, value in payload.get("counters", {}).items()}
-    )
-    meter.gauges.update(
-        {name: float(value) for name, value in payload.get("gauges", {}).items()}
-    )
+    meter.counters.update(payload.get("counters", {}))
+    meter.gauges.update(payload.get("gauges", {}))
     for name, data in payload.get("histograms", {}).items():
         hist = Histogram(tuple(data["buckets"]))
         hist.counts = [int(count) for count in data["counts"]]

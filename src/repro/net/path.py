@@ -18,8 +18,6 @@ from repro.lte.downlink import EnbDownlink
 from repro.lte.ue import UeUplink
 from repro.net.link import RateLimitedLink, StochasticLink
 from repro.net.packet import Packet
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.sim.engine import Simulation
 
 PacketSink = Callable[[Packet], None]
@@ -38,8 +36,8 @@ class ForwardPath:
         path_config: PathConfig,
         lte_config: LteConfig,
         rng: np.random.Generator,
-        trace=NULL_BUS,
-        meter=NULL_METER,
+        trace=None,
+        meter=None,
     ):
         self._sim = sim
         self.config = path_config

@@ -1,7 +1,7 @@
 """Structured session observability: traces, the meter, run ledgers.
 
-Two catalogue-driven layers share one design (typed spec tuples, falsy
-null objects, single-truthiness-check hot paths):
+Two catalogue-driven layers share one design (typed spec tuples, off
+is ``None``, hot paths guarded by one ``is not None`` test):
 
 * **traces** — :class:`TraceBus` + ``EVENT_CATALOGUE`` (per-event log),
 * **the meter** — :class:`SessionMeter` + ``METRIC_CATALOGUE``
@@ -18,7 +18,7 @@ worked examples, and ``docs/ARCHITECTURE.md`` for where each subsystem
 emits.
 """
 
-from repro.obs.bus import DEFAULT_CAPACITY, NULL_BUS, NullTraceBus, TraceBus, TraceEvent
+from repro.obs.bus import DEFAULT_CAPACITY, TraceBus, TraceEvent
 from repro.obs.events import EVENT_CATALOGUE, EVENT_NAMES, EventSpec, subsystem_of
 from repro.obs.ledger import (
     DEFAULT_RUN_ROOT,
@@ -34,7 +34,7 @@ from repro.obs.ledger import (
     resolve_run_root,
     snapshot_paths,
 )
-from repro.obs.meter import NULL_METER, NullMeter, SessionMeter, SpanStats, coerce_meter
+from repro.obs.meter import SessionMeter, SpanStats
 from repro.obs.metrics import (
     METRIC_CATALOGUE,
     METRIC_KINDS,
@@ -46,8 +46,6 @@ from repro.obs.metrics import (
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "NULL_BUS",
-    "NullTraceBus",
     "TraceBus",
     "TraceEvent",
     "EVENT_CATALOGUE",
@@ -61,10 +59,7 @@ __all__ = [
     "MetricSpec",
     "catalogue_names",
     "SpanStats",
-    "NULL_METER",
-    "NullMeter",
     "SessionMeter",
-    "coerce_meter",
     "DEFAULT_RUN_ROOT",
     "HEARTBEAT_KINDS",
     "LEDGER_VERSION",

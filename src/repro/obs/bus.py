@@ -6,12 +6,12 @@ reference and emit with keyword fields::
 
     bus.emit("fw_buffer", level=4096.0, tbs=1200.0)
 
-Tracing is **per session** and off by default.  The disabled path is the
-module-level :data:`NULL_BUS` singleton, which is *falsy*, so hot call
-sites (the LTE subframe loop runs at 1 kHz) guard with a single
-truthiness check and pay nothing else::
+Tracing is **per session** and off by default.  Off is ``None``: a
+component built without a bus holds ``trace=None``, so hot call sites
+(the LTE subframe loop runs at 1 kHz) guard with one identity test and
+make no call at all::
 
-    if self._trace:
+    if self._trace is not None:
         self._trace.emit("fw_buffer", level=level, tbs=tbs)
 
 Emitting never touches an RNG stream and never schedules simulation
@@ -23,8 +23,8 @@ summaries with tracing on and off.
 >>> bus.emit("mode_switch", to_index=3)
 >>> bus.events[0].name, bus.events[0].fields["to_index"]
 ('mode_switch', 3)
->>> bool(NULL_BUS), bool(bus)
-(False, True)
+>>> len(bus)
+1
 """
 
 from __future__ import annotations
@@ -48,38 +48,6 @@ class TraceEvent(NamedTuple):
     fields: Dict[str, Any]
 
 
-class NullTraceBus:
-    """Tracing disabled: falsy, emit is a no-op, nothing is stored."""
-
-    enabled = False
-    dropped = 0
-    #: Shared empty views so disabled sessions still satisfy readers.
-    counters: Dict[str, int] = {}
-
-    def __bool__(self) -> bool:
-        return False
-
-    def emit(self, name: str, **fields: Any) -> None:
-        """Discard the event."""
-
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        return ()
-
-    def select(self, names=None, since=None, until=None):
-        return iter(())
-
-    def series(self, name: str, field: str) -> Tuple[List[float], List[Any]]:
-        return ([], [])
-
-    def counters_by_subsystem(self) -> Dict[str, Dict[str, int]]:
-        return {}
-
-
-#: The shared disabled bus — every component's default collaborator.
-NULL_BUS = NullTraceBus()
-
-
 class TraceBus:
     """Ring-buffered event sink with per-name counters.
 
@@ -87,9 +55,10 @@ class TraceBus:
     simulated time (the session passes the engine's clock).  The ring
     holds the most recent ``capacity`` events; :attr:`counters` and
     :attr:`dropped` keep exact totals even after eviction.
-    """
 
-    enabled = True
+    The bus defines ``__len__`` (retained events), so an empty bus is
+    falsy: test a bus reference with ``is not None``, never truthiness.
+    """
 
     def __init__(
         self,
@@ -104,9 +73,6 @@ class TraceBus:
         self.counters: Dict[str, int] = {}
         #: Events evicted from the ring so far.
         self.dropped = 0
-
-    def __bool__(self) -> bool:
-        return True
 
     def __len__(self) -> int:
         return len(self._ring)

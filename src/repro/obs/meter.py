@@ -7,21 +7,20 @@ and wall-clock span statistics, every name checked against the one
 keeps docs, exporters and the ``tools/check_metrics.py`` drift gate
 honest.
 
-Components hold a single ``meter`` collaborator, and the disabled path
-is the falsy :data:`NULL_METER` singleton — exactly the ``NULL_BUS``
-pattern, so hot call sites guard with one truthiness check and pay
-nothing else when metering is off::
+Components hold a single ``meter`` collaborator, and off is ``None`` —
+the same convention as the trace bus — so hot call sites guard with one
+identity test and make no call when metering is off::
 
-    if self._meter:
+    if self._meter is not None:
         self._meter.inc("receiver.frames")
 
 Span-timed methods bracket their body with a begin/end pair (one
-truthiness check at each end)::
+identity test at each end)::
 
     meter = self._meter
-    t0 = meter.span_start() if meter else 0.0
+    t0 = meter.span_start() if meter is not None else 0.0
     ...  # stage body
-    if meter:
+    if meter is not None:
         meter.span_end("receiver.display", t0)
 
 Determinism contract: a meter only ever *reads* component state and
@@ -50,14 +49,12 @@ from a parallel sweep merge into one fleet meter with exact totals
 >>> meter.span_end("session.run", meter.span_start())
 >>> meter.spans["session.run"].count
 1
->>> bool(NULL_METER), bool(meter)
-(False, True)
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.obs.metrics import METRIC_CATALOGUE, Histogram, MetricSpec, catalogue_names
 
@@ -116,32 +113,6 @@ class SpanStats:
             "min_s": self.min_s if self.count else 0.0,
             "max_s": self.max_s,
         }
-
-
-class NullMeter:
-    """Metering disabled: falsy, every call is a no-op."""
-
-    def __bool__(self) -> bool:
-        return False
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Discard the increment."""
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Discard the gauge write."""
-
-    def observe(self, name: str, value: float) -> None:
-        """Discard the observation."""
-
-    def span_start(self) -> float:
-        return 0.0
-
-    def span_end(self, name: str, t0: float) -> None:
-        """Discard the span sample."""
-
-
-#: The shared disabled meter — every component's default collaborator.
-NULL_METER = NullMeter()
 
 
 class SessionMeter:
@@ -229,16 +200,3 @@ class SessionMeter:
             },
             "spans": {name: self.spans[name].as_dict() for name in spans},
         }
-
-
-def coerce_meter(meter: Union[bool, None, NullMeter, SessionMeter]):
-    """Normalise a user-facing ``meter`` argument.
-
-    ``False``/``None`` → :data:`NULL_METER`, ``True`` → a fresh
-    :class:`SessionMeter`, an existing meter passes through.
-    """
-    if meter is True:
-        return SessionMeter()
-    if not meter:
-        return NULL_METER
-    return meter

@@ -333,11 +333,6 @@ _SPECS = (
         "Compress + encode + packetise one captured frame.",
     ),
     MetricSpec(
-        "lte.subframe", "span", "lte", "s",
-        "repro.lte.ue.UeUplink._subframe",
-        "One active 1 ms uplink subframe (grant, drain, diag record).",
-    ),
-    MetricSpec(
         "rate_control.tick", "span", "rate_control", "s",
         "repro.rate_control.fbcc.controller.FbccTransport.on_diag / "
         "repro.rate_control.gcc.controller.GccSenderControl.on_feedback",

@@ -18,8 +18,6 @@ from repro.rate_control.fbcc.detector import CongestionDetector
 from repro.rate_control.fbcc.encoding import EncodingRateControl
 from repro.rate_control.fbcc.rtp import RtpRateControl
 from repro.rate_control.gcc.controller import GccSenderControl
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.sim.engine import Simulation
 
 
@@ -34,8 +32,8 @@ class FbccTransport(TransportController):
         fbcc_config: FbccConfig,
         gcc_config: GccConfig,
         diag_interval: float,
-        trace=NULL_BUS,
-        meter=NULL_METER,
+        trace=None,
+        meter=None,
     ):
         self._sim = sim
         self._config = fbcc_config
@@ -70,12 +68,12 @@ class FbccTransport(TransportController):
     def on_diag(self, batch: List[DiagRecord]) -> None:
         """Consume one 40 ms diagnostic batch from the modem."""
         meter = self._meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         self.bandwidth.on_batch(batch)
         congested = self.detector.on_batch(batch)
         if congested:
             self.encoding.on_congestion(self.bandwidth.rate_bps, self._sim.now)
-            if self._trace:
+            if self._trace is not None:
                 self._trace.emit(
                     "fbcc.congestion",
                     phy_rate_bps=self.bandwidth.rate_bps,
@@ -83,7 +81,7 @@ class FbccTransport(TransportController):
                     gamma_bytes=self.detector.gamma,
                 )
         self.rtp.on_batch(batch, self.bandwidth.rate_bps)
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit(
                 "fbcc.rate",
                 video_rate_bps=self.video_rate,
@@ -91,7 +89,7 @@ class FbccTransport(TransportController):
                 bw_est_bps=self.bandwidth.rate_bps,
                 target_buffer_bytes=self.rtp.target_buffer,
             )
-        if meter:
+        if meter is not None:
             meter.inc("fbcc.ticks")
             if congested:
                 meter.inc("fbcc.congestion_events")

@@ -15,8 +15,6 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.config import GccConfig
 from repro.net.packet import Packet
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.rate_control.base import RttEstimator, TransportController
 from repro.rate_control.gcc.aimd import AimdRateControl
 from repro.rate_control.gcc.arrival import InterGroupFilter, TrendlineEstimator
@@ -130,7 +128,7 @@ class GccReceiver:
 class GccSenderControl:
     """Sender-side GCC: loss-based rate ∧ delay-based REMB, plus RTT."""
 
-    def __init__(self, config: GccConfig, trace=NULL_BUS, meter=NULL_METER):
+    def __init__(self, config: GccConfig, trace=None, meter=None):
         self._config = config
         self._loss_based = LossBasedControl(config)
         self._remb: Optional[float] = None
@@ -140,7 +138,7 @@ class GccSenderControl:
 
     def on_feedback(self, message: Dict[str, Any], now: float) -> None:
         meter = self._meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         if "echo_send" in message:
             self.rtt.on_echo(message["echo_send"], message.get("echo_hold", 0.0), now)
         kind = message.get("type")
@@ -149,9 +147,9 @@ class GccSenderControl:
         elif kind == "rr":
             self._loss_based.on_receiver_report(message["loss"])
         if kind in ("remb", "rr"):
-            if self._trace:
+            if self._trace is not None:
                 self._trace.emit("gcc.rate", rate_bps=self.rate, kind=kind)
-            if meter:
+            if meter is not None:
                 meter.inc("gcc.updates")
                 meter.span_end("rate_control.tick", t0)
 
@@ -169,7 +167,7 @@ class GccTransport(TransportController):
 
     name = "gcc"
 
-    def __init__(self, config: GccConfig, trace=NULL_BUS, meter=NULL_METER):
+    def __init__(self, config: GccConfig, trace=None, meter=None):
         self._config = config
         self.sender = GccSenderControl(config, trace=trace, meter=meter)
 

@@ -52,7 +52,7 @@ import numpy as np
 from repro.config import SessionConfig
 from repro.lte.ue import UeUplinkArray
 from repro.metrics.summary import SessionLog, SessionSummary
-from repro.obs.meter import coerce_meter
+from repro.obs.meter import SessionMeter
 from repro.rate_control.fbcc.batch import (
     DetectorArray,
     EncodingHoldArray,
@@ -441,9 +441,11 @@ class BatchedSimulation:
     ) -> List[SessionResult]:
         """Run the cohort and return one :class:`SessionResult` each.
 
-        ``meter`` (same coercion as ``run_session``) receives the
-        cohort-level batch counters and the :data:`_RUN_SPAN` wall-clock
-        span.  ``progress`` is an optional live callback invoked as
+        ``meter`` (False/None off, True a fresh meter, or a
+        :class:`~repro.obs.SessionMeter` to fill, as in ``run_session``)
+        receives the cohort-level batch counters and the
+        :data:`_RUN_SPAN` wall-clock span.  ``progress`` is an optional
+        live callback invoked as
         ``progress(tick, total_ticks, n_sessions)`` every
         ``progress_every`` grid ticks plus once at the final tick (see
         :func:`repro.obs.ledger.cohort_heartbeat_callback`).  Both only
@@ -457,9 +459,12 @@ class BatchedSimulation:
             duration = durations.pop()
         if not _ms_aligned(duration) or not _ms_aligned(warmup):
             raise ValueError("duration and warmup must be on the 1 ms grid")
-        meter = coerce_meter(meter)
-        self._metering = bool(meter)
-        t0 = meter.span_start() if meter else 0.0
+        if meter is True:
+            meter = SessionMeter()
+        elif meter is False:
+            meter = None
+        self._metering = meter is not None
+        t0 = meter.span_start() if meter is not None else 0.0
         warm_ticks = _ticks(warmup)
         total_ticks = self._total_ticks = warm_ticks + _ticks(duration)
         # The stage is emptied at the end of warm-up (bar the packets in
@@ -478,7 +483,7 @@ class BatchedSimulation:
         else:
             for k in range(1, total_ticks + 1):
                 self._tick(k, warm_ticks)
-        if meter:
+        if meter is not None:
             self._record_meter(meter, total_ticks, t0)
         fw_drops = self._ue.buffer.dropped_packets - self._baseline_fw_drops
         pacer_drops = self._pacer.dropped_frames - self._baseline_pacer_drops

@@ -25,8 +25,6 @@ import itertools
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 
 #: Compact the heap only when at least this many cancelled entries are
 #: buried in it (avoids rebuilding tiny queues over and over).
@@ -156,15 +154,15 @@ class Simulation:
         self._running = False
         #: Queued entries whose handle is not cancelled (O(1) pending()).
         self._live = 0
-        #: Observability bus (``repro.obs``); the falsy NULL_BUS unless a
-        #: session enables tracing. Only ``run()`` boundaries emit — the
+        #: Observability bus (``repro.obs``); None unless a session
+        #: enables tracing. Only ``run()`` boundaries emit — the
         #: per-event dispatch loop stays untouched.
-        self.trace = NULL_BUS
-        #: Metrics meter (``repro.obs.meter``); the falsy NULL_METER
-        #: unless a session enables metering. ``run()`` selects a
-        #: counting dispatch loop only when the meter is live, so the
-        #: unmetered hot loop is byte-for-byte the historical one.
-        self.meter = NULL_METER
+        self.trace = None
+        #: Metrics meter (``repro.obs.meter``); None unless a session
+        #: enables metering. ``run()`` selects a counting dispatch loop
+        #: only when the meter is live, so the unmetered hot loop is
+        #: byte-for-byte the historical one.
+        self.meter = None
 
     @property
     def now(self) -> float:
@@ -290,7 +288,7 @@ class Simulation:
         beyond the deadline stay queued for a later ``run()``.
         """
         deadline = math.inf if duration is None else self._now + duration
-        if self.trace:
+        if self.trace is not None:
             self.trace.emit("sim.run_begin", deadline=deadline, pending=self._live)
         queue = self._queue
         pop = heapq.heappop
@@ -298,7 +296,7 @@ class Simulation:
         dispatched = 0
         self._running = True
         try:
-            if meter:
+            if meter is not None:
                 while queue:
                     entry = queue[0]
                     when = entry[0]
@@ -331,10 +329,10 @@ class Simulation:
             self._running = False
         if deadline is not math.inf:
             self._now = deadline
-        if meter:
+        if meter is not None:
             meter.inc("sim.runs")
             meter.inc("sim.events", dispatched)
-        if self.trace:
+        if self.trace is not None:
             self.trace.emit("sim.run_end", pending=self._live)
 
     def step(self) -> bool:
@@ -352,7 +350,7 @@ class Simulation:
                 continue
             self._live -= 1
             self._now = when
-            if self.meter:
+            if self.meter is not None:
                 self.meter.inc("sim.events")
             callback(*args)
             return True

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.config import FleetConfig, SessionConfig
 from repro.lte.shared_cell import SharedCell
 from repro.metrics.stats import jain_index
-from repro.obs.bus import NULL_BUS, TraceBus
-from repro.obs.meter import SessionMeter, coerce_meter
+from repro.obs.bus import TraceBus
+from repro.obs.meter import SessionMeter
 from repro.sim.engine import Simulation
 from repro.telephony.session import SessionResult, TelephonySession
 from repro.video.quality import mos_score
@@ -103,11 +103,14 @@ class CellSession:
         fleet = fleet if fleet is not None else FleetConfig(ues=len(configs))
         self.fleet = fleet
         self.sim = Simulation()
+        # ``trace`` and ``meter`` map as in TelephonySession: False/None
+        # is off (None from here on), True a fresh object, and an
+        # existing object passes through.
         if trace is True:
             trace = TraceBus()
-        elif not trace:
-            trace = NULL_BUS
-        if trace:
+        elif trace is False:
+            trace = None
+        if trace is not None:
             trace.bind_clock(lambda: self.sim._now)
         self.trace = trace
         self.sim.trace = trace
@@ -115,7 +118,10 @@ class CellSession:
         # counters and the ``fleet.*`` metrics; each member session gets
         # a private meter so per-UE totals stay separable (the CI smoke
         # asserts merged == cell + sum of members).
-        meter = coerce_meter(meter)
+        if meter is True:
+            meter = SessionMeter()
+        elif meter is False:
+            meter = None
         self.meter = meter
         self.sim.meter = meter
         self.cell = SharedCell(self.sim, fleet)
@@ -126,7 +132,7 @@ class CellSession:
                     config,
                     profile=profiles[index] if profiles is not None else None,
                     trace=trace,
-                    meter=SessionMeter() if meter else False,
+                    meter=SessionMeter() if meter is not None else None,
                     sim=self.sim,
                     cell=self.cell,
                 )
@@ -144,10 +150,12 @@ class CellSession:
             duration if duration is not None else self.sessions[0].config.duration
         )
         meter = self.meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         starts = []
         for session in self.sessions:
-            starts.append(session.meter.span_start() if session.meter else 0.0)
+            starts.append(
+                session.meter.span_start() if session.meter is not None else 0.0
+            )
             session._emit_start()
         if warmup > 0.0:
             self.sim.run(warmup)
@@ -167,7 +175,7 @@ class CellSession:
         member_mos = tuple(
             mos_score(result.summary.quality.mos_pdf) for result in results
         )
-        if meter:
+        if meter is not None:
             meter.inc("fleet.cells")
             meter.observe("fleet.cell_members", float(len(self.sessions)))
             meter.observe("fleet.cell_jain", jain)
@@ -187,7 +195,7 @@ class CellSession:
             jain=jain,
             member_bytes=member_bytes,
             member_mos=member_mos,
-            meter=meter if meter else None,
+            meter=meter,
         )
 
 

@@ -21,8 +21,6 @@ from repro.config import SessionConfig
 from repro.metrics.summary import SessionLog
 from repro.net.packet import Packet
 from repro.net.path import ReversePath
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.rate_control.gcc.controller import GccReceiver
 from repro.roi.viewport import Viewport
 from repro.sim.engine import Simulation
@@ -112,8 +110,8 @@ class PanoramicReceiver:
         gcc_receiver: GccReceiver,
         log: SessionLog,
         rng: np.random.Generator,
-        trace=NULL_BUS,
-        meter=NULL_METER,
+        trace=None,
+        meter=None,
     ):
         self._sim = sim
         self._trace = trace
@@ -261,7 +259,7 @@ class PanoramicReceiver:
 
     def _display(self, frame: EncodedFrame) -> None:
         meter = self._meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         now = self._sim.now
         sent_time = decode_timestamp(frame.timestamp_blocks, self._rng)
         delay = (now + self._clock_offset) - sent_time
@@ -295,7 +293,7 @@ class PanoramicReceiver:
         self._log.roi_psnrs.append(roi_psnr)
         self._log.display_times.append(now)
         self._log.frames_displayed += 1
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit(
                 "receiver.frame",
                 delay_s=delay,
@@ -305,7 +303,7 @@ class PanoramicReceiver:
             )
             if delay > self._config.freeze_threshold:
                 self._trace.emit("receiver.freeze", delay_s=delay)
-        if meter:
+        if meter is not None:
             meter.inc("receiver.frames")
             meter.observe("receiver.delay_s", delay)
             meter.observe("receiver.psnr_db", roi_psnr)
@@ -388,9 +386,9 @@ class PanoramicReceiver:
         return self._grid.tile_of_angles(predicted[0], predicted[1])
 
     def _send_nack(self, seqs: List[int]) -> None:
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit("receiver.nack", count=len(seqs))
-        if self._meter:
+        if self._meter is not None:
             self._meter.inc("receiver.nacks", len(seqs))
         self._feedback({"type": "nack", "seqs": seqs})
 

@@ -18,8 +18,6 @@ from repro.config import SessionConfig
 from repro.metrics.summary import SessionLog
 from repro.net.packet import Packet
 from repro.net.path import ForwardPath
-from repro.obs.bus import NULL_BUS
-from repro.obs.meter import NULL_METER
 from repro.rate_control.base import TransportController
 from repro.rate_control.pacer import PacedSender
 from repro.sim.engine import Simulation
@@ -48,8 +46,8 @@ class PanoramicSender:
         encoder: FrameEncoder,
         grid: TileGrid,
         log: SessionLog,
-        trace=NULL_BUS,
-        meter=NULL_METER,
+        trace=None,
+        meter=None,
     ):
         self._sim = sim
         self._trace = trace
@@ -84,7 +82,7 @@ class PanoramicSender:
 
     def _on_capture(self, index: int, now: float) -> None:
         meter = self._meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         target_rate = self._transport.video_rate
         if self.fec is not None:
             # Cede the parity overhead: media + FEC must fit the target.
@@ -95,11 +93,11 @@ class PanoramicSender:
         frame.timestamp_blocks = encode_timestamp(now)
         self._log.frames_sent += 1
         self._log.sent_bits += frame.size_bits
-        if self._trace:
+        if self._trace is not None:
             self._trace.emit(
                 "sender.frame", target_rate_bps=target_rate, size_bits=frame.size_bits
             )
-        if meter:
+        if meter is not None:
             meter.inc("sender.frames")
             meter.observe("sender.frame_kbits", frame.size_bits / 1e3)
             meter.span_end("sender.encode", t0)

@@ -18,8 +18,8 @@ from repro.config import SessionConfig
 from repro.lte.diagnostics import DiagRecord
 from repro.metrics.summary import SessionLog, SessionSummary
 from repro.net.path import ForwardPath, ReversePath
-from repro.obs.bus import NULL_BUS, TraceBus
-from repro.obs.meter import SessionMeter, coerce_meter
+from repro.obs.bus import TraceBus
+from repro.obs.meter import SessionMeter
 from repro.rate_control.base import TransportController
 from repro.rate_control.fbcc.controller import FbccTransport
 from repro.rate_control.gcc.controller import GccReceiver, GccTransport
@@ -83,23 +83,27 @@ class TelephonySession:
         self.sim = Simulation() if sim is None else sim
         self.rng = RngRegistry(config.seed)
         self.log = SessionLog()
-        # ``trace`` is False (off), True (fresh bus), or a TraceBus the
-        # caller built (custom capacity). Emissions only read component
-        # state — never an RNG stream, never the event queue — so an
-        # enabled bus cannot perturb the session.
+        # ``trace`` is False/None (off), True (fresh bus), or a TraceBus
+        # the caller built (custom capacity); from here on it is None or
+        # a live bus. Emissions only read component state — never an RNG
+        # stream, never the event queue — so an enabled bus cannot
+        # perturb the session.
         if trace is True:
             trace = TraceBus()
-        elif not trace:
-            trace = NULL_BUS
-        if trace:
+        elif trace is False:
+            trace = None
+        if trace is not None:
             trace.bind_clock(lambda: self.sim._now)
         self.trace = trace
-        # ``meter`` is False (off), True (fresh SessionMeter), or a
-        # SessionMeter the caller built (e.g. shared across sessions).
-        # Like trace emissions, metric/span emissions only read component
-        # state; span timings read the wall clock but never write
-        # anything back into the simulation.
-        meter = coerce_meter(meter)
+        # ``meter`` maps the same way: False/None (off), True (fresh
+        # SessionMeter), or a SessionMeter the caller built (e.g. shared
+        # across sessions). Like trace emissions, metric/span emissions
+        # only read component state; span timings read the wall clock
+        # but never write anything back into the simulation.
+        if meter is True:
+            meter = SessionMeter()
+        elif meter is False:
+            meter = None
         self.meter = meter
         if self._owns_sim:
             self.sim.trace = trace
@@ -230,7 +234,7 @@ class TelephonySession:
         """
         duration = duration if duration is not None else self.config.duration
         meter = self.meter
-        t0 = meter.span_start() if meter else 0.0
+        t0 = meter.span_start() if meter is not None else 0.0
         self._emit_start()
         if warmup > 0.0:
             self.sim.run(warmup)
@@ -245,7 +249,7 @@ class TelephonySession:
     # the measured window, then finish each member.
 
     def _emit_start(self) -> None:
-        if self.trace:
+        if self.trace is not None:
             self.trace.emit(
                 "session.start",
                 scheme=self.config.scheme,
@@ -259,7 +263,7 @@ class TelephonySession:
         self.log.start_time = self.sim.now
         self._baseline_dropped = self.sender.pacer.dropped_frames
         self._baseline_lost = self.forward.lost_packets
-        if self.trace:
+        if self.trace is not None:
             self.trace.emit("session.warmup_done")
 
     def _finish(self, duration: float, t0: float = 0.0) -> SessionResult:
@@ -273,15 +277,15 @@ class TelephonySession:
             duration=duration,
             freeze_threshold=self.config.freeze_threshold,
         )
-        if meter:
+        if meter is not None:
             meter.inc("session.runs")
             meter.span_end("session.run", t0)
         return SessionResult(
             config=self.config,
             summary=summary,
             log=self.log,
-            trace=self.trace if self.trace else None,
-            meter=meter if meter else None,
+            trace=self.trace,
+            meter=meter,
         )
 
     def _finalise_counters(self) -> None:

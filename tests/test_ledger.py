@@ -372,6 +372,19 @@ def test_cli_metrics_from_run_json_matches_registry(cli_run_dir, capsys):
     assert payload == json.loads((cli_run_dir / "registry.json").read_text())
 
 
+def test_cli_metrics_from_run_json_is_byte_equal_to_registry(cli_run_dir, tmp_path):
+    """The reload keeps each gauge's JSON type: ``fleet.workers`` is an
+    int in ``registry.json`` and must not come back as ``1.0``."""
+    registry = (cli_run_dir / "registry.json").read_bytes()
+    assert b'"fleet.workers": 1,' in registry
+    output = tmp_path / "reloaded.json"
+    assert cli.main(
+        ["metrics", "--from-run", str(cli_run_dir), "--format", "json",
+         "--output", str(output)]
+    ) == 0
+    assert output.read_bytes() == registry
+
+
 def test_cli_metrics_from_run_rejects_bad_dir(tmp_path, capsys):
     assert cli.main(["metrics", "--from-run", str(tmp_path)]) == 2
     assert "cannot load run registry" in capsys.readouterr().err

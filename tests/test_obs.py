@@ -1,12 +1,16 @@
 """Tests for the ``repro.obs`` trace bus and its session wiring."""
 
+import dataclasses
 import io
 import json
+import os
 import pickle
+import sys
 
 import pytest
 
-from repro import NULL_BUS, TraceBus, TraceEvent, run_session
+import repro.obs
+from repro import TraceBus, TraceEvent, run_cell, run_session
 from repro.metrics import export
 from repro.metrics.export import log_to_dict, summary_to_dict
 from repro.obs import (
@@ -15,10 +19,9 @@ from repro.obs import (
     METRIC_CATALOGUE,
     METRIC_KINDS,
     METRIC_NAMES,
-    NULL_METER,
     subsystem_of,
 )
-from repro.obs.bus import NullTraceBus
+from repro.sim.batch import run_batched
 from repro.telephony.session import TelephonySession
 from repro.traces.scenarios import scenario
 
@@ -39,20 +42,9 @@ def traced_result():
 # ----------------------------------------------------------------------
 
 
-def test_null_bus_is_falsy_noop():
-    assert not NULL_BUS
-    assert isinstance(NULL_BUS, NullTraceBus)
-    NULL_BUS.emit("anything", x=1)  # must not raise or store
-    assert NULL_BUS.events == ()
-    assert NULL_BUS.counters == {}
-    assert list(NULL_BUS.select(names="anything")) == []
-    assert NULL_BUS.series("anything", "x") == ([], [])
-    assert NULL_BUS.counters_by_subsystem() == {}
-
-
 def test_trace_bus_records_and_counts():
     bus = TraceBus(clock=lambda: 2.5)
-    assert bus
+    assert len(bus) == 0
     bus.emit("mode_switch", to_index=3)
     bus.emit("mode_switch", to_index=4)
     bus.emit("fw_buffer", level=10.0, tbs=0.0)
@@ -125,11 +117,10 @@ def test_subsystem_of_falls_back_to_prefix():
 
 def test_disabled_session_has_no_trace():
     session = TelephonySession(_short_cellular())
-    assert session.trace is NULL_BUS
-    assert session.sim.trace is NULL_BUS
+    assert session.trace is None
+    assert session.sim.trace is None
     result = session.run(duration=1.0)
     assert result.trace is None
-    assert NULL_BUS.events == ()  # nothing leaked into the shared null bus
 
 
 def test_traced_session_returns_its_bus(traced_result):
@@ -212,8 +203,8 @@ def test_metering_changes_no_metric_and_no_rng_draw():
 
 def test_unmetered_session_uses_null_meter():
     session = TelephonySession(_short_cellular())
-    assert session.meter is NULL_METER
-    assert session.sim.meter is NULL_METER
+    assert session.meter is None
+    assert session.sim.meter is None
     result = session.run(duration=1.0)
     assert result.meter is None
 
@@ -223,6 +214,56 @@ def test_warmup_event_emitted():
     marks = list(result.trace.select(names="session.warmup_done"))
     assert len(marks) == 1
     assert marks[0].time == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Off makes no calls
+# ----------------------------------------------------------------------
+
+
+def _obs_calls(run) -> int:
+    """Python-level calls into ``repro/obs/`` made while ``run()`` runs."""
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(obs_dir):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _short_lockstep(seed):
+    config = _short_cellular()
+    return dataclasses.replace(
+        config, seed=seed, video=dataclasses.replace(config.video, fps=25.0)
+    )
+
+
+OFF_RUNS = {
+    "run_session": lambda: run_session(_short_cellular(), duration=2.0),
+    "run_cell": lambda: run_cell(_short_cellular(), ues=2, duration=2.0),
+    "run_batched": lambda: run_batched(
+        [_short_lockstep(1), _short_lockstep(2)], duration=2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_RUNS))
+def test_off_run_makes_no_obs_calls(name):
+    assert _obs_calls(OFF_RUNS[name]) == 0
+
+
+def test_obs_call_probe_sees_a_metered_run():
+    # The probe is live: the same short session, metered, calls in.
+    calls = _obs_calls(lambda: run_session(_short_cellular(), duration=2.0, meter=True))
+    assert calls > 1000
 
 
 # ----------------------------------------------------------------------

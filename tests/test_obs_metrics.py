@@ -19,13 +19,10 @@ from repro.metrics.export import (
 )
 from repro.obs import (
     METRIC_CATALOGUE,
-    NULL_METER,
     Histogram,
-    NullMeter,
     SessionMeter,
     SpanStats,
     catalogue_names,
-    coerce_meter,
 )
 from repro.telephony.session import run_session
 from repro.traces.scenarios import scenario
@@ -173,38 +170,14 @@ def test_span_profiler_accumulates_and_validates():
 
 def test_span_merge_folds_extrema():
     a, b = SessionMeter(), SessionMeter()
-    _record(a, "lte.subframe", 0.001)
-    _record(b, "lte.subframe", 0.010)
+    _record(a, "sender.encode", 0.001)
+    _record(b, "sender.encode", 0.010)
     _record(b, "rate_control.tick", 0.002)
     a.merge(b)
-    assert a.spans["lte.subframe"].count == 2
-    assert a.spans["lte.subframe"].max_s == pytest.approx(0.010)
-    assert a.spans["lte.subframe"].min_s == pytest.approx(0.001)
-    assert set(a.as_dict()["spans"]) == {"lte.subframe", "rate_control.tick"}
-
-
-# ----------------------------------------------------------------------
-# Meter coercion and null behaviour
-# ----------------------------------------------------------------------
-
-
-def test_null_meter_is_falsy_noop():
-    assert not NULL_METER
-    assert isinstance(NULL_METER, NullMeter)
-    NULL_METER.inc("anything")
-    NULL_METER.observe("anything", 1.0)
-    NULL_METER.set_gauge("anything", 1.0)
-    NULL_METER.span_end("anything", NULL_METER.span_start())
-    assert vars(NULL_METER) == {}  # holds no state at all
-
-
-def test_coerce_meter():
-    assert coerce_meter(False) is NULL_METER
-    assert coerce_meter(None) is NULL_METER
-    fresh = coerce_meter(True)
-    assert isinstance(fresh, SessionMeter)
-    existing = SessionMeter()
-    assert coerce_meter(existing) is existing
+    assert a.spans["sender.encode"].count == 2
+    assert a.spans["sender.encode"].max_s == pytest.approx(0.010)
+    assert a.spans["sender.encode"].min_s == pytest.approx(0.001)
+    assert set(a.as_dict()["spans"]) == {"sender.encode", "rate_control.tick"}
 
 
 def test_session_meter_as_dict_is_json_safe():
