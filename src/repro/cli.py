@@ -331,6 +331,7 @@ def _render_metrics(args, fleet, header: str) -> None:
 
 def cmd_metrics(args) -> int:
     from repro.experiments.parallel import resolve_jobs
+    from repro.telephony.uplink import LOCKSTEP_SENDER
 
     if args.from_run:
         from repro.obs.ledger import load_registry
@@ -345,6 +346,8 @@ def cmd_metrics(args) -> int:
 
     def render(outcome) -> None:
         header = f"sessions={args.sessions} workers={resolve_jobs(args.jobs)}\n"
+        if args.batch:
+            header += f"lockstep sender: {LOCKSTEP_SENDER}\n"
         _render_metrics(args, outcome.meter, header=header)
 
     return _run_job(args, "metrics", render, unit="session")
@@ -352,6 +355,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_fleet(args) -> int:
     from repro.experiments.parallel import resolve_jobs
+    from repro.telephony.uplink import LOCKSTEP_SENDER
 
     def render(outcome) -> None:
         payload = outcome.payload
@@ -366,6 +370,8 @@ def cmd_fleet(args) -> int:
                 f"background={args.background_ues}@{args.background_load:g} "
                 f"workers={resolve_jobs(args.jobs)}"
             )
+            if args.batch:
+                print(f"lockstep sender: {LOCKSTEP_SENDER}")
             keys = list(rows[0].keys())
             widths = {k: max(len(k), max(len(str(r[k])) for r in rows)) for k in keys}
             print("  ".join(k.ljust(widths[k]) for k in keys))

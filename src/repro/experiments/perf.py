@@ -13,7 +13,7 @@ perf trajectory of the simulator is tracked from PR to PR:
    - ``matrix_build``   — cached/rolled Eq. (1) mode matrices vs a
      fresh ``build_mode_matrix_reference`` build per ROI move;
    - ``roi_quality``    — the receiver's array ROI-region PSNR vs the
-     per-tile scalar loop (``REPRO_REFERENCE_KERNELS`` path);
+     per-tile scalar loop (``set_reference_kernels`` path);
    - ``encoder_alloc``  — steady-state ``FrameEncoder.encode`` with the
      per-matrix caches vs a ``reference=True`` encoder;
    - ``full_session``   — the 30 s single-session leg (absolute time,

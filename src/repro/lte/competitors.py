@@ -94,12 +94,11 @@ class CompetitorCell:
     caller clocks :meth:`update` every :data:`UPDATE_INTERVAL`, and
     ``load`` is a cached plain float recomputed only when the population
     flips.  Every draw is per call from ``rng``, in both engines.  Besides
-    the single-UE sessions (:func:`make_cell_model`), the event-driven
-    :class:`repro.lte.shared_cell.SharedCell`, the lockstep
-    :class:`~repro.lte.shared_cell.GridSharedCell` and the batched
-    :class:`~repro.lte.shared_cell.SharedCellArray` each own one per cell
-    with a scheduled background, built the same way, so all three engines
-    consume bit-identical background loads by construction.
+    the single-UE sessions (:func:`make_cell_model`), the scalar
+    :class:`repro.lte.shared_cell.SharedCell` (event and lockstep) and the
+    batched :class:`~repro.lte.shared_cell.SharedCellArray` each own one
+    per cell with a scheduled background, built the same way, so all
+    three engines consume bit-identical background loads by construction.
     """
 
     __slots__ = ("_competitors", "_total_weight", "_rng", "load")

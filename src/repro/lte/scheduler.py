@@ -83,12 +83,11 @@ class EnbScheduler:
     def attach_cell(self, view) -> None:
         """Claim PRBs through a shared-cell member view.
 
-        ``view.claim_prbs`` (:class:`repro.lte.shared_cell.CellMemberView`
-        or :class:`~repro.lte.shared_cell.GridCellMemberView`) clips every
-        grant's PRBs against the cell's remaining per-subframe budget.  A
-        claim of zero returns without drawing a fading variate, keeping
-        the RNG stream aligned with the batched engine's filtered fading
-        take.
+        ``view.claim_prbs`` (:class:`repro.lte.shared_cell.CellMemberView`)
+        clips every grant's PRBs against the cell's remaining per-subframe
+        budget.  A claim of zero returns without drawing a fading variate,
+        keeping the RNG stream aligned with the batched engine's filtered
+        fading take.
         """
         self._claim = view.claim_prbs
 
@@ -248,17 +247,3 @@ class SchedulerArray:
         fading = self._fading.take(rows)
         grants = np.minimum(actual[rows], capacity * fading)
         return rows, grants
-
-    def grants_for_subframe(
-        self,
-        reported: np.ndarray,
-        actual: np.ndarray,
-        cqi: np.ndarray,
-        load: np.ndarray,
-    ) -> np.ndarray:
-        """Per-session grant bytes for this subframe (0 = not scheduled)."""
-        grants = np.zeros(reported.shape[0])
-        rows, values = self.serve_subframe(reported, actual, cqi, cqi > 0, load)
-        if rows.size:
-            grants[rows] = values
-        return grants

@@ -40,7 +40,6 @@ import numpy as np
 from repro.config import CellConfig, FleetConfig
 from repro.lte.competitors import UPDATE_INTERVAL as BACKGROUND_INTERVAL
 from repro.lte.competitors import CompetitorCell
-from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 from repro.units import LTE_SUBFRAME
 
@@ -72,21 +71,8 @@ def _background_crowd(config: FleetConfig) -> Optional[CompetitorCell]:
     )
 
 
-class _Member:
-    """Per-caller state the cell tracks: realized share + fallback load."""
-
-    __slots__ = ("fallback", "share", "last_update")
-
-    def __init__(self, fallback):
-        #: The member UE's own background-load model (``UeUplink.cell``)
-        #: — the Gauss-Markov / competitor abstraction it would have
-        #: consulted solo.  Used as the background component when the
-        #: cell has no scheduled background population.
-        self.fallback = fallback
-        #: EWMA of the PRB fraction this member consumed per subframe.
-        self.share = 0.0
-        #: Simulated time of the last share decay/update.
-        self.last_update = 0.0
+#: Background-crowd update cadence on the 1 ms grid (subframes).
+_BG_TICKS = int(round(BACKGROUND_INTERVAL / LTE_SUBFRAME))
 
 
 class CellMemberView:
@@ -97,122 +83,181 @@ class CellMemberView:
     :class:`~repro.lte.scheduler.EnbScheduler` consumes it unchanged;
     additionally exposes :meth:`claim_prbs`, which the scheduler uses
     (when present) to draw PRBs from the cell's per-subframe budget.
+    Both pass the cell the time read from ``clock._now``: the event
+    engine's :class:`~repro.sim.engine.Simulation`, or on the lockstep
+    grid the cell itself, which :meth:`SharedCell.begin_tick` advances.
     """
 
-    __slots__ = ("_cell", "index")
+    __slots__ = ("_cell", "_clock", "index")
 
-    def __init__(self, cell: "SharedCell", index: int):
+    def __init__(self, cell: "SharedCell", index: int, clock):
         self._cell = cell
+        self._clock = clock
         self.index = index
 
     @property
     def load(self) -> float:
         """Effective cell load this member's scheduler should see."""
-        return self._cell.load_for(self.index, self._cell._sim._now)
+        return self._cell.load_for(self.index, self._clock._now)
 
     def claim_prbs(self, prbs: int) -> int:
         """Claim up to ``prbs`` from this subframe's remaining budget."""
-        return self._cell.claim(self.index, prbs, self._cell._sim._now)
+        return self._cell.claim(self.index, prbs, self._clock._now)
 
 
 class SharedCell:
-    """PF grant splitting across the POI360 callers camped on one cell."""
+    """PF grant splitting across the POI360 callers camped on one cell.
 
-    def __init__(self, sim: Simulation, config: Optional[FleetConfig] = None):
+    The cell reads no clock: every query takes the time.  Both engines
+    drive the same arithmetic:
+
+    - the event engine (:class:`repro.telephony.fleet.CellSession`)
+      clocks the background crowd with ``sim.every``; a member's share
+      decays lazily over the subframes since it was last touched
+      (``decay ** ticks``), the aggregate is snapshot at the first read
+      of a subframe and the budget resets at its first claim;
+    - the lockstep driver (:class:`repro.telephony.uplink.
+      UplinkCellSession`) calls :meth:`begin_tick` once per 1 ms tick,
+      which catches every member up by exactly one subframe
+      (``x * decay ** 1 == x * decay``) and resets the budget, so the
+      cell is the bit-exactness reference of :class:`SharedCellArray`.
+    """
+
+    __slots__ = (
+        "config", "background", "_prb_budget", "_alpha", "_decay",
+        "_kappa", "_weight_max", "_fallbacks", "_shares", "_updated",
+        "_budget_time", "_budget_left", "_agg_time", "_agg_total", "_now",
+    )
+
+    def __init__(self, config: Optional[FleetConfig] = None):
         config = config if config is not None else FleetConfig()
-        self._sim = sim
         self.config = config
-        self._members: List[_Member] = []
         self._prb_budget = max(1, int(config.prb_budget))
         tau = max(LTE_SUBFRAME, config.share_time_constant)
         #: Per-subframe EWMA step of the realized-share tracker.
         self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
         self._decay = 1.0 - self._alpha
-        self._kappa = max(0.0, config.pf_weight_exponent)
+        kappa = max(0.0, config.pf_weight_exponent)
+        #: ``None`` at the default exponent 1.0, where the weight is the
+        #: ratio itself; otherwise a one-element array, so
+        #: :meth:`pf_weight` runs numpy's array power loop, as
+        #: :class:`SharedCellArray` does.
+        self._kappa = None if kappa == 1.0 else np.array([kappa])
         self._weight_max = max(1.0, config.pf_weight_max)
+        #: Per member: its own background-load model (``UeUplink.cell``,
+        #: the component it would have consulted solo, used when the
+        #: cell has no scheduled background), the EWMA of the PRB
+        #: fraction it consumed per subframe, and when that was decayed.
+        self._fallbacks: list = []
+        self._shares: List[float] = []
+        self._updated: List[float] = []
         #: Subframe the current budget belongs to, and PRBs left in it.
         self._budget_time = -1.0
         self._budget_left = self._prb_budget
         #: Aggregate-share snapshot (recomputed once per subframe).
         self._agg_time = -1.0
         self._agg_total = 0.0
+        #: The lockstep grid's time (:meth:`begin_tick`).
+        self._now = 0.0
         # The background crowd is *scheduled load*: its on/off population
         # produces a load fraction, and the cell converts that fraction
         # into PRBs claimed from the shared budget ahead of the members
-        # each subframe.
-        background = self.background = _background_crowd(config)
-        if background is not None:
-            sim.every(BACKGROUND_INTERVAL, lambda: background.update(sim.now))
+        # each subframe.  The driver clocks its updates.
+        self.background = _background_crowd(config)
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
 
-    def add_member(self, ue) -> CellMemberView:
-        """Register a caller's UE; returns its view onto the cell.
+    def add_member(self, fallback, clock=None) -> CellMemberView:
+        """Register a caller; returns its view onto the cell.
 
-        Normally called through :meth:`repro.lte.ue.UeUplink.join_cell`,
-        which also rewires the UE's scheduler onto the view.
+        ``fallback`` is the caller's own cell-load model; ``clock`` is
+        the object whose ``_now`` the view reads (default: this cell,
+        for :meth:`begin_tick` drivers).  Normally called through
+        :meth:`repro.lte.ue.UeUplink.join_cell` or
+        :meth:`repro.telephony.uplink.UplinkSession.join_cell`, which
+        also rewire the caller's scheduler onto the view.
         """
-        index = len(self._members)
-        self._members.append(_Member(fallback=ue.cell))
-        return CellMemberView(self, index)
+        index = len(self._shares)
+        self._fallbacks.append(fallback)
+        self._shares.append(0.0)
+        self._updated.append(0.0)
+        return CellMemberView(self, index, self if clock is None else clock)
 
     @property
     def members(self) -> int:
         """Number of callers camped on this cell."""
-        return len(self._members)
+        return len(self._shares)
+
+    @property
+    def budget_left(self) -> int:
+        """PRBs still grantable this subframe (introspection)."""
+        return self._budget_left
+
+    def begin_tick(self, k: int, now: float) -> None:
+        """Advance the cell to lockstep tick ``k`` at time ``now``: the
+        background crowd at its cadence, every share into the aggregate,
+        and a fresh PRB budget."""
+        self._now = now
+        background = self.background
+        if background is not None and k % _BG_TICKS == 0:
+            background.update(now)
+        self._aggregate(now)
+        self._start_subframe(now)
 
     # ------------------------------------------------------------------
     # Share bookkeeping
     # ------------------------------------------------------------------
 
-    def _decay_to(self, member: _Member, now: float) -> float:
+    def _decay_to(self, index: int, now: float) -> float:
         """Lazily decay a member's share EWMA to ``now`` and return it.
 
         Idle or unserved subframes contribute zero share, so catching a
         member up is a pure exponential decay over the elapsed
         subframes — no per-tick work for paused uplinks.
         """
-        elapsed = now - member.last_update
+        shares = self._shares
+        elapsed = now - self._updated[index]
         if elapsed > 0.0:
             ticks = int(round(elapsed / LTE_SUBFRAME))
             if ticks > 0:
-                member.share *= self._decay**ticks
-            member.last_update = now
-        return member.share
+                shares[index] *= self._decay**ticks
+            self._updated[index] = now
+        return shares[index]
 
     def _aggregate(self, now: float) -> float:
         """Total decayed share across members (cached per subframe)."""
         if now != self._agg_time:
             total = 0.0
-            for member in self._members:
-                total += self._decay_to(member, now)
+            for index in range(len(self._shares)):
+                total += self._decay_to(index, now)
             self._agg_total = total
             self._agg_time = now
         return self._agg_total
 
-    def share_of(self, index: int, now: Optional[float] = None) -> float:
-        """A member's current realized resource share (introspection)."""
-        now = self._sim._now if now is None else now
-        return self._decay_to(self._members[index], now)
+    def share_of(self, index: int, now: float) -> float:
+        """A member's realized resource share at ``now`` (introspection)."""
+        return self._decay_to(index, now)
 
-    def pf_weight(self, index: int, now: Optional[float] = None) -> float:
+    def pf_weight(self, index: int, now: float) -> float:
         """The PF catch-up weight a member currently enjoys.
 
         ``(mean_share / own_share) ** pf_weight_exponent``, clamped into
         ``[1/pf_weight_max, pf_weight_max]``; exactly ``1.0`` for a
         lone member (shares cancel), for perfectly equal shares, or
-        when the exponent is zero.
+        when the exponent is zero.  numpy's *scalar* power squares for
+        an exponent of 2.0 and takes a square root for 0.5 where its
+        array loop calls ``pow``, and the results differ in the last bit
+        for some ratios, so the power runs on one-element arrays.
         """
-        now = self._sim._now if now is None else now
         total = self._aggregate(now)
-        count = len(self._members)
+        count = len(self._shares)
         if count <= 1:
             return 1.0
-        mine = self._members[index].share
-        ratio = (total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = ratio**self._kappa
+        ratio = (total / count + _SHARE_EPS) / (self._shares[index] + _SHARE_EPS)
+        kappa = self._kappa
+        weight = ratio if kappa is None else float(np.power(np.array([ratio]), kappa)[0])
         if weight > self._weight_max:
             return self._weight_max
         floor = 1.0 / self._weight_max
@@ -228,7 +273,7 @@ class SharedCell:
         """The background component of a member's load view."""
         if self.background is not None:
             return self.background.load
-        return self._members[index].fallback.load
+        return self._fallbacks[index].load
 
     def load_for(self, index: int, now: float) -> float:
         """Effective load for member ``index`` at ``now``.
@@ -238,9 +283,7 @@ class SharedCell:
         skipped when ``w == 1.0`` so a lone member sees its background
         model's value bit-for-bit.
         """
-        total = self._aggregate(now)
-        member = self._members[index]
-        peers = total - member.share
+        peers = self._aggregate(now) - self._shares[index]
         if peers < 0.0:
             # A claim bumped this member's share after the aggregate
             # snapshot was taken this subframe; peers cannot be negative.
@@ -277,184 +320,25 @@ class SharedCell:
         """Grant up to ``prbs`` PRBs from this subframe's budget.
 
         The first claim of a subframe resets the budget (minus the
-        scheduled background's take); later claims within the same
-        subframe see only what is left.  Within a subframe, members are
-        served in event order (attach order) — long-run fairness is the
-        PF coupling's job, not the intra-subframe order's.
+        scheduled background's take) unless :meth:`begin_tick` already
+        did; later claims within the same subframe see only what is
+        left.  Within a subframe, members are served in attach order —
+        long-run fairness is the PF coupling's job, not the
+        intra-subframe order's.
         """
         if now != self._budget_time:
             self._start_subframe(now)
         granted = prbs if prbs <= self._budget_left else self._budget_left
         if granted > 0:
             self._budget_left -= granted
-            member = self._members[index]
-            self._decay_to(member, now)
-            member.share += self._alpha * (granted / self._prb_budget)
-        return granted
-
-
-# ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch_cell)
-# ----------------------------------------------------------------------
-
-#: Background-crowd update cadence on the 1 ms grid (subframes).
-_BG_TICKS = int(round(BACKGROUND_INTERVAL / LTE_SUBFRAME))
-
-
-class GridCellMemberView:
-    """Grid twin of :class:`CellMemberView` (duck-typed ``load`` +
-    ``claim_prbs``, clocked by the cell's ``begin_tick`` instead of the
-    event engine's ``sim._now``)."""
-
-    __slots__ = ("_cell", "index")
-
-    def __init__(self, cell: "GridSharedCell", index: int):
-        self._cell = cell
-        self.index = index
-
-    @property
-    def load(self) -> float:
-        return self._cell.load_for(self.index)
-
-    def claim_prbs(self, prbs: int) -> int:
-        return self._cell.claim(self.index, prbs)
-
-
-class GridSharedCell:
-    """Grid-scalar twin of :class:`SharedCell`: the bit-exactness
-    reference for the batched :class:`SharedCellArray`.
-
-    The event-driven :class:`SharedCell` decays shares lazily and resets
-    its budget on the first claim of a subframe; on the lockstep grid a
-    driver (:class:`repro.telephony.uplink.UplinkCellSession`) calls
-    :meth:`begin_tick` once per 1 ms tick, which updates the background
-    crowd at its cadence, decays every share eagerly by one subframe,
-    snapshots the aggregate left-to-right, and resets the PRB budget
-    (minus the background's pre-claim).  Because every member queries
-    its load every tick, the eager per-tick decay performs exactly the
-    ``ticks == 1`` case of the lazy ``decay ** ticks`` catch-up.
-    """
-
-    __slots__ = (
-        "config", "background", "_prb_budget", "_alpha", "_decay",
-        "_kappa", "_weight_max", "_fallbacks", "_shares", "_total",
-        "_budget_left", "_now",
-    )
-
-    def __init__(self, config: Optional[FleetConfig] = None):
-        config = config if config is not None else FleetConfig()
-        self.config = config
-        self._prb_budget = max(1, int(config.prb_budget))
-        tau = max(LTE_SUBFRAME, config.share_time_constant)
-        self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
-        self._decay = 1.0 - self._alpha
-        #: One-element array, so :meth:`pf_weight` runs numpy's array
-        #: power loop, as :class:`SharedCellArray` does.
-        self._kappa = np.array([max(0.0, config.pf_weight_exponent)])
-        self._weight_max = max(1.0, config.pf_weight_max)
-        #: Per-member fallback load models (``CellLoadProcess``) + shares.
-        self._fallbacks: list = []
-        self._shares: List[float] = []
-        self._total = 0.0
-        self._budget_left = self._prb_budget
-        self._now = 0.0
-        self.background = _background_crowd(config)
-
-    def add_member(self, fallback) -> GridCellMemberView:
-        """Register a member; ``fallback`` is its own cell-load model."""
-        index = len(self._shares)
-        self._fallbacks.append(fallback)
-        self._shares.append(0.0)
-        return GridCellMemberView(self, index)
-
-    @property
-    def members(self) -> int:
-        return len(self._shares)
-
-    @property
-    def budget_left(self) -> int:
-        """PRBs still grantable this subframe (introspection)."""
-        return self._budget_left
-
-    def begin_tick(self, k: int, now: float) -> None:
-        """Advance the cell to tick ``k``: background, decay, budget."""
-        self._now = now
-        background = self.background
-        if background is not None and k % _BG_TICKS == 0:
-            background.update(now)
-        decay = self._decay
-        shares = self._shares
-        total = 0.0
-        for index in range(len(shares)):
-            share = shares[index] * decay
-            shares[index] = share
-            total += share
-        self._total = total
-        budget = self._prb_budget
-        if background is not None:
-            budget -= int(round(self._prb_budget * background.load))
-            if budget < 0:
-                budget = 0
-        self._budget_left = budget
-
-    def pf_weight(self, index: int) -> float:
-        """PF catch-up weight — :meth:`SharedCell.pf_weight` arithmetic,
-        with the power taken on one-element arrays so it runs the same
-        numpy loop as :class:`SharedCellArray`'s and agrees bit for bit.
-        numpy's *scalar* power squares for an exponent of 2.0 and takes
-        a square root for 0.5 where the array loop calls ``pow``, and
-        the two differ in the last bit for some ratios."""
-        count = len(self._shares)
-        if count <= 1:
-            return 1.0
-        mine = self._shares[index]
-        ratio = (self._total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = float(np.power(np.array([ratio]), self._kappa)[0])
-        if weight > self._weight_max:
-            return self._weight_max
-        floor = 1.0 / self._weight_max
-        if weight < floor:
-            return floor
-        return weight
-
-    def load_for(self, index: int) -> float:
-        """Effective load for member ``index`` this tick — the same
-        composition as :meth:`SharedCell.load_for`, reading the
-        per-tick aggregate snapshot."""
-        share = self._shares[index]
-        peers = self._total - share
-        if peers < 0.0:
-            peers = 0.0
-        background = self.background
-        if background is not None:
-            base = background.load
-        else:
-            base = self._fallbacks[index].load
-        raw = base + peers
-        if raw > LOAD_MAX:
-            raw = LOAD_MAX
-        weight = self.pf_weight(index)
-        if weight != 1.0:
-            boosted = 1.0 - weight * (1.0 - raw)
-            if boosted < 0.0:
-                return 0.0
-            if boosted > LOAD_MAX:
-                return LOAD_MAX
-            return boosted
-        return raw
-
-    def claim(self, index: int, prbs: int) -> int:
-        """Grant up to ``prbs`` from this tick's remaining budget."""
-        granted = prbs if prbs <= self._budget_left else self._budget_left
-        if granted > 0:
-            self._budget_left -= granted
+            self._decay_to(index, now)
             self._shares[index] += self._alpha * (granted / self._prb_budget)
         return granted
 
 
 class SharedCellArray:
     """Ragged ``(C cells, max members)`` vectorised twin of
-    :class:`GridSharedCell`.
+    :class:`SharedCell` on the lockstep grid.
 
     ``members`` gives each cell's member count.  Sessions are flat and
     cell-major, as in :class:`repro.sim.batch_cell.BatchedCellSimulation`;
@@ -529,7 +413,7 @@ class SharedCellArray:
         """Advance every cell to tick ``k``; flat per-session loads.
 
         Performs, for all cells at once, exactly what
-        :meth:`GridSharedCell.begin_tick` + one ``load_for`` call per
+        :meth:`SharedCell.begin_tick` + one ``load_for`` call per
         member do — the scalar reference computes every member's load
         from the same per-tick share snapshot (claims bump only the
         claimer's *own* share, which no later member's load reads), so

@@ -77,6 +77,9 @@ class UeUplink:
         depth = max(1, int(round(config.bsr_delay / LTE_SUBFRAME)))
         self._bsr_ring: Deque[float] = deque([0.0] * depth, maxlen=depth)
         self.bytes_sent = 0.0
+        #: Active subframes ticked; the session folds the total into its
+        #: meter once, at finish (``lte.subframes``).
+        self.active_subframes = 0
         # Bound-method fast paths for the once-per-millisecond loop.
         self._grant = self.scheduler.grant_for_subframe
         self._record = self.diag.record
@@ -95,7 +98,7 @@ class UeUplink:
         the member view so peer contention, PF catch-up weighting and
         the per-subframe PRB budget all apply.  Returns the view.
         """
-        self.cell_view = cell.add_member(self)
+        self.cell_view = cell.add_member(self.cell, self._sim)
         self._load_source = self.cell_view
         self.scheduler.attach_cell(self.cell_view)
         return self.cell_view
@@ -166,8 +169,7 @@ class UeUplink:
         self._record(level, tbs)
         if self._trace is not None:
             self._trace.emit("fw_buffer", level=level, tbs=tbs)
-        if self._meter is not None:
-            self._meter.inc("lte.subframes")
+        self.active_subframes += 1
         # Keep ticking while any in-flight BSR slot or the buffer itself
         # is non-zero; otherwise pause until the next send() wakes us.
         return bool(level) or any(ring)

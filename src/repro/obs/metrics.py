@@ -53,7 +53,7 @@ _SPECS = (
     # ----------------------------------------------------------------- lte
     MetricSpec(
         "lte.subframes", "counter", "lte", "",
-        "repro.lte.ue.UeUplink._subframe",
+        "repro.telephony.session.TelephonySession._finish",
         "Active (non-idle-skipped) 1 ms uplink subframes processed.",
     ),
     MetricSpec(

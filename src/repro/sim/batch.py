@@ -441,11 +441,11 @@ class BatchedSimulation:
     ) -> List[SessionResult]:
         """Run the cohort and return one :class:`SessionResult` each.
 
-        ``meter`` (False/None off, True a fresh meter, or a
-        :class:`~repro.obs.SessionMeter` to fill, as in ``run_session``)
-        receives the cohort-level batch counters and the
-        :data:`_RUN_SPAN` wall-clock span.  ``progress`` is an optional
-        live callback invoked as
+        ``meter`` (a :class:`~repro.obs.SessionMeter` to fill, or
+        ``None`` for off) receives the cohort-level batch counters and
+        the :data:`_RUN_SPAN` wall-clock span; the caller reads it
+        afterwards, so a bool is a ``TypeError``.  ``progress`` is an
+        optional live callback invoked as
         ``progress(tick, total_ticks, n_sessions)`` every
         ``progress_every`` grid ticks plus once at the final tick (see
         :func:`repro.obs.ledger.cohort_heartbeat_callback`).  Both only
@@ -459,10 +459,8 @@ class BatchedSimulation:
             duration = durations.pop()
         if not _ms_aligned(duration) or not _ms_aligned(warmup):
             raise ValueError("duration and warmup must be on the 1 ms grid")
-        if meter is True:
-            meter = SessionMeter()
-        elif meter is False:
-            meter = None
+        if meter is not None and not isinstance(meter, SessionMeter):
+            raise TypeError(f"meter must be a SessionMeter or None, not {meter!r}")
         self._metering = meter is not None
         t0 = meter.span_start() if meter is not None else 0.0
         warm_ticks = _ticks(warmup)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import FleetConfig, SessionConfig
+from repro.lte.competitors import UPDATE_INTERVAL as BACKGROUND_INTERVAL
 from repro.lte.shared_cell import SharedCell
 from repro.metrics.stats import jain_index
 from repro.obs.bus import TraceBus
@@ -124,7 +125,13 @@ class CellSession:
             meter = None
         self.meter = meter
         self.sim.meter = meter
-        self.cell = SharedCell(self.sim, fleet)
+        self.cell = SharedCell(fleet)
+        # The shared crowd's updates are scheduled after the cell is
+        # built and before any member's processes (the event order).
+        background = self.cell.background
+        if background is not None:
+            sim = self.sim
+            sim.every(BACKGROUND_INTERVAL, lambda: background.update(sim.now))
         self.sessions: List[TelephonySession] = []
         for index, config in enumerate(configs):
             self.sessions.append(

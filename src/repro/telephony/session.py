@@ -278,6 +278,9 @@ class TelephonySession:
             freeze_threshold=self.config.freeze_threshold,
         )
         if meter is not None:
+            ue = self.forward.ue
+            if ue is not None and ue.active_subframes:
+                meter.inc("lte.subframes", float(ue.active_subframes))
             meter.inc("session.runs")
             meter.span_end("session.run", t0)
         return SessionResult(

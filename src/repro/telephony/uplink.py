@@ -88,6 +88,11 @@ CLOCK_OFFSET_SIGMA = 0.003
 #: :func:`repro.service.jobs.normalise_spec`).
 LOCKSTEP_MODEL = ("poi360", "fbcc")
 
+#: What the profile runs under that label: the ``--batch`` text headers
+#: of ``repro360 metrics`` and ``repro360 fleet`` print it, since the
+#: event engine's sender differs (docs/PERFORMANCE.md, lockstep caveats).
+LOCKSTEP_SENDER = "FallbackRamp in place of GCC, flat ROI quality"
+
 
 def _ms_aligned(value: float) -> bool:
     return abs(value * 1000.0 - round(value * 1000.0)) < 1e-9
@@ -463,9 +468,9 @@ class UplinkSession:
         #: Cumulative post-grant drained bytes (the fleet fairness base).
         self.bytes_sent = 0.0
         self._baseline_bytes = 0.0
-        #: Shared-cell membership (``GridCellMemberView``) when this
+        #: Shared-cell membership (``CellMemberView``) when this
         #: session was attached to a :class:`~repro.lte.shared_cell.
-        #: GridSharedCell` via :meth:`join_cell`; ``None`` runs the
+        #: SharedCell` via :meth:`join_cell`; ``None`` runs the
         #: session's own independent cell-load model.
         self._cell_view = None
         #: Time of the last diag delivery (read by the RTP floor).
@@ -615,10 +620,10 @@ class UplinkSession:
 
     def join_cell(self, cell) -> None:
         """Attach this session to a :class:`~repro.lte.shared_cell.
-        GridSharedCell`: its load view replaces the session's own
-        cell-load model in the grant path and every PRB grant claims
-        against the shared per-subframe budget (the grid counterpart of
-        ``TelephonySession``'s ``cell=`` wiring)."""
+        SharedCell` clocked by ``begin_tick``: its load view replaces
+        the session's own cell-load model in the grant path and every
+        PRB grant claims against the shared per-subframe budget (the
+        grid counterpart of ``TelephonySession``'s ``cell=`` wiring)."""
         view = cell.add_member(self._cell)
         self._cell_view = view
         self._sched.attach_cell(view)
@@ -672,7 +677,7 @@ class UplinkCellSession:
     """Scalar reference engine for the *cell* lockstep profile.
 
     N :class:`UplinkSession` members joined onto one
-    :class:`~repro.lte.shared_cell.GridSharedCell`, all clocked by a
+    :class:`~repro.lte.shared_cell.SharedCell`, all clocked by a
     single external tick loop: each 1 ms tick the cell advances first
     (background crowd, share decay, PRB budget reset), then every
     member runs its full subframe in attach order, claiming grants from
@@ -698,10 +703,10 @@ class UplinkCellSession:
         reason = cell_batch_unsupported_reason(configs, fleet)
         if reason is not None:
             raise ValueError(f"cell unsupported by the lockstep profile: {reason}")
-        from repro.lte.shared_cell import GridSharedCell
+        from repro.lte.shared_cell import SharedCell
 
         self.fleet = fleet
-        self.cell = GridSharedCell(fleet)
+        self.cell = SharedCell(fleet)
         self.members = [UplinkSession(config) for config in configs]
         for member in self.members:
             member.join_cell(self.cell)

@@ -17,14 +17,13 @@ implementation) and as ``*_array`` kernels operating on whole tile
 arrays at once.  Both route their transcendentals through the same
 numpy ufuncs, so a kernel output is **bit-identical** to mapping its
 scalar twin over the array — the property tests in
-``tests/test_kernels.py`` enforce element-wise equality, and setting
-``REPRO_REFERENCE_KERNELS=1`` (or :func:`set_reference_kernels`) makes
-every kernel fall back to the scalar loop for end-to-end A/B runs.
+``tests/test_kernels.py`` enforce element-wise equality, and
+:func:`set_reference_kernels` makes every kernel fall back to the
+scalar loop for end-to-end A/B runs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Tuple
 
 import numpy as np
@@ -49,7 +48,7 @@ _PEAK_SQUARED = 255.0 * 255.0
 #: :mod:`repro.video.content`) loops its scalar reference instead of
 #: vectorising — the "before" leg of the kernel microbenchmarks and of
 #: the byte-identical pre/post session test.
-_REFERENCE_KERNELS = os.environ.get("REPRO_REFERENCE_KERNELS", "") not in ("", "0")
+_REFERENCE_KERNELS = False
 
 
 def set_reference_kernels(enabled: bool) -> bool:

@@ -430,6 +430,15 @@ def test_metered_progress_run_is_bit_identical_to_plain():
     assert all(a[0] < b[0] for a, b in zip(ticks, ticks[1:]))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_batched_meter_refuses_a_bool(flag):
+    """A meter the engine would build itself is one no caller can read:
+    ``meter`` is a :class:`SessionMeter` or ``None``."""
+    configs = [lockstep_config(seed=1, duration=1.0)]
+    with pytest.raises(TypeError, match="SessionMeter or None"):
+        run_batched(configs, meter=flag)
+
+
 def test_cohort_counters_are_slicing_invariant(crossover):
     """However the plan cuts a sweep into cohorts, the deterministic
     registry is identical; the cohort count is a gauge outside it."""

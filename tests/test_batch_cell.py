@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import FleetConfig
-from repro.lte.shared_cell import GridSharedCell, SharedCellArray
+from repro.lte.shared_cell import SharedCell, SharedCellArray
 from repro.sim.batch import run_batched
 from repro.sim.batch_cell import (
     BatchedCellSimulation,
@@ -148,7 +148,7 @@ def test_claim_rows_matches_sequential_claims_under_exhaustion():
         load = np.zeros(8)
 
     array = SharedCellArray([fleet, fleet], [4, 4], _Flat())
-    scalar = [GridSharedCell(fleet), GridSharedCell(fleet)]
+    scalar = [SharedCell(fleet), SharedCell(fleet)]
 
     class _Zero:
         load = 0.0
@@ -164,7 +164,7 @@ def test_claim_rows_matches_sequential_claims_under_exhaustion():
         for index, cell in enumerate(scalar):
             cell.begin_tick(k, now)
             for member in range(4):
-                assert loads[index * 4 + member] == cell.load_for(member)
+                assert loads[index * 4 + member] == cell.load_for(member, now)
         # Random subset of members demand random PRB counts; demands
         # routinely exceed the 30-PRB budgets.
         mask = rng.random(8) < 0.8
@@ -174,7 +174,7 @@ def test_claim_rows_matches_sequential_claims_under_exhaustion():
         prbs = rng.integers(2, 26, size=rows.size)
         grants = array.claim_rows(rows, prbs.astype(np.float64))
         for row, demand, granted in zip(rows, prbs, grants):
-            expected = scalar[row // 4].claim(row % 4, int(demand))
+            expected = scalar[row // 4].claim(row % 4, int(demand), now)
             assert granted == float(expected)
         for index, cell in enumerate(scalar):
             assert array.budget_left[index] == cell.budget_left

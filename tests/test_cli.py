@@ -140,6 +140,21 @@ def test_metrics_summary(capsys):
     assert "session.run" in out
 
 
+def test_batch_text_headers_name_the_lockstep_sender(capsys):
+    """``--batch`` runs FallbackRamp with flat ROI quality under the
+    poi360/fbcc label, and the text headers say so; the event engine's
+    do not."""
+    sender = "lockstep sender: FallbackRamp in place of GCC, flat ROI quality"
+    assert cli.main(
+        ["metrics", "--batch", "--duration", "1", "--warmup", "0", "--sessions", "2"]
+    ) == 0
+    assert capsys.readouterr().out.splitlines()[1] == sender
+    assert cli.main(["fleet", "--batch", "--calls", "1", "--duration", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == sender
+    assert cli.main(["fleet", "--calls", "1", "--duration", "1"]) == 0
+    assert "lockstep sender" not in capsys.readouterr().out
+
+
 def test_metrics_openmetrics_passes_gate(tmp_path, capsys):
     path = tmp_path / "metrics.txt"
     code = cli.main(

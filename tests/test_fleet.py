@@ -86,20 +86,16 @@ def test_contention_raises_member_loads():
 # ----------------------------------------------------------------------
 
 
-class _StubUe:
-    """A fake UE: only the fallback cell-load model the cell reads."""
+class _StubLoad:
+    """A fake member cell-load model: only the fallback load the cell reads."""
 
-    class _StubCell:
-        load = 0.2
-
-    def __init__(self):
-        self.cell = self._StubCell()
+    load = 0.2
 
 
 def _stub_cell(members=2, **overrides):
     sim = Simulation()
-    cell = SharedCell(sim, FleetConfig(ues=members, **overrides))
-    views = [cell.add_member(_StubUe()) for _ in range(members)]
+    cell = SharedCell(FleetConfig(ues=members, **overrides))
+    views = [cell.add_member(_StubLoad(), sim) for _ in range(members)]
     return sim, cell, views
 
 
@@ -154,7 +150,7 @@ def test_lone_member_load_is_fallback_untouched():
     """The N=1 view must return the background model's float bit-for-bit."""
     sim, cell, views = _stub_cell(members=1)
     for value in (0.0, 0.2, 0.5537191276893506, 0.9):
-        cell._members[0].fallback.load = value
+        cell._fallbacks[0].load = value
         assert cell.load_for(0, sim.now) == value
 
 
@@ -174,36 +170,58 @@ def test_prb_budget_caps_one_subframe_and_resets_on_the_next():
 
 
 def test_scheduled_background_preclaims_prbs():
-    sim = Simulation()
     cell = SharedCell(
-        sim, FleetConfig(ues=1, prb_budget=20, background_ues=4, background_load=0.5)
+        FleetConfig(ues=1, prb_budget=20, background_ues=4, background_load=0.5)
     )
-    cell.add_member(_StubUe())
+    cell.add_member(_StubLoad())
+    now = 0.0
     for _ in range(60):  # let the background population toggle on
-        sim.run(1.0)
+        now += 1.0
+        cell.background.update(now)
         if cell.background.active_competitors:
             break
-    took = cell.claim(0, 20, sim.now)
+    took = cell.claim(0, 20, now)
     expected = 20 - int(round(20 * cell.background.load))
     assert took == expected
     assert took < 20
 
 
 def test_background_crowd_comes_from_the_fleet_seed():
-    """The event-driven cell builds its crowd exactly as the lockstep
-    cells do, and clocks it every competitor update interval."""
-    assert SharedCell(Simulation(), FleetConfig(background_ues=0)).background is None
+    """The cell builds its crowd exactly as ``SharedCellArray`` does, and
+    the event cell session clocks it every competitor update interval."""
+    assert SharedCell(FleetConfig(background_ues=0)).background is None
     fleet = FleetConfig(background_ues=6, background_load=0.4, seed=9)
-    sim = Simulation()
-    cell = SharedCell(sim, fleet)
+    config = SessionConfig(scheme="poi360", transport="fbcc", duration=2.0, seed=9)
+    session = CellSession(member_configs(config, 1), fleet=fleet)
+    cell = session.cell
     reference = _background_crowd(fleet)
     assert cell.background.load == reference.load
     now = 0.0
     for _ in range(40):
         now += BACKGROUND_INTERVAL
         reference.update(now)
-        sim.run(BACKGROUND_INTERVAL)
+        session.sim.run(BACKGROUND_INTERVAL)
         assert cell.background.load == reference.load
+
+
+def test_lockstep_ticks_clock_the_crowd_and_reset_the_budget():
+    """``begin_tick`` updates the crowd every competitor update interval
+    (in subframes) and refills the budget minus the crowd's take."""
+    fleet = FleetConfig(prb_budget=20, background_ues=6, background_load=0.4, seed=9)
+    cell = SharedCell(fleet)
+    view = cell.add_member(_StubLoad())
+    reference = _background_crowd(fleet)
+    every = int(round(BACKGROUND_INTERVAL / LTE_SUBFRAME))
+    for k in range(1, 40 * every + 1):
+        now = k * LTE_SUBFRAME
+        if k % every == 0:
+            reference.update(now)
+        cell.begin_tick(k, now)
+        assert cell.background.load == reference.load
+        expected = 20 - int(round(20 * reference.load))
+        assert cell.budget_left == expected
+        assert view.claim_prbs(20) == expected
+        assert cell.budget_left == 0
 
 
 # ----------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_displayed_tile_psnr_array_matches_scalar(video_config):
 
 
 def test_reference_mode_kernels_equal_vectorized(video_config):
-    """The REPRO_REFERENCE_KERNELS scalar loop is the same function."""
+    """The ``set_reference_kernels`` scalar loop is the same function."""
     bpp, levels = np.meshgrid(BPP_EDGES, LEVEL_EDGES, indexing="ij")
     vec = displayed_tile_psnr_array(bpp, levels, video_config)
     set_reference_kernels(True)

@@ -36,7 +36,7 @@ from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
 from repro.lte.channel import ChannelArray, ChannelProcess
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
 from repro.lte.scheduler import EnbScheduler, SchedulerArray
-from repro.lte.shared_cell import GridSharedCell, SharedCellArray
+from repro.lte.shared_cell import SharedCell, SharedCellArray
 from repro.metrics.summary import SessionLog
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import (
@@ -550,7 +550,7 @@ def test_cell_load_array_matches_cell_load_process(configs, seed, block, updates
             assert LOAD_MIN <= cell.load <= LOAD_MAX
 
 
-# -- SharedCellArray vs GridSharedCell ------------------------------------
+# -- SharedCellArray vs SharedCell ----------------------------------------
 
 
 @st.composite
@@ -612,15 +612,16 @@ class _Fallbacks:
     start=1,
     ticks=6,
 )
-def test_shared_cell_array_matches_grid_shared_cells(cells, seed, serve, start, ticks):
+def test_shared_cell_array_matches_shared_cells(cells, seed, serve, start, ticks):
     """Ragged member counts, budgets down to 1 PRB, background crowds and
     random claims: loads, budgets, grants and shares equal one
-    :class:`GridSharedCell` per cell after every tick."""
+    :class:`SharedCell` per cell, driven by ``begin_tick``, after every
+    tick."""
     fleets = [fleet for fleet, _ in cells]
     counts = [count for _, count in cells]
     fallbacks = _Fallbacks(sum(counts))
     array = SharedCellArray(fleets, counts, fallbacks)
-    scalars = [GridSharedCell(fleet) for fleet in fleets]
+    scalars = [SharedCell(fleet) for fleet in fleets]
     members = []  # flat session -> (scalar cell, member index)
     for cell, count in zip(scalars, counts):
         for _ in range(count):
@@ -635,14 +636,14 @@ def test_shared_cell_array_matches_grid_shared_cells(cells, seed, serve, start, 
         loads = array.member_loads(k, now)
         for cell in scalars:
             cell.begin_tick(k, now)
-        assert loads.tolist() == [cell.load_for(index) for cell, index in members]
+        assert loads.tolist() == [cell.load_for(index, now) for cell, index in members]
         assert array.budget_left.tolist() == [cell.budget_left for cell in scalars]
         rows = np.nonzero(rng.random(len(members)) < serve)[0]
         if rows.size:
             demands = rng.integers(1, 60, size=rows.size)
             grants = array.claim_rows(rows, demands.astype(np.float64))
             expected = [
-                members[row][0].claim(members[row][1], int(demand))
+                members[row][0].claim(members[row][1], int(demand), now)
                 for row, demand in zip(rows.tolist(), demands.tolist())
             ]
             assert grants.tolist() == [float(g) for g in expected]

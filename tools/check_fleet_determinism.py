@@ -20,7 +20,10 @@ unless the two files are byte-for-byte identical::
 contiguous blocks per worker, so the gate proves block boundaries never
 leak into results.  With several ``--calls`` values the blocks mix
 member counts (``--batch --calls 1,3,8 --cells 3`` compares one ragged
-serial block with two sharded ones).
+serial block with two sharded ones).  ``--prb-budget``,
+``--background-ues`` and ``--background-load`` pass through to the
+sweep, so the gate also covers the scheduled background crowd and a
+budget tight enough to run out.
 
 Exits 0 when the registries match, 1 on divergence or a failed sweep.
 """
@@ -61,6 +64,10 @@ def run_sweep(args: argparse.Namespace, jobs: int, output: Path) -> int:
         "--metrics-output",
         str(output),
     ]
+    for name in ("prb_budget", "background_ues", "background_load"):
+        value = getattr(args, name)
+        if value is not None:  # unset: the CLI's own default
+            command += ["--" + name.replace("_", "-"), str(value)]
     if args.batch:
         command.append("--batch")
     completed = subprocess.run(
@@ -84,6 +91,9 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=5.0)
     parser.add_argument("--warmup", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--prb-budget", type=int)
+    parser.add_argument("--background-ues", type=int)
+    parser.add_argument("--background-load", type=float)
     parser.add_argument(
         "--batch",
         action="store_true",
