@@ -20,7 +20,6 @@ from repro.config import (
     CellConfig,
     ChannelConfig,
     CompressionConfig,
-    DownlinkConfig,
     FbccConfig,
     FecConfig,
     FleetConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "CellConfig",
     "ChannelConfig",
     "CompressionConfig",
-    "DownlinkConfig",
     "FbccConfig",
     "FecConfig",
     "FleetConfig",

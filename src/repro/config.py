@@ -113,34 +113,6 @@ class LteConfig:
     firmware_buffer_cap: float = kbytes(64)
 
 
-@dataclass(frozen=True)
-class DownlinkConfig:
-    """The viewer's LTE downlink hop (eNodeB queue + bursty service).
-
-    Downlinks carry much more capacity than uplinks (more PRBs, higher
-    scheduling share) so this hop rarely bottlenecks a ~3 Mbps stream --
-    its role is the arrival-process texture: bufferbloat-deep queues
-    and serve-in-bursts jitter, both of which the receiver's adaptive
-    playout buffer (and GCC's delay estimator) must live with.
-    """
-
-    channel: ChannelConfig = field(
-        default_factory=lambda: ChannelConfig(rss_dbm=-80.0)
-    )
-    cell: CellConfig = field(default_factory=CellConfig)
-    #: PRBs our flow gets when scheduled (downlinks are wide).
-    prb_quota: int = 25
-    #: Peak scheduling duty cycle for our flow.
-    p_max: float = 0.75
-    #: Mean service-burst length (subframes) and max idle gap.
-    burst_subframes: float = 4.0
-    max_idle_subframes: int = 40
-    #: eNodeB per-bearer downlink buffer (bytes) -- bufferbloat-deep.
-    queue_cap_bytes: float = kbytes(512)
-    #: Radio latency for a served transport block (s).
-    radio_latency: float = ms(3)
-
-
 # ---------------------------------------------------------------------------
 # Network path substrate
 # ---------------------------------------------------------------------------
@@ -169,11 +141,6 @@ class PathConfig:
 
     access: str = "lte"
     wireline: WirelineConfig = field(default_factory=WirelineConfig)
-    #: When set (the default for LTE sessions built by repro.traces),
-    #: the viewer's downlink is the full eNodeB-queue model instead of
-    #: the stochastic latency stage; ``downlink_delay``/``jitter`` then
-    #: cover only the remaining fixed components.
-    downlink_lte: Optional[DownlinkConfig] = None
     #: One-way Internet core latency (s) — through the carrier's core
     #: network for cellular endpoints (§8: traffic goes to the Internet
     #: even when both ends camp on the same basestation).
@@ -181,8 +148,7 @@ class PathConfig:
     #: Lognormal jitter sigma applied to the core latency (relative).
     core_jitter_rel: float = 0.10
     #: Viewer downlink stochastic stage: base one-way latency (s) and
-    #: jitter.  With ``downlink_lte`` set these shrink to the fixed
-    #: residue (the LTE model supplies queueing and burst jitter).
+    #: jitter.
     downlink_delay: float = ms(65)
     downlink_jitter_std: float = ms(22)
     random_loss: float = 0.001
@@ -497,10 +463,8 @@ class FleetConfig:
     #: Time constant (s) of the per-caller realized-share EWMA that
     #: feeds the proportional-fair coupling.
     share_time_constant: float = 0.25
-    #: Exponent of the PF catch-up weight ``(mean_share/own_share)^k``:
-    #: 0 disables the catch-up boost, 1 is classic proportional fair.
-    pf_weight_exponent: float = 1.0
-    #: The PF weight is clamped into ``[1/pf_weight_max, pf_weight_max]``.
+    #: The proportional-fair catch-up weight ``mean_share/own_share`` is
+    #: clamped into ``[1/pf_weight_max, pf_weight_max]``.
     pf_weight_max: float = 4.0
     #: When positive, this many explicit on/off background UEs
     #: (:mod:`repro.lte.competitors`) are scheduled inside the cell and

@@ -255,13 +255,12 @@ def fleet_sweep(
     rotate_profiles).  Results are grouped back per calls-per-cell value
     in task order, so the output is independent of ``jobs``.
 
-    ``batch=True`` runs the same seed schedule on the batched cell
-    engine (:mod:`repro.sim.batch_cell`): whole cell blocks shard across
-    the pool instead of single cells, the scenario is coerced onto the
-    lockstep grid (:func:`lockstep_scenario`), the ``fleet.*`` registry
-    is metered **live** inside the engine's tick loop (per-cell meters
-    from :meth:`~repro.sim.batch_cell.BatchedCellSimulation.run_cells`,
-    including the batched-engine ``batch.*`` and
+    ``batch=True`` runs the same seed schedule on the batched engine's
+    cell blocks (:func:`repro.sim.batch.run_batched_cells`): whole
+    blocks shard across the pool instead of single cells, the scenario
+    is coerced onto the lockstep grid (:func:`lockstep_scenario`), the
+    ``fleet.*`` registry is metered **live** inside the engine's tick
+    loop (per-cell meters, including the batched-engine ``batch.*`` and
     ``fleet.cell_prb_exhausted`` counters), and user-profile rotation is
     unsupported (profiles are an event-engine feature).  Serial and
     sharded batch sweeps remain byte-equal; batch and event sweeps are

@@ -210,7 +210,7 @@ class CellBlockTask:
     """Everything a worker process needs to run one *batched cell block*.
 
     The ``--batch`` sharding unit: one task is one
-    :class:`repro.sim.batch_cell.BatchedCellSimulation` advancing a
+    :func:`repro.sim.batch.run_batched_cells` block advancing a
     contiguous run of a sweep's cells (in seed order, possibly spanning
     several calls-per-cell points, so member counts may differ) in
     lockstep.  Cells never couple with each other, so how a sweep's
@@ -236,7 +236,7 @@ class CellBlockTask:
     prb_budget: int = 50
     #: Attach live per-cell engine meters (``fleet.*`` + ``batch.*``
     #: counters accumulated inside the tick loop; see
-    #: :meth:`repro.sim.batch_cell.BatchedCellSimulation.run_cells`).
+    #: :func:`repro.sim.batch.run_batched_cells`).
     meter: bool = False
     #: Run-ledger heartbeat file: the block streams cohort-progress
     #: records into it from inside the tick loop (worker-safe appends;
@@ -246,7 +246,7 @@ class CellBlockTask:
     def run(self) -> List:
         from repro.config import FleetConfig
         from repro.experiments.fleet import lockstep_scenario
-        from repro.sim.batch_cell import run_batched_cells
+        from repro.sim.batch import run_batched_cells
         from repro.telephony.fleet import member_configs
 
         cells = []

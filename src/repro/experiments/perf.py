@@ -305,24 +305,29 @@ def bench_batched_cells(
     cell_counts: tuple = (1, 8, 32, 128),
     serial_cells: int = 2,
     repeats: int = 2,
+    pairs: int = 5,
 ) -> dict:
     """Batched shared-cell throughput vs the scalar cell reference.
 
     The fleet counterpart of :func:`bench_batched_sessions`: the serial
     leg drives ``serial_cells`` scalar :class:`repro.telephony.uplink.
     UplinkCellSession` cells (N coupled members each, one Python tick
-    loop per cell) and is timed **once**; the batched legs advance
-    C-cell blocks through :class:`repro.sim.batch_cell.
-    BatchedCellSimulation` (bit-identical results, see
-    tests/test_batch_cell.py).  The tracked signal is aggregate
-    *cell-member sessions per second* and the headline ``speedup`` is
-    the largest block's rate over the serial rate — at the default
-    sizes that is C×N = 512 coupled sessions per lockstep tick.
+    loop per cell); the batched legs advance C-cell blocks through
+    :func:`repro.sim.batch.run_batched_cells` (bit-identical results,
+    see tests/test_batch_cell.py).  The tracked signal is aggregate
+    *cell-member sessions per second*.  The headline ``speedup`` is the
+    largest block's rate over the serial rate — at the default sizes
+    C×N = 512 coupled sessions per lockstep tick — measured like
+    ``ledger.overhead_ratio``: ``pairs`` back-to-back serial/headline
+    pairs whose order alternates, and the median per-pair ratio, so a
+    burst of slow core hits both sides of a pair alike.  The smaller
+    blocks are timed best of ``repeats`` against the median serial time.
     """
     import gc
+    import statistics
 
     from repro.config import FleetConfig
-    from repro.sim.batch_cell import run_batched_cells
+    from repro.sim.batch import run_batched_cells
     from repro.telephony.fleet import member_configs
     from repro.telephony.uplink import UplinkCellSession
 
@@ -340,34 +345,54 @@ def bench_batched_cells(
         for cell, fleet in zip(cells, fleets):
             UplinkCellSession(cell, fleet=fleet).run()
 
+    headline_cells = max(cell_counts)
+    block_times = {}
+    serial_times, headline_times = [], []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        serial_s = _best_of(repeats, serial_leg)
-        serial_rate = serial_cells * members * duration / serial_s
-        block_entries = {}
         for count in cell_counts:
-            cells, fleets = cell_inputs(count)
-            gc.collect()
-            elapsed = _best_of(repeats, run_batched_cells, cells, fleets)
-            rate = count * members * duration / elapsed
-            block_entries[str(count)] = {
-                "run_s": round(elapsed, 4),
-                "sessions_per_sec": round(rate, 1),
-                "speedup": round(rate / serial_rate, 3),
-            }
+            if count != headline_cells:
+                cells, fleets = cell_inputs(count)
+                gc.collect()
+                block_times[count] = _best_of(repeats, run_batched_cells, cells, fleets)
+        cells, fleets = cell_inputs(headline_cells)
+        gc.collect()
+        for pair in range(pairs):
+            if pair % 2:
+                headline_times.append(_best_of(1, run_batched_cells, cells, fleets))
+                serial_times.append(_best_of(1, serial_leg))
+            else:
+                serial_times.append(_best_of(1, serial_leg))
+                headline_times.append(_best_of(1, run_batched_cells, cells, fleets))
     finally:
         if gc_was_enabled:
             gc.enable()
-    headline = block_entries[str(max(cell_counts))]
+    block_times[headline_cells] = statistics.median(headline_times)
+    serial_rate = serial_cells * members * duration / statistics.median(serial_times)
+    block_entries = {}
+    for count in cell_counts:
+        rate = count * members * duration / block_times[count]
+        block_entries[str(count)] = {
+            "run_s": round(block_times[count], 4),
+            "sessions_per_sec": round(rate, 1),
+            "speedup": round(rate / serial_rate, 3),
+        }
+    ratios = [
+        headline_cells * serial / (serial_cells * headline)
+        for serial, headline in zip(serial_times, headline_times)
+    ]
+    headline = block_entries[str(headline_cells)]
+    headline["speedup"] = round(statistics.median(ratios), 3)
     return {
         "profile": "cellular uplink lockstep grid (25 fps), shared cells",
         "session_duration_s": duration,
         "members_per_cell": members,
         "serial_cells": serial_cells,
+        "pairs": pairs,
         "serial_sessions_per_sec": round(serial_rate, 1),
         "cells": block_entries,
-        "max_coupled_sessions": max(cell_counts) * members,
+        "max_coupled_sessions": headline_cells * members,
         "batched_sessions_per_sec": headline["sessions_per_sec"],
         "batched_speedup": headline["speedup"],
     }

@@ -17,7 +17,7 @@ two quantities a proportional-fair uplink scheduler actually splits:
   hand out more transport-block capacity than the cell owns.
 
 The view also applies a proportional-fair catch-up weight
-``w = (mean_share / own_share) ** k`` (clamped): a member that has been
+``w = mean_share / own_share`` (clamped): a member that has been
 starved sees an optimistically *lower* load — higher duty cycle and
 more PRBs — until its share recovers, while a hog is throttled.  This
 is the negative feedback that makes N identical callers converge to
@@ -125,7 +125,7 @@ class SharedCell:
 
     __slots__ = (
         "config", "background", "_prb_budget", "_alpha", "_decay",
-        "_kappa", "_weight_max", "_fallbacks", "_shares", "_updated",
+        "_weight_max", "_fallbacks", "_shares", "_updated",
         "_budget_time", "_budget_left", "_agg_time", "_agg_total", "_now",
     )
 
@@ -137,12 +137,6 @@ class SharedCell:
         #: Per-subframe EWMA step of the realized-share tracker.
         self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
         self._decay = 1.0 - self._alpha
-        kappa = max(0.0, config.pf_weight_exponent)
-        #: ``None`` at the default exponent 1.0, where the weight is the
-        #: ratio itself; otherwise a one-element array, so
-        #: :meth:`pf_weight` runs numpy's array power loop, as
-        #: :class:`SharedCellArray` does.
-        self._kappa = None if kappa == 1.0 else np.array([kappa])
         self._weight_max = max(1.0, config.pf_weight_max)
         #: Per member: its own background-load model (``UeUplink.cell``,
         #: the component it would have consulted solo, used when the
@@ -243,21 +237,15 @@ class SharedCell:
     def pf_weight(self, index: int, now: float) -> float:
         """The PF catch-up weight a member currently enjoys.
 
-        ``(mean_share / own_share) ** pf_weight_exponent``, clamped into
+        ``mean_share / own_share``, clamped into
         ``[1/pf_weight_max, pf_weight_max]``; exactly ``1.0`` for a
-        lone member (shares cancel), for perfectly equal shares, or
-        when the exponent is zero.  numpy's *scalar* power squares for
-        an exponent of 2.0 and takes a square root for 0.5 where its
-        array loop calls ``pow``, and the results differ in the last bit
-        for some ratios, so the power runs on one-element arrays.
+        lone member (shares cancel) or for perfectly equal shares.
         """
         total = self._aggregate(now)
         count = len(self._shares)
         if count <= 1:
             return 1.0
-        ratio = (total / count + _SHARE_EPS) / (self._shares[index] + _SHARE_EPS)
-        kappa = self._kappa
-        weight = ratio if kappa is None else float(np.power(np.array([ratio]), kappa)[0])
+        weight = (total / count + _SHARE_EPS) / (self._shares[index] + _SHARE_EPS)
         if weight > self._weight_max:
             return self._weight_max
         floor = 1.0 / self._weight_max
@@ -341,7 +329,7 @@ class SharedCellArray:
     :class:`SharedCell` on the lockstep grid.
 
     ``members`` gives each cell's member count.  Sessions are flat and
-    cell-major, as in :class:`repro.sim.batch_cell.BatchedCellSimulation`;
+    cell-major, as in :meth:`repro.sim.batch.BatchedSimulation.join_cells`;
     a flat-session → (cell, slot) map links them to the share array,
     whose padded slots stay 0.0.
 
@@ -352,7 +340,7 @@ class SharedCellArray:
     column-by-column (left-to-right, matching the scalar member loop's
     float association; a padded 0.0 adds bitwise-neutrally), and the
     load composition — peers, background, clamp, PF catch-up weight
-    ``((mean+eps)/(share+eps)) ** kappa`` — runs on the flat session
+    ``(mean+eps)/(share+eps)`` — runs on the flat session
     arrays.  :meth:`claim_rows` replaces the members' sequential budget
     claims with an order-preserving segmented prefix-sum pass (see the
     method docstring for the equivalence argument).
@@ -389,9 +377,6 @@ class SharedCellArray:
         )
         self._alpha = alpha
         self._decay_col = (1.0 - alpha)[:, None]
-        self._kappa = np.array([max(0.0, f.pf_weight_exponent) for f in fleets])[
-            cell_of
-        ]
         wmax = np.array([max(1.0, f.pf_weight_max) for f in fleets])[cell_of]
         self._wmax = wmax
         self._wfloor = 1.0 / wmax
@@ -454,8 +439,7 @@ class SharedCellArray:
             return raw
         # A 1-member cell's ratio is exactly 1.0, so its weight is too
         # and it keeps ``raw``, as the scalar ``pf_weight`` shortcut does.
-        ratio = (cell_total / self._count + _SHARE_EPS) / (share + _SHARE_EPS)
-        weight = np.power(ratio, self._kappa)
+        weight = (cell_total / self._count + _SHARE_EPS) / (share + _SHARE_EPS)
         np.minimum(weight, self._wmax, out=weight)
         np.maximum(weight, self._wfloor, out=weight)
         boosted = 1.0 - weight * (1.0 - raw)

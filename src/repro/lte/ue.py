@@ -224,7 +224,7 @@ class UeUplinkArray:
         Post-drain levels are ``self.buffer.level``.
 
         ``loads``/``cells`` are the shared-cell hooks
-        (:class:`repro.sim.batch_cell.BatchedCellSimulation`): ``loads``
+        (:meth:`repro.sim.batch.BatchedSimulation.join_cells`): ``loads``
         replaces each session's own cell-load model with its cell-member
         effective load, and ``cells`` (a
         :class:`~repro.lte.shared_cell.SharedCellArray`) routes every

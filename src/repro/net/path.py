@@ -14,17 +14,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import LteConfig, PathConfig
-from repro.lte.downlink import EnbDownlink
 from repro.lte.ue import UeUplink
 from repro.net.link import RateLimitedLink, StochasticLink
 from repro.net.packet import Packet
 from repro.sim.engine import Simulation
 
 PacketSink = Callable[[Packet], None]
-
-#: Fixed downlink residue (core→eNB backhaul + phone RX pipeline) when
-#: the full LTE downlink model supplies queueing and burst jitter.
-DOWNLINK_FIXED_RESIDUE = 0.015
 
 
 class ForwardPath:
@@ -39,34 +34,19 @@ class ForwardPath:
         trace=None,
         meter=None,
     ):
-        self._sim = sim
         self.config = path_config
         self.ue: Optional[UeUplink] = None
         self.access_link: Optional[RateLimitedLink] = None
-        self.downlink: Optional[EnbDownlink] = None
-        if path_config.downlink_lte is not None:
-            # Explicit eNodeB downlink hop: the stochastic stage covers
-            # only the Internet core plus a small fixed residue.
-            self.downlink = EnbDownlink(sim, path_config.downlink_lte, rng)
-            self._core = StochasticLink(
-                sim,
-                rng,
-                delay=path_config.core_delay + DOWNLINK_FIXED_RESIDUE,
-                jitter_std=path_config.core_delay * path_config.core_jitter_rel,
-                loss=path_config.random_loss,
-                sink=self.downlink.deliver,
-            )
-        else:
-            self._core = StochasticLink(
-                sim,
-                rng,
-                delay=path_config.core_delay + path_config.downlink_delay,
-                jitter_std=np.hypot(
-                    path_config.core_delay * path_config.core_jitter_rel,
-                    path_config.downlink_jitter_std,
-                ),
-                loss=path_config.random_loss,
-            )
+        self._core = StochasticLink(
+            sim,
+            rng,
+            delay=path_config.core_delay + path_config.downlink_delay,
+            jitter_std=np.hypot(
+                path_config.core_delay * path_config.core_jitter_rel,
+                path_config.downlink_jitter_std,
+            ),
+            loss=path_config.random_loss,
+        )
         if path_config.access == "lte":
             self.ue = UeUplink(
                 sim, lte_config, rng, sink=self._core.deliver, trace=trace, meter=meter
@@ -85,10 +65,7 @@ class ForwardPath:
 
     def set_receiver(self, sink: PacketSink) -> None:
         """Attach the viewer-side packet handler."""
-        if self.downlink is not None:
-            self.downlink.set_sink(sink)
-        else:
-            self._core.set_sink(sink)
+        self._core.set_sink(sink)
 
     def send(self, packet: Packet) -> None:
         """Inject a paced RTP packet at the sender's access hop."""
@@ -114,8 +91,6 @@ class ForwardPath:
             lost += self.ue.buffer.dropped_packets
         if self.access_link is not None:
             lost += self.access_link.dropped
-        if self.downlink is not None:
-            lost += self.downlink.dropped_packets
         return lost
 
 

@@ -196,38 +196,38 @@ _SPECS = (
     ),
     MetricSpec(
         "fleet.cells", "counter", "fleet", "",
-        "repro.telephony.fleet.CellSession.run",
+        "repro.telephony.fleet.cell_result",
         "Shared-cell sessions run to completion.",
     ),
     MetricSpec(
         "fleet.cell_members", "histogram", "fleet", "",
-        "repro.telephony.fleet.CellSession.run",
+        "repro.telephony.fleet.cell_result",
         "Distribution of POI360 callers per shared cell.",
         buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     ),
     MetricSpec(
         "fleet.cell_jain", "histogram", "fleet", "",
-        "repro.telephony.fleet.CellSession.run",
+        "repro.telephony.fleet.cell_result",
         "Jain fairness of post-warmup uplink grant bytes across a "
         "cell's members.",
         buckets=(0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0),
     ),
     MetricSpec(
         "fleet.member_mos", "histogram", "fleet", "",
-        "repro.telephony.fleet.CellSession.run",
+        "repro.telephony.fleet.cell_result",
         "Distribution of the per-caller expected MOS (Table 1 bands "
         "scored 1-5).",
         buckets=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
     ),
     MetricSpec(
         "fleet.member_rate_mbps", "histogram", "fleet", "Mbps",
-        "repro.telephony.fleet.CellSession.run",
+        "repro.telephony.fleet.cell_result",
         "Distribution of per-caller mean received throughput.",
         buckets=(0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
     ),
     MetricSpec(
         "fleet.cell_prb_exhausted", "counter", "fleet", "",
-        "repro.sim.batch_cell.BatchedCellSimulation._subframe",
+        "repro.sim.batch.BatchedSimulation._subframe",
         "Subframes a batched cell ended with its PRB budget exhausted "
         "(fewer than one grantable PRB left).",
     ),
@@ -240,13 +240,13 @@ _SPECS = (
     ),
     MetricSpec(
         "batch.sessions", "counter", "batch", "",
-        "repro.sim.batch.BatchedSimulation.run",
+        "repro.sim.batch.BatchedSimulation.run / repro.sim.batch.run_batched_cells",
         "Sessions advanced by the batched lockstep engines (the same "
         "for any plan: groups below the crossover always run scalar).",
     ),
     MetricSpec(
         "batch.subframes", "counter", "batch", "",
-        "repro.sim.batch.BatchedSimulation.run",
+        "repro.sim.batch.BatchedSimulation.run / repro.sim.batch.run_batched_cells",
         "Session-subframes ticked by the batched engines "
         "(sessions x 1 ms grid ticks).",
     ),
@@ -356,7 +356,7 @@ _SPECS = (
     ),
     MetricSpec(
         "batch.cell_run", "span", "batch", "s",
-        "repro.sim.batch_cell.BatchedCellSimulation.run_cells",
+        "repro.sim.batch.BatchedSimulation.run",
         "One batched cell block: C cells x N members, one 1 ms grid.",
     ),
 )

@@ -40,6 +40,25 @@ detector window, same TBS window (see
 parametric (RSS, speed, load, seeds, rates, margins, targets) may vary
 per session; :func:`repro.experiments.batch.run_cohorts` plans
 arbitrary sweep grids into valid cohorts.
+
+Shared cells
+------------
+
+The cell layer is optional.  :meth:`BatchedSimulation.join_cells` couples
+the cohort into C shared cells (docs/FLEET.md), as
+:meth:`~repro.telephony.uplink.UplinkSession.join_cell` couples one
+scalar session: the flat cohort is the cell-major concatenation of the
+cells' member lists, and one :class:`~repro.lte.shared_cell.SharedCellArray`
+holds every cell's realized-share EWMAs, computes all members'
+PF-coupled loads and clips every PRB grant against the per-cell budgets
+in one order-preserving claim pass.  A cohort that joined no cells does
+no cell work.  :func:`run_batched_cells` is the cell-block entry point.
+Every cell of a block — whatever the member counts of the others —
+reproduces the scalar :class:`~repro.telephony.uplink.UplinkCellSession`
+to the bit, and a one-member cell equals the plain cohort
+(tests/test_batch_cell.py).  Parity with the event-driven
+:func:`repro.telephony.fleet.run_cell` is statistical: same contention
+model, different clocking.
 """
 
 from __future__ import annotations
@@ -49,7 +68,8 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import SessionConfig
+from repro.config import FleetConfig, SessionConfig
+from repro.lte.shared_cell import SharedCellArray
 from repro.lte.ue import UeUplinkArray
 from repro.metrics.summary import SessionLog, SessionSummary
 from repro.obs.meter import SessionMeter
@@ -63,6 +83,7 @@ from repro.rate_control.fbcc.batch import (
 from repro.rate_control.pacer import PacedSenderArray
 from repro.sim.blocks import BlockStreamArray, lognormal_transform
 from repro.sim.rng import RngRegistry
+from repro.telephony.fleet import CellResult, cell_result
 from repro.telephony.session import SessionResult
 from repro.telephony.uplink import (
     MS,
@@ -71,6 +92,7 @@ from repro.telephony.uplink import (
     UplinkProfile,
     _ms_aligned,
     _ticks,
+    cell_batch_unsupported_reason,
 )
 from repro.units import BITS_PER_BYTE
 
@@ -191,6 +213,12 @@ class BatchedSimulation:
         self._baseline_fw_drops = np.zeros(n, dtype=np.int64)
         self._baseline_pacer_drops = np.zeros(n, dtype=np.int64)
         self._baseline_bytes = np.zeros(n)
+        #: The shared cells the cohort joined (:meth:`join_cells`).
+        self._cells: Optional[SharedCellArray] = None
+        #: Per-cell count of subframes that ended with the PRB budget
+        #: exhausted, kept by a metered cell run and never read by the
+        #: simulation.
+        self._prb_exhausted: Optional[np.ndarray] = None
 
     # -- arrival and completion stages ----------------------------------
 
@@ -416,20 +444,29 @@ class BatchedSimulation:
             self._baseline_bytes = self._ue.bytes_sent.copy()
 
     def _subframe(self, k: int, now: float):
-        """Phase-6 grant pass; the cell-coupled engine
-        (:class:`repro.sim.batch_cell.BatchedCellSimulation`) overrides
-        this to advance the shared cells and route grants through their
-        budgets."""
-        return self._ue.subframe(now)
+        """Phase-6 grant pass: through the joined cells' loads and PRB
+        budgets when there are any, else each session's own cell."""
+        cells = self._cells
+        if cells is None:
+            return self._ue.subframe(now)
+        result = self._ue.subframe(now, loads=cells.member_loads(k, now), cells=cells)
+        if self._prb_exhausted is not None:
+            self._prb_exhausted += cells.budget_left < 1.0
+        return result
 
     # -- public API ------------------------------------------------------
 
-    #: Span name the run records (the cell-coupled engine overrides it).
-    _RUN_SPAN = "batch.run"
+    def join_cells(self, fleets: Sequence[FleetConfig], counts: Sequence[int]) -> None:
+        """Couple the cohort into shared cells before :meth:`run`.
 
-    #: True while a metered run's tick loop is live — subclass tick
-    #: hooks may accumulate telemetry observations behind this flag.
-    _metering = False
+        Cell ``c`` is parameterised by ``fleets[c]`` and holds the next
+        ``counts[c]`` sessions of the cohort, in order.  The cells' load
+        views replace the sessions' own cell-load models in the grant
+        path, and every PRB grant claims against its cell's budget.
+        """
+        if sum(counts) != self.n:
+            raise ValueError(f"cells hold {sum(counts)} members, cohort has {self.n}")
+        self._cells = SharedCellArray(fleets, counts, self._ue.cell)
 
     def run(
         self,
@@ -437,19 +474,19 @@ class BatchedSimulation:
         warmup: float = 0.0,
         meter=None,
         progress=None,
-        progress_every: int = DEFAULT_PROGRESS_TICKS,
     ) -> List[SessionResult]:
         """Run the cohort and return one :class:`SessionResult` each.
 
         ``meter`` (a :class:`~repro.obs.SessionMeter` to fill, or
-        ``None`` for off) receives the cohort-level batch counters and
-        the :data:`_RUN_SPAN` wall-clock span; the caller reads it
-        afterwards, so a bool is a ``TypeError``.  ``progress`` is an
-        optional live callback invoked as
+        ``None`` for off) receives the run's wall-clock span, and for a
+        cohort without cells the batch counters (see
+        :func:`run_batched_cells` for the cell counters); the caller
+        reads it afterwards, so a bool is a ``TypeError``.
+        ``progress`` is an optional live callback invoked as
         ``progress(tick, total_ticks, n_sessions)`` every
-        ``progress_every`` grid ticks plus once at the final tick (see
-        :func:`repro.obs.ledger.cohort_heartbeat_callback`).  Both only
-        *read* engine state, so a metered/observed run stays
+        :data:`DEFAULT_PROGRESS_TICKS` grid ticks plus once at the final
+        tick (see :func:`repro.obs.ledger.cohort_heartbeat_callback`).
+        Both only *read* engine state, so a metered/observed run stays
         byte-identical to a plain one.
         """
         if duration is None:
@@ -461,7 +498,9 @@ class BatchedSimulation:
             raise ValueError("duration and warmup must be on the 1 ms grid")
         if meter is not None and not isinstance(meter, SessionMeter):
             raise TypeError(f"meter must be a SessionMeter or None, not {meter!r}")
-        self._metering = meter is not None
+        cells = self._cells
+        if meter is not None and cells is not None:
+            self._prb_exhausted = np.zeros(cells.budget_left.size, dtype=np.int64)
         t0 = meter.span_start() if meter is not None else 0.0
         warm_ticks = _ticks(warmup)
         total_ticks = self._total_ticks = warm_ticks + _ticks(duration)
@@ -473,16 +512,26 @@ class BatchedSimulation:
         )
         self._open_frames(total_ticks)
         if progress is not None:
-            stride = max(1, int(progress_every))
             for k in range(1, total_ticks + 1):
                 self._tick(k, warm_ticks)
-                if k % stride == 0 or k == total_ticks:
+                if k % DEFAULT_PROGRESS_TICKS == 0 or k == total_ticks:
                     progress(k, total_ticks, self.n)
         else:
             for k in range(1, total_ticks + 1):
                 self._tick(k, warm_ticks)
-        if meter is not None:
-            self._record_meter(meter, total_ticks, t0)
+        if meter is not None and cells is None:
+            # Per-session sums (sessions, session-ticks): they add up to
+            # the same totals however a signature group is cut into
+            # cohorts.  How many cohorts there were is a fact of the
+            # plan, which run_cohorts records as a gauge.
+            meter.inc("batch.sessions", float(self.n))
+            meter.inc("batch.subframes", float(self.n * total_ticks))
+            meter.span_end("batch.run", t0)
+        elif meter is not None:
+            # A cell block's counters ride its per-cell meters
+            # (run_batched_cells), so merged fleet registries stay the
+            # same however cells are sharded into blocks.
+            meter.span_end("batch.cell_run", t0)
         fw_drops = self._ue.buffer.dropped_packets - self._baseline_fw_drops
         pacer_drops = self._pacer.dropped_frames - self._baseline_pacer_drops
         congestion = self._encoding.congestion_events
@@ -505,21 +554,6 @@ class BatchedSimulation:
             results.append(SessionResult(config=config, summary=summary, log=log))
         return results
 
-    def _record_meter(self, meter, total_ticks: int, t0: float) -> None:
-        """Fold this run's cohort-level telemetry into ``meter``.
-
-        Both counters are per-session sums (sessions, session-ticks), so
-        they add up to the same totals however a signature group is cut
-        into batched cohorts.  How many cohorts there were is a fact of
-        the plan, not of the cohort:
-        :func:`repro.experiments.batch.run_cohorts` records it as a
-        gauge.  The span records wall clock and, like every span,
-        never enters deterministic snapshots.
-        """
-        meter.inc("batch.sessions", float(self.n))
-        meter.inc("batch.subframes", float(self.n * total_ticks))
-        meter.span_end(self._RUN_SPAN, t0)
-
 
 def run_batched(
     configs: Sequence[SessionConfig],
@@ -532,3 +566,71 @@ def run_batched(
     return BatchedSimulation(configs).run(
         duration, warmup=warmup, meter=meter, progress=progress
     )
+
+
+def run_batched_cells(
+    cells: Sequence[Sequence[SessionConfig]],
+    fleets: Optional[Sequence[FleetConfig]] = None,
+    duration: Optional[float] = None,
+    warmup: float = 0.0,
+    meter: bool = False,
+    progress=None,
+) -> List[CellResult]:
+    """Build and run one block of shared cells; one :class:`CellResult`
+    per cell, in order.
+
+    ``cells`` holds each cell's member configs; cells may have
+    different member counts, but every member of the block must share
+    the grid cadences, while per-member and per-cell fleet parameters
+    (PRB budget, PF coupling, background crowd) may vary freely.
+    ``fleets`` is one :class:`FleetConfig` per cell (default: no
+    background, seeded by the cell's first member).
+
+    With ``meter=True`` every cell gets a live engine meter: the
+    ``fleet.*`` cell observations plus the counters ``batch.sessions``,
+    ``batch.subframes`` and ``fleet.cell_prb_exhausted``, all pure
+    functions of the cell, so merged registries are byte-equal for any
+    block partition.  The block's ``batch.cell_run`` wall-clock span
+    rides the first cell's meter.  ``meter`` builds these meters itself,
+    so anything but a bool is a ``TypeError``.  ``progress`` passes
+    through to :meth:`BatchedSimulation.run`.
+    """
+    if not isinstance(meter, bool):
+        raise TypeError(f"meter must be True or False, not {meter!r}")
+    cells = [list(members) for members in cells]
+    if not cells:
+        raise ValueError("empty cell block")
+    if fleets is None:
+        fleets = [
+            FleetConfig(ues=len(members), seed=members[0].seed if members else 0)
+            for members in cells
+        ]
+    fleets = list(fleets)
+    if len(fleets) != len(cells):
+        raise ValueError(f"{len(fleets)} fleet configs for {len(cells)} cells")
+    for members, fleet in zip(cells, fleets):
+        reason = cell_batch_unsupported_reason(members, fleet)
+        if reason is not None:
+            raise ValueError(f"cell unsupported by the batched cell engine: {reason}")
+    counts = [len(members) for members in cells]
+    sim = BatchedSimulation([config for members in cells for config in members])
+    sim.join_cells(fleets, counts)
+    engine = SessionMeter() if meter else None
+    results = sim.run(duration, warmup=warmup, meter=engine, progress=progress)
+    bytes_sent = (sim._ue.bytes_sent - sim._baseline_bytes).tolist()
+    block = []
+    lo = 0
+    for index, (fleet, count) in enumerate(zip(fleets, counts)):
+        hi = lo + count
+        cell_meter = SessionMeter() if meter else None
+        block.append(cell_result(fleet, results[lo:hi], bytes_sent[lo:hi], cell_meter))
+        if cell_meter is not None:
+            cell_meter.inc("batch.sessions", float(count))
+            cell_meter.inc("batch.subframes", float(count * sim._total_ticks))
+            cell_meter.inc(
+                "fleet.cell_prb_exhausted", float(sim._prb_exhausted[index])
+            )
+        lo = hi
+    if meter:
+        block[0].meter.merge(engine)
+    return block

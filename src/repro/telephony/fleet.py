@@ -79,6 +79,41 @@ class CellResult:
         return sum(scores) / len(scores)
 
 
+def cell_result(
+    fleet: FleetConfig,
+    results: List[SessionResult],
+    member_bytes: Sequence[float],
+    meter: Optional[SessionMeter] = None,
+) -> CellResult:
+    """The :class:`CellResult` of one finished cell, however it was run.
+
+    Computes Jain fairness over ``member_bytes`` and each member's
+    expected MOS and, when ``meter`` is given, records the cell's five
+    ``fleet.*`` observations into it.
+    """
+    member_bytes = tuple(member_bytes)
+    jain = jain_index(member_bytes)
+    member_mos = tuple(mos_score(result.summary.quality.mos_pdf) for result in results)
+    if meter is not None:
+        meter.inc("fleet.cells")
+        meter.observe("fleet.cell_members", float(len(results)))
+        meter.observe("fleet.cell_jain", jain)
+        for result, mos in zip(results, member_mos):
+            if not math.isnan(mos):
+                meter.observe("fleet.member_mos", mos)
+            rate = result.summary.throughput.mean / 1e6
+            if not math.isnan(rate):
+                meter.observe("fleet.member_rate_mbps", rate)
+    return CellResult(
+        fleet=fleet,
+        results=results,
+        jain=jain,
+        member_bytes=member_bytes,
+        member_mos=member_mos,
+        meter=meter,
+    )
+
+
 class CellSession:
     """One shared cell's worth of telephony sessions, run in lockstep.
 
@@ -174,36 +209,17 @@ class CellSession:
             session._finish(duration, starts[index])
             for index, session in enumerate(self.sessions)
         ]
-        member_bytes = tuple(
+        member_bytes = [
             session.forward.ue.bytes_sent - baseline[index]
             for index, session in enumerate(self.sessions)
-        )
-        jain = jain_index(member_bytes)
-        member_mos = tuple(
-            mos_score(result.summary.quality.mos_pdf) for result in results
-        )
+        ]
+        cell = cell_result(self.fleet, results, member_bytes, meter)
         if meter is not None:
-            meter.inc("fleet.cells")
-            meter.observe("fleet.cell_members", float(len(self.sessions)))
-            meter.observe("fleet.cell_jain", jain)
-            for result, mos in zip(results, member_mos):
-                if not math.isnan(mos):
-                    meter.observe("fleet.member_mos", mos)
-                rate = result.summary.throughput.mean / 1e6
-                if not math.isnan(rate):
-                    meter.observe("fleet.member_rate_mbps", rate)
             for result in results:
                 if result.meter is not None:
                     meter.merge(result.meter)
             meter.span_end("fleet.cell_run", t0)
-        return CellResult(
-            fleet=self.fleet,
-            results=results,
-            jain=jain,
-            member_bytes=member_bytes,
-            member_mos=member_mos,
-            meter=meter,
-        )
+        return cell
 
 
 def run_cell(

@@ -681,8 +681,8 @@ class UplinkCellSession:
     single external tick loop: each 1 ms tick the cell advances first
     (background crowd, share decay, PRB budget reset), then every
     member runs its full subframe in attach order, claiming grants from
-    the shared budget.  This is the bit-exactness reference the batched
-    :class:`repro.sim.batch_cell.BatchedCellSimulation` must reproduce
+    the shared budget.  This is the bit-exactness reference every cell
+    of :func:`repro.sim.batch.run_batched_cells` must reproduce
     (``tests/test_batch_cell.py``), exactly as :class:`UplinkSession`
     is the reference for :class:`repro.sim.batch.BatchedSimulation`;
     parity with the event-driven :func:`repro.telephony.fleet.run_cell`
@@ -713,9 +713,7 @@ class UplinkCellSession:
 
     def run(self, duration: Optional[float] = None, warmup: float = 0.0):
         """Run the cell; returns a :class:`repro.telephony.fleet.CellResult`."""
-        from repro.metrics.stats import jain_index
-        from repro.telephony.fleet import CellResult
-        from repro.video.quality import mos_score
+        from repro.telephony.fleet import cell_result
 
         members = self.members
         duration = duration if duration is not None else members[0].config.duration
@@ -732,20 +730,8 @@ class UplinkCellSession:
             for member in members:
                 member._tick(k)
         results = [member._finalise(duration) for member in members]
-        member_bytes = tuple(
-            member.bytes_sent - member._baseline_bytes for member in members
-        )
-        member_mos = tuple(
-            mos_score(result.summary.quality.mos_pdf) for result in results
-        )
-        return CellResult(
-            fleet=self.fleet,
-            results=results,
-            jain=jain_index(member_bytes),
-            member_bytes=member_bytes,
-            member_mos=member_mos,
-            meter=None,
-        )
+        member_bytes = [member.bytes_sent - member._baseline_bytes for member in members]
+        return cell_result(self.fleet, results, member_bytes)
 
 
 def run_uplink_cell(

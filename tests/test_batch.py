@@ -16,8 +16,7 @@ from repro.config import SCHEMES, TRANSPORTS, SessionConfig
 from repro.experiments.batch import plan_cohorts, run_cohorts
 from repro.experiments.fleet import deterministic_registry_dict
 from repro.service.jobs import batch_metrics_sweep, execute_job
-from repro.sim.batch import BatchedSimulation, run_batched
-from repro.sim.batch_cell import run_batched_cells
+from repro.sim.batch import BatchedSimulation, run_batched, run_batched_cells
 from repro.telephony.uplink import (
     LOCKSTEP_MODEL,
     MS,

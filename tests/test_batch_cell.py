@@ -12,12 +12,8 @@ import pytest
 
 from repro.config import FleetConfig
 from repro.lte.shared_cell import SharedCell, SharedCellArray
-from repro.sim.batch import run_batched
-from repro.sim.batch_cell import (
-    BatchedCellSimulation,
-    run_batched_cell,
-    run_batched_cells,
-)
+from repro.obs.meter import SessionMeter
+from repro.sim.batch import run_batched, run_batched_cells
 from repro.telephony.fleet import member_configs, run_cell
 from repro.telephony.uplink import (
     UplinkCellSession,
@@ -36,6 +32,13 @@ def assert_cells_bit_identical(reference, batched):
     assert len(reference.results) == len(batched.results)
     for a, b in zip(reference.results, batched.results):
         assert_bit_identical(a, b)
+
+
+def run_batched_cell(config, ues, fleet, warmup):
+    """One batched cell of ``ues`` callers built from ``config``."""
+    return run_batched_cells(
+        [member_configs(config, ues)], fleets=[fleet], warmup=warmup
+    )[0]
 
 
 def test_single_batched_cell_reproduces_scalar_cell_exactly():
@@ -97,12 +100,12 @@ def test_heterogeneous_cells_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         UplinkCellSession(mixed_cadence, fleet=fleet)
     with pytest.raises(ValueError, match="unsupported"):
-        BatchedCellSimulation([mixed_cadence], fleets=[fleet])
+        run_batched_cells([mixed_cadence], fleets=[fleet])
 
     # Cells that are each homogeneous but differ from each other in
     # cadence cannot share one block.
     with pytest.raises(ValueError, match="homogeneous"):
-        BatchedCellSimulation([[aligned], [mixed_cadence[1]]])
+        run_batched_cells([[aligned], [mixed_cadence[1]]])
 
 
 def test_ragged_block_cells_match_solo_blocks_and_scalar_cells():
@@ -218,6 +221,17 @@ def test_metered_cell_run_is_bit_identical_to_plain():
             assert "batch.cell_run" not in spans
     # Plain results carry no meters at all.
     assert all(cell.meter is None for cell in plain)
+
+
+def test_cell_block_refuses_a_meter_object():
+    """The block builds one meter per cell, so it takes only a bool: a
+    :class:`SessionMeter` passed in would be left empty, and is refused
+    as ``BatchedSimulation.run`` refuses a bool."""
+    cells = [member_configs(lockstep_config(seed=3, duration=0.2), 1)]
+    with pytest.raises(TypeError, match="meter"):
+        run_batched_cells(cells, meter=SessionMeter())
+    with pytest.raises(TypeError, match="meter"):
+        run_batched_cells(cells, meter=None)
 
 
 def test_cell_counters_are_partition_invariant():

@@ -29,8 +29,7 @@ from repro.obs.ledger import (
     resolve_run_root,
     snapshot_paths,
 )
-from repro.sim.batch import run_batched
-from repro.sim.batch_cell import run_batched_cells
+from repro.sim.batch import run_batched, run_batched_cells
 from repro.telephony.fleet import member_configs
 
 from tests.test_batch import lockstep_config

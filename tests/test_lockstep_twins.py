@@ -560,9 +560,6 @@ def fleet_configs(draw):
         ues=1,
         prb_budget=draw(st.integers(1, 50)),
         share_time_constant=draw(st.floats(0.0005, 2.0)),
-        pf_weight_exponent=draw(
-            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
-        ),
         pf_weight_max=draw(st.floats(1.0, 8.0)),
         background_ues=draw(st.integers(1, 8)) if crowd else 0,
         background_load=draw(st.floats(0.0, 1.0)) if crowd else 0.0,
@@ -599,18 +596,6 @@ class _Fallbacks:
     serve=st.floats(0.0, 1.0),
     start=st.integers(1, 100),
     ticks=st.integers(1, 150),
-)
-@example(  # exponent 2.0: numpy's scalar power squares, the array one calls pow
-    cells=[
-        (FleetConfig(ues=1, pf_weight_exponent=0.0), 1),
-        (FleetConfig(ues=1, prb_budget=10, share_time_constant=1.0,
-                     pf_weight_exponent=2.0, pf_weight_max=4.0,
-                     background_ues=1), 2),
-    ],
-    seed=0,
-    serve=0.5,
-    start=1,
-    ticks=6,
 )
 def test_shared_cell_array_matches_shared_cells(cells, seed, serve, start, ticks):
     """Ragged member counts, budgets down to 1 PRB, background crowds and

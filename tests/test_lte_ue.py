@@ -139,19 +139,3 @@ def test_idle_backfill_keeps_full_subframe_grid():
     assert times == grid[: len(times)]
     assert all(r.buffer_bytes == 0.0 and r.tbs_bytes == 0.0 for r in records)
 
-
-def test_downlink_pauses_when_queue_empty():
-    from repro.config import DownlinkConfig
-    from repro.lte.downlink import EnbDownlink
-
-    sim = Simulation()
-    out = []
-    downlink = EnbDownlink(
-        sim, DownlinkConfig(), RngRegistry(9).stream("downlink"), sink=out.append
-    )
-    sim.run(0.5)
-    assert downlink._tick.paused
-    downlink.deliver(Packet(kind="diag", size_bytes=300, created=sim.now))
-    sim.run(0.5)
-    assert out
-    assert downlink._tick.paused

@@ -1,6 +1,7 @@
 """Tests for the ``repro.obs`` trace bus and its session wiring."""
 
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -351,6 +352,36 @@ def test_span_catalogue_is_complete_and_consistent():
     assert spans
     for spec in spans:
         assert spec.unit == "s", f"{spec.name}: spans are wall-clock seconds"
+
+
+def _resolve_site(site):
+    """Import the longest module prefix of ``site`` and look the rest up
+    as attributes; raises if the site names nothing."""
+    parts = site.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return target
+    raise ImportError(site)
+
+
+def test_every_catalogue_site_resolves():
+    sites = [
+        site
+        for spec in (*METRIC_CATALOGUE.values(), *EVENT_CATALOGUE.values())
+        for site in spec.site.split(" / ")
+    ]
+    unresolved = []
+    for site in sites:
+        try:
+            _resolve_site(site)
+        except (ImportError, AttributeError):
+            unresolved.append(site)
+    assert not unresolved, f"catalogue sites that name nothing: {unresolved}"
 
 
 def test_observability_doc_mentions_every_metric_and_span():
