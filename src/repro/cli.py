@@ -187,15 +187,7 @@ def cmd_trace(args) -> int:
         if args.format == "jsonl":
             export.dump_trace_jsonl(handle, selected)
         elif args.format == "csv":
-            rows = list(export.trace_to_dicts(selected))
-            fields = sorted({k for row in rows for k in row} - {"t", "event"})
-            import csv as _csv
-
-            writer = _csv.DictWriter(
-                handle, fieldnames=["t", "event"] + fields, extrasaction="ignore"
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+            export.dump_trace_csv(handle, selected)
         elif args.format == "table":
             for event in selected:
                 fields = " ".join(f"{k}={v}" for k, v in event.fields.items())

@@ -19,7 +19,6 @@ simulation with an unchanged seed derivation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -213,8 +212,3 @@ def pooled_values(results: List[SessionResult], field: str) -> List[float]:
     for result in results:
         pooled.extend(getattr(result.log, field))
     return pooled
-
-
-def replace_settings(settings: ExperimentSettings, **changes) -> ExperimentSettings:
-    """Convenience wrapper over :func:`dataclasses.replace`."""
-    return dataclasses.replace(settings, **changes)

@@ -11,7 +11,7 @@ Three families live here:
   over :class:`repro.metrics.summary.SessionLog`;
 - the **structured event trace** exporters
   (``write_trace_jsonl`` / ``read_trace_jsonl`` / ``write_trace_csv`` /
-  ``read_trace_csv``) over a :class:`repro.obs.TraceBus` — one JSON
+  ``read_trace_csv`` and the ``dump_trace_*`` handle writers) over a :class:`repro.obs.TraceBus` — one JSON
   object per line with reserved keys ``t`` (simulated time) and
   ``event`` (catalogue name), every other key an event field;
 - the **metrics** exporters (``metrics_to_dict`` /
@@ -181,30 +181,27 @@ def read_trace_jsonl(path: PathLike) -> List[TraceEvent]:
     return trace_from_dicts(rows)
 
 
-def write_trace_csv(
-    path: PathLike,
-    events: Iterable[TraceEvent],
-    columns: Optional[List[str]] = None,
-) -> int:
-    """Write events as CSV; returns the row count.
+def dump_trace_csv(handle: IO[str], events: Iterable[TraceEvent]) -> int:
+    """Stream events as CSV to an open text handle; returns the row count.
 
     The column set is ``t, event`` plus the union of every field name
-    seen (alphabetical), unless ``columns`` pins an explicit field list.
-    Events missing a column leave it empty — mixing event types in one
-    file stays loadable by spreadsheet tools.
+    seen (alphabetical).  Events missing a column leave it empty — mixing
+    event types in one file stays loadable by spreadsheet tools.
     """
     rows = list(trace_to_dicts(events))
-    if columns is None:
-        field_names = sorted({k for row in rows for k in row} - {"t", "event"})
-    else:
-        field_names = list(columns)
-    header = ["t", "event"] + field_names
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=header, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    field_names = sorted({k for row in rows for k in row} - {"t", "event"})
+    writer = csv.DictWriter(
+        handle, fieldnames=["t", "event"] + field_names, extrasaction="ignore"
+    )
+    writer.writeheader()
+    writer.writerows(rows)
     return len(rows)
+
+
+def write_trace_csv(path: PathLike, events: Iterable[TraceEvent]) -> int:
+    """Write events as CSV (:func:`dump_trace_csv`); returns the row count."""
+    with open(path, "w", newline="") as handle:
+        return dump_trace_csv(handle, events)
 
 
 def _coerce_cell(text: str):

@@ -4,7 +4,7 @@ from repro.rate_control.fbcc.detector import CongestionDetector
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.encoding import EncodingRateControl
 from repro.rate_control.fbcc.rtp import RtpRateControl, SweetSpotLearner
-from repro.rate_control.fbcc.controller import FbccTransport
+from repro.rate_control.fbcc.controller import FbccLoop, FbccTransport
 
 __all__ = [
     "CongestionDetector",
@@ -12,5 +12,6 @@ __all__ = [
     "EncodingRateControl",
     "RtpRateControl",
     "SweetSpotLearner",
+    "FbccLoop",
     "FbccTransport",
 ]

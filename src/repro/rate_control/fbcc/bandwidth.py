@@ -9,9 +9,8 @@ the encoder to.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable
+from typing import Deque
 
-from repro.lte.diagnostics import DiagRecord
 from repro.units import BITS_PER_BYTE
 
 #: Subframe length (s).
@@ -34,10 +33,6 @@ class TbsBandwidthEstimator:
             self._sum -= self._tbs[0]
         self._tbs.append(tbs_bytes)
         self._sum += tbs_bytes
-
-    def on_batch(self, batch: Iterable[DiagRecord]) -> None:
-        for record in batch:
-            self.on_tbs(record.tbs_bytes)
 
     @property
     def rate_bps(self) -> float:

@@ -1,14 +1,16 @@
-"""The combined FBCC transport (§4.3).
+"""The FBCC report loop and the combined FBCC transport (§4.3).
 
-Wires the Eq. (3) detector, Eq. (4)/(5) bandwidth estimator, Eq. (6)
-encoding-rate control and Eq. (7) RTP-rate control to the diagnostic
-interface, while keeping a full legacy GCC sender underneath for the
-"congestion elsewhere" fallback and the RTT estimate.
+:class:`FbccLoop` wires the Eq. (3) detector, Eq. (4)/(5) bandwidth
+estimator, Eq. (6) encoding-rate control and Eq. (7) RTP-rate control
+to the diagnostic reports.  The event engine's :class:`FbccTransport`
+and the scalar lockstep :class:`~repro.telephony.uplink.UplinkSession`
+both run it; the transport keeps a full legacy GCC sender underneath for
+the "congestion elsewhere" fallback and the RTT estimate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.config import FbccConfig, GccConfig
 from repro.lte.diagnostics import DiagRecord
@@ -21,8 +23,43 @@ from repro.rate_control.gcc.controller import GccSenderControl
 from repro.sim.engine import Simulation
 
 
-class FbccTransport(TransportController):
-    """POI360's firmware-buffer-aware congestion control."""
+class FbccLoop:
+    """The four FBCC stages over one stream of diag reports.
+
+    Each subframe's TBS goes to :attr:`bandwidth`; each report's mean and
+    last firmware-buffer levels go to :meth:`on_report`.  Outside an
+    Eq. (6) hold the encoder follows ``fallback_rate()``, and ``rtt()``
+    sizes the hold.
+    """
+
+    def __init__(
+        self, config: FbccConfig, diag_interval: float, start_rate: float,
+        fallback_rate: Callable[[], float], rtt: Callable[[], float],
+    ):
+        self.detector = CongestionDetector(config, report_interval=diag_interval)
+        self.bandwidth = TbsBandwidthEstimator(config.tbs_window_subframes)
+        self.encoding = EncodingRateControl(config, gcc_rate=fallback_rate, rtt=rtt)
+        self.rtp = RtpRateControl(
+            config, start_rate, diag_interval,
+            video_rate=lambda: self.encoding.rate(self._report_time),
+        )
+        #: Time of the last report (read by the Eq. (7) floor).
+        self._report_time = 0.0
+
+    def on_report(self, mean_level: float, last_level: float, now: float) -> bool:
+        """Apply one report at ``now``; True when Eq. (3) fired."""
+        self._report_time = now
+        congested = self.detector.on_report_level(mean_level)
+        phy_rate = self.bandwidth.rate_bps
+        if congested:
+            self.encoding.on_congestion(phy_rate, now)
+        self.rtp.on_level(last_level, phy_rate)
+        return congested
+
+
+class FbccTransport(FbccLoop, TransportController):
+    """POI360's firmware-buffer-aware congestion control: the FBCC loop
+    over a legacy GCC fallback, plus its trace and meter emits."""
 
     name = "fbcc"
 
@@ -36,20 +73,12 @@ class FbccTransport(TransportController):
         meter=None,
     ):
         self._sim = sim
-        self._config = fbcc_config
         self._trace = trace
         self._meter = meter
         self.gcc = GccSenderControl(gcc_config, trace=trace, meter=meter)
-        self.detector = CongestionDetector(fbcc_config)
-        self.bandwidth = TbsBandwidthEstimator(fbcc_config.tbs_window_subframes)
-        self.encoding = EncodingRateControl(
-            fbcc_config, gcc_rate=lambda: self.gcc.rate, rtt=lambda: self.gcc.rtt.rtt
-        )
-        self.rtp = RtpRateControl(
-            fbcc_config,
-            initial_rate=gcc_config.start_rate,
-            interval=diag_interval,
-            video_rate=lambda: self.video_rate,
+        super().__init__(
+            fbcc_config, diag_interval, gcc_config.start_rate,
+            fallback_rate=lambda: self.gcc.rate, rtt=lambda: self.gcc.rtt.rtt,
         )
 
     @property
@@ -66,21 +95,25 @@ class FbccTransport(TransportController):
         self.gcc.on_feedback(message, now)
 
     def on_diag(self, batch: List[DiagRecord]) -> None:
-        """Consume one 40 ms diagnostic batch from the modem."""
+        """Consume one (non-empty) 40 ms diagnostic batch from the modem."""
         meter = self._meter
         t0 = meter.span_start() if meter is not None else 0.0
-        self.bandwidth.on_batch(batch)
-        congested = self.detector.on_batch(batch)
-        if congested:
-            self.encoding.on_congestion(self.bandwidth.rate_bps, self._sim.now)
-            if self._trace is not None:
-                self._trace.emit(
-                    "fbcc.congestion",
-                    phy_rate_bps=self.bandwidth.rate_bps,
-                    held_rate_bps=self.encoding.held_rate,
-                    gamma_bytes=self.detector.gamma,
-                )
-        self.rtp.on_batch(batch, self.bandwidth.rate_bps)
+        on_tbs = self.bandwidth.on_tbs
+        # A running sum, never sum() (design rule 4).
+        level_sum = 0.0
+        for record in batch:
+            on_tbs(record.tbs_bytes)
+            level_sum += record.buffer_bytes
+        congested = self.on_report(
+            level_sum / len(batch), batch[-1].buffer_bytes, self._sim.now
+        )
+        if congested and self._trace is not None:
+            self._trace.emit(
+                "fbcc.congestion",
+                phy_rate_bps=self.bandwidth.rate_bps,
+                held_rate_bps=self.encoding.held_rate,
+                gamma_bytes=self.detector.gamma,
+            )
         if self._trace is not None:
             self._trace.emit(
                 "fbcc.rate",

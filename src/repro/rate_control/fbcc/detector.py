@@ -17,10 +17,9 @@ burst lands.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Deque, Optional
 
 from repro.config import FbccConfig
-from repro.lte.diagnostics import DiagRecord
 
 #: Level changes smaller than this (bytes) count as "not increasing".
 LEVEL_EPSILON = 64.0
@@ -100,11 +99,3 @@ class CongestionDetector:
         self._levels.clear()
         self._levels.append(level)
         return True
-
-    def on_batch(self, batch: Iterable[DiagRecord]) -> bool:
-        """Feed one 40 ms diag batch (mean of its per-subframe levels)."""
-        records = list(batch)
-        if not records:
-            return False
-        mean_level = sum(r.buffer_bytes for r in records) / len(records)
-        return self.on_report_level(mean_level)

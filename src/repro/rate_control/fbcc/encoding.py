@@ -27,19 +27,15 @@ class EncodingRateControl:
         self._gcc_rate = gcc_rate
         self._rtt = rtt
         self._hold_until = float("-inf")
-        self._held_rate = 0.0
+        #: The pinned rate of the most recent Eq. (6) hold (bps).
+        self.held_rate = 0.0
         self.congestion_events = 0
 
     def on_congestion(self, phy_rate_bps: float, now: float) -> None:
         """Congestion detected at ``now`` with measured PHY rate (Eq. 5)."""
-        self._held_rate = phy_rate_bps * self._config.phy_rate_margin
+        self.held_rate = phy_rate_bps * self._config.phy_rate_margin
         self._hold_until = now + self._config.hold_rtts * self._rtt()
         self.congestion_events += 1
-
-    @property
-    def held_rate(self) -> float:
-        """The pinned rate of the most recent Eq. (6) hold (bps)."""
-        return self._held_rate
 
     def holding(self, now: float) -> bool:
         """True while the Eq. (6) first branch is active."""
@@ -48,5 +44,5 @@ class EncodingRateControl:
     def rate(self, now: float) -> float:
         """Current target encoding bitrate R_v (bps)."""
         if self.holding(now):
-            return self._held_rate
+            return self.held_rate
         return self._gcc_rate()

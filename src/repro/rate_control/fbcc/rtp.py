@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import FbccConfig
-from repro.lte.diagnostics import DiagRecord
 from repro.units import BITS_PER_BYTE
 
 
@@ -98,14 +97,9 @@ class RtpRateControl:
         assert self._learner is not None
         return self._learner.target(self.DEFAULT_TARGET)
 
-    def on_batch(self, batch: List[DiagRecord], tbs_rate_bps: float) -> float:
-        """Apply Eq. (7) once per diag batch; returns the new R_rtp."""
-        if not batch:
-            return self.rate
-        return self.on_level(batch[-1].buffer_bytes, tbs_rate_bps)
-
     def on_level(self, level: float, tbs_rate_bps: float) -> float:
-        """Eq. (7) on the batch's last buffer level (bytes)."""
+        """Apply Eq. (7) to a report's last buffer level (bytes); returns
+        the new R_rtp."""
         if self._learner is not None:
             self._learner.observe(level, tbs_rate_bps)
         correction = (self.target_buffer - level) / self._interval * BITS_PER_BYTE

@@ -40,8 +40,7 @@ class AimdRateControl:
         elif detector_state == "underuse":
             self.state = "hold"
         else:
-            if self.state != "increase":
-                self.state = "increase" if self.state == "hold" else "increase"
+            self.state = "increase"
 
         dt = 0.0
         if self._last_update is not None:

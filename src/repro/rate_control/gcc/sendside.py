@@ -10,76 +10,42 @@ lands rather than waiting for the receiver's decision.
 
 This variant exists to measure how much of FBCC's advantage survives
 against a newer baseline (``benchmarks/test_ablation_sendside.py``).
-Select it with ``SessionConfig.transport = "gcc_ss"``.
+Select it with ``SessionConfig.transport = "gcc_ss"``.  It runs the GCC
+core of :mod:`repro.rate_control.gcc.controller` at the sender.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.config import GccConfig
 from repro.net.packet import Packet
-from repro.rate_control.base import RttEstimator, TransportController
-from repro.rate_control.gcc.aimd import AimdRateControl
-from repro.rate_control.gcc.arrival import InterGroupFilter, TrendlineEstimator
-from repro.rate_control.gcc.loss import LossBasedControl
-from repro.rate_control.gcc.overuse import OveruseDetector
+from repro.rate_control.gcc.controller import (
+    DelayBasedEstimator,
+    FeedbackSender,
+    GccTransport,
+    ViewerFeedback,
+)
 from repro.sim.engine import Simulation
 from repro.units import BITS_PER_BYTE
-
-FeedbackSender = Callable[[Dict[str, Any]], None]
 
 #: Transport-wide feedback cadence (WebRTC sends every 50-250 ms).
 FEEDBACK_INTERVAL = 0.1
 
 
-class TwccFeedbackGenerator:
-    """Viewer side: echo (send time, arrival, size) for every packet.
-
-    Duck-typed to :class:`GccReceiver` (``on_media_packet`` plus
-    periodic feedback emission) so the telephony receiver can host
-    either.
-    """
+class TwccFeedbackGenerator(ViewerFeedback):
+    """Viewer side: echo (send time, arrival, size) for every packet."""
 
     def __init__(self, sim: Simulation, config: GccConfig, send_feedback: FeedbackSender):
-        self._sim = sim
-        self._config = config
-        self._send_feedback = send_feedback
+        super().__init__(sim, config, send_feedback, FEEDBACK_INTERVAL)
         self._pending: List[Tuple[float, float, float]] = []
-        self._max_seq: Optional[int] = None
-        self._expected = 0
-        self._received = 0
-        self._last_echo: Optional[Tuple[float, float]] = None
-        sim.every(FEEDBACK_INTERVAL, self._send_batch)
-        sim.every(config.loss_interval, self._send_receiver_report)
 
     def on_media_packet(self, packet: Packet) -> None:
-        now = self._sim.now
-        sent = packet.payload.get("sent", packet.created)
-        self._last_echo = (sent, now)
+        sent = self._on_arrival(packet)
         if not packet.payload.get("rtx"):
-            self._track_loss(packet)
-            self._pending.append((sent, now, packet.size_bytes))
+            self._pending.append((sent, self._sim.now, packet.size_bytes))
 
-    def _track_loss(self, packet: Packet) -> None:
-        seq = packet.payload.get("seq")
-        if seq is None:
-            return
-        if self._max_seq is None:
-            self._max_seq = seq
-            self._expected += 1
-        elif seq > self._max_seq:
-            self._expected += seq - self._max_seq
-            self._max_seq = seq
-        self._received += 1
-
-    def _echo_fields(self) -> Dict[str, Any]:
-        if self._last_echo is None:
-            return {}
-        sent, received_at = self._last_echo
-        return {"echo_send": sent, "echo_hold": self._sim.now - received_at}
-
-    def _send_batch(self) -> None:
+    def _send_delay_feedback(self) -> None:
         if not self._pending:
             return
         batch, self._pending = self._pending, []
@@ -87,38 +53,21 @@ class TwccFeedbackGenerator:
         message.update(self._echo_fields())
         self._send_feedback(message)
 
-    def _send_receiver_report(self) -> None:
-        loss = 0.0
-        if self._expected > 0:
-            loss = max(0.0, 1.0 - self._received / self._expected)
-        self._expected = 0
-        self._received = 0
-        message = {"type": "rr", "loss": loss}
-        message.update(self._echo_fields())
-        self._send_feedback(message)
 
+class SendSideBwe(DelayBasedEstimator):
+    """The delay-based estimator run at the sender over echoed timings,
+    with the acknowledged throughput as its incoming rate."""
 
-class SendSideBwe:
-    """Sender side: the full delay-based pipeline over echoed timings."""
-
-    def __init__(self, sim: Simulation, config: GccConfig):
-        self._sim = sim
-        self._filter = InterGroupFilter(config.burst_interval)
-        self._trendline = TrendlineEstimator(config.trendline_window, config.trendline_gain)
-        self._detector = OveruseDetector(config)
-        self.aimd = AimdRateControl(config)
-        #: Incoming rate estimated from acknowledged bytes.
+    def __init__(self, config: GccConfig):
+        super().__init__(config)
         self._acked: List[Tuple[float, float]] = []
 
-    def on_packet_report(self, sent: float, arrival: float, size_bytes: float) -> None:
+    def on_packet_report(
+        self, sent: float, arrival: float, size_bytes: float, now: float
+    ) -> None:
+        """Feed one echoed packet, reported to the sender at ``now``."""
         self._acked.append((arrival, size_bytes))
-        result = self._filter.on_packet(sent, arrival, size_bytes)
-        if result is None:
-            return
-        delta, group_arrival = result
-        trend = self._trendline.update(delta, group_arrival)
-        state = self._detector.update(trend, self._sim.now)
-        self.aimd.update(state, self.acked_rate(), now=self._sim.now)
+        self.on_packet(sent, arrival, size_bytes, now, self.acked_rate)
 
     def acked_rate(self, window: float = 0.5) -> float:
         """Acknowledged throughput over the last ``window`` seconds."""
@@ -128,38 +77,11 @@ class SendSideBwe:
         self._acked = [(t, s) for t, s in self._acked if t >= horizon]
         return sum(s for _, s in self._acked) * BITS_PER_BYTE / window
 
-    @property
-    def rate(self) -> float:
-        return self.aimd.rate
 
-
-class SendSideGccTransport(TransportController):
+class SendSideGccTransport(GccTransport):
     """GCC with sender-local estimation over transport-wide feedback."""
 
     name = "gcc_ss"
 
-    def __init__(self, sim: Simulation, config: GccConfig):
-        self._config = config
-        self.bwe = SendSideBwe(sim, config)
-        self._loss_based = LossBasedControl(config)
-        self.rtt = RttEstimator()
-
-    @property
-    def video_rate(self) -> float:
-        return max(
-            self._config.min_rate, min(self._loss_based.rate, self.bwe.rate)
-        )
-
-    @property
-    def pacing_rate(self) -> float:
-        return self.video_rate * self._config.pacing_factor
-
-    def on_feedback(self, message: Dict[str, Any], now: float) -> None:
-        if "echo_send" in message:
-            self.rtt.on_echo(message["echo_send"], message.get("echo_hold", 0.0), now)
-        kind = message.get("type")
-        if kind == "twcc":
-            for sent, arrival, size in message["packets"]:
-                self.bwe.on_packet_report(sent, arrival, size)
-        elif kind == "rr":
-            self._loss_based.on_receiver_report(message["loss"])
+    def __init__(self, config: GccConfig):
+        super().__init__(config, estimator=SendSideBwe(config))

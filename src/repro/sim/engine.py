@@ -31,10 +31,6 @@ from typing import Any, Callable, List, Optional, Tuple
 _COMPACT_MIN_DEAD = 64
 
 
-class CancelledError(RuntimeError):
-    """Raised when interacting with a cancelled event handle."""
-
-
 class EventHandle:
     """Handle returned by :meth:`Simulation.schedule`; supports cancel().
 

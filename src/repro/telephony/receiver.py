@@ -324,11 +324,6 @@ class PanoramicReceiver:
     def _roi_region_tiles(self):
         return self._region_tiles(self._viewport.roi_center)
 
-    def _roi_region_level(self, frame: EncodedFrame) -> float:
-        """Mean compression level displayed in the ROI region (Fig. 12)."""
-        i, j = self._roi_region_tiles()
-        return float(frame.matrix[i, j].mean())
-
     def _converged_region_level(self, frame: EncodedFrame) -> float:
         """Region level the frame's own mode gives at a *fresh* ROI.
 
@@ -414,8 +409,3 @@ class PanoramicReceiver:
             if not assembly.done and now - assembly.first_arrival > FRAME_ABANDON_AFTER:
                 self._assemblies.pop(frame_id)
                 self._log.frames_lost += 1
-
-    @property
-    def mismatch_average(self) -> float:
-        """Current sliding-window M (exposed for tests)."""
-        return self._mismatch.average()

@@ -23,6 +23,7 @@ from repro.obs.meter import SessionMeter
 from repro.rate_control.base import TransportController
 from repro.rate_control.fbcc.controller import FbccTransport
 from repro.rate_control.gcc.controller import GccReceiver, GccTransport
+from repro.rate_control.gcc.sendside import SendSideGccTransport, TwccFeedbackGenerator
 from repro.roi.head_motion import HeadMotion
 from repro.roi.users import UserProfile
 from repro.roi.viewport import Viewport
@@ -147,17 +148,11 @@ class TelephonySession:
             head = HeadMotion(self.sim, config.viewer, self.rng.stream("head"))
         self.head = head
         viewport = Viewport(self.grid, config.viewer, head)
-        if config.transport.lower() == "gcc_ss":
-            from repro.rate_control.gcc.sendside import TwccFeedbackGenerator
-
-            gcc_receiver = TwccFeedbackGenerator(
-                self.sim, config.gcc, send_feedback=self._send_transport_feedback
-            )
-        else:
-            gcc_receiver = GccReceiver(
-                self.sim, config.gcc, send_feedback=self._send_transport_feedback
-            )
-        self.gcc_receiver = gcc_receiver
+        send_side = config.transport.lower() == "gcc_ss"
+        feedback = TwccFeedbackGenerator if send_side else GccReceiver
+        gcc_receiver = feedback(
+            self.sim, config.gcc, send_feedback=self._send_transport_feedback
+        )
         self.receiver = PanoramicReceiver(
             self.sim,
             config,
@@ -187,9 +182,7 @@ class TelephonySession:
         if name == "gcc":
             return GccTransport(self.config.gcc, trace=self.trace, meter=self.meter)
         if name == "gcc_ss":
-            from repro.rate_control.gcc.sendside import SendSideGccTransport
-
-            return SendSideGccTransport(self.sim, self.config.gcc)
+            return SendSideGccTransport(self.config.gcc)
         if name == "fbcc":
             if self.config.path.access != "lte":
                 raise ValueError(

@@ -18,10 +18,7 @@ classes the event engine runs: the LTE models
 :class:`~repro.lte.scheduler.EnbScheduler`,
 :class:`~repro.lte.firmware_buffer.FirmwareBuffer`), the
 :class:`~repro.rate_control.pacer.FramePacer` token bucket and the FBCC
-classes (:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
-:class:`~repro.rate_control.fbcc.bandwidth.TbsBandwidthEstimator`,
-:class:`~repro.rate_control.fbcc.encoding.EncodingRateControl`,
-:class:`~repro.rate_control.fbcc.rtp.RtpRateControl`).  The
+report loop (:class:`~repro.rate_control.fbcc.controller.FbccLoop`).  The
 batched engine must reproduce it **bit-for-bit** (same seeds → same
 :class:`~repro.telephony.session.SessionResult` numbers); the
 equivalence test in ``tests/test_batch.py`` enforces this.
@@ -40,7 +37,7 @@ Four design rules make that achievable (see docs/PERFORMANCE.md):
    after the tick loop: nothing on the sender side reads it, so each
    engine stages its completed frames and replays each session's
    receiver once, after the last tick;
-4. per-batch level means are running ``+=`` sums in both engines, never
+4. per-batch level means are running ``+=`` sums in every engine, never
    ``sum()`` (which is compensated from Python 3.12 on).
 """
 
@@ -60,11 +57,8 @@ from repro.lte.channel import ChannelProcess
 from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.lte.scheduler import EnbScheduler
 from repro.metrics.summary import SessionLog, SessionSummary
-from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import FallbackRamp
-from repro.rate_control.fbcc.detector import CongestionDetector
-from repro.rate_control.fbcc.encoding import EncodingRateControl
-from repro.rate_control.fbcc.rtp import RtpRateControl
+from repro.rate_control.fbcc.controller import FbccLoop
 from repro.rate_control.pacer import PACING_TICK, FramePacer
 from repro.sim.blocks import BlockDraws, BlockStream, lognormal_transform
 from repro.sim.rng import RngRegistry
@@ -396,12 +390,12 @@ class UplinkSession:
     batched engine replays with arrays (see the phase comments in
     :meth:`_tick`).  The state has the array twin's shape: the 40 ms
     diag batch is a running level sum fed straight to
-    :meth:`CongestionDetector.on_report_level`, a packet's arrival (and
-    the frame it completes) is logged when it is drained, at its
-    arrival time ``deliver_ticks`` later, completed frames are staged
-    for the receiver's post-run :meth:`ReceiverState.replay`, and the
-    scheduler is not called on an empty BSR or during a handover
-    outage.
+    :meth:`~repro.rate_control.fbcc.controller.FbccLoop.on_report`, a
+    packet's arrival (and the frame it completes) is logged when it is
+    drained, at its arrival time ``deliver_ticks`` later, completed
+    frames are staged for the receiver's post-run
+    :meth:`ReceiverState.replay`, and the scheduler is not called on an
+    empty BSR or during a handover outage.
     """
 
     def __init__(self, config: SessionConfig):
@@ -425,9 +419,6 @@ class UplinkSession:
         )
         self._receiver = ReceiverState(config.video, stream("recv"))
 
-        fbcc = config.fbcc
-        self._bandwidth = TbsBandwidthEstimator(fbcc.tbs_window_subframes)
-        self._detector = CongestionDetector(fbcc, report_interval=profile.diag_interval)
         self._ramp = FallbackRamp(
             config.gcc.start_rate,
             config.gcc.min_rate,
@@ -435,15 +426,15 @@ class UplinkSession:
             config.gcc.beta,
             profile.ramp_growth,
         )
-        self._encoding = EncodingRateControl(
-            fbcc, gcc_rate=lambda: self._ramp.rate, rtt=lambda: profile.rtt
+        self._loop = FbccLoop(
+            config.fbcc, profile.diag_interval, config.gcc.start_rate,
+            fallback_rate=lambda: self._ramp.rate, rtt=lambda: profile.rtt,
         )
-        self._rtp = RtpRateControl(
-            fbcc,
-            config.gcc.start_rate,
-            profile.diag_interval,
-            video_rate=lambda: self._encoding.rate(self._now),
-        )
+        # The loop's stages the tick calls, bound once: no extra
+        # attribute loads per tick.
+        self._bandwidth = self._loop.bandwidth
+        self._encoding = self._loop.encoding
+        self._rtp = self._loop.rtp
 
         #: frame_id -> [capture_s, size_bytes, damaged], until the
         #: frame's last packet is pushed, or drained if it completes an
@@ -473,8 +464,6 @@ class UplinkSession:
         #: SharedCell` via :meth:`join_cell`; ``None`` runs the
         #: session's own independent cell-load model.
         self._cell_view = None
-        #: Time of the last diag delivery (read by the RTP floor).
-        self._now = 0.0
         self._warm_ticks = 0
         #: Packets due after this tick never arrive and are not logged.
         self._last_tick = 0
@@ -595,14 +584,12 @@ class UplinkSession:
     def _deliver_diag(self, k: int, now: float) -> None:
         # Records of ticks 1..k-1 in the first batch, diag_ticks after.
         count = min(k - 1, self.profile.diag_ticks)
-        congested = self._detector.on_report_level(self._batch_level_sum / count)
-        self._batch_level_sum = 0.0
-        self._now = now
-        if congested:
-            self._encoding.on_congestion(self._bandwidth.rate_bps, now)
         # Nothing has touched the buffer since the batch's last subframe,
-        # so its level is that record's (Eq. 7 reads batch[-1]).
-        self._rtp.on_level(self._fw.level, self._bandwidth.rate_bps)
+        # so its level is that record's.
+        congested = self._loop.on_report(
+            self._batch_level_sum / count, self._fw.level, now
+        )
+        self._batch_level_sum = 0.0
         drops = self._fw.dropped_packets
         self._ramp.on_batch(
             drops - self._ramp_seen_drops, congested, self._encoding.held_rate

@@ -115,6 +115,30 @@ def test_trace_writes_csv_file(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_trace_csv_stdout_equals_write_trace_csv(tmp_path, capsys):
+    from repro.metrics import export
+    from repro.obs import TraceBus
+    from repro.telephony.session import TelephonySession
+    from repro.traces.scenarios import scenario
+
+    code = cli.main(
+        ["trace", "--scenario", "cellular", "--duration", "2", "--seed", "4",
+         "--scheme", "poi360", "--transport", "fbcc",
+         "--events", "fw_buffer,fbcc.rate", "--format", "csv"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    config = scenario(
+        "cellular", scheme="poi360", transport="fbcc", duration=2.0, seed=4
+    )
+    bus = TraceBus()
+    TelephonySession(config, trace=bus).run(2.0, warmup=0.0)
+    path = tmp_path / "trace.csv"
+    rows = export.write_trace_csv(path, bus.select(names=["fw_buffer", "fbcc.rate"]))
+    assert rows > 100
+    assert out.encode() == path.read_bytes()
+
+
 def test_profile_sort_and_limit(capsys):
     code = cli.main(
         ["profile", "--scenario", "cellular", "--duration", "2", "--warmup", "0",

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.lte.diagnostics import DiagRecord
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
-
-
-def _record(tbs, t=0.0):
-    return DiagRecord(time=t, buffer_bytes=0.0, tbs_bytes=tbs)
 
 
 def test_empty_estimator_reports_zero():
@@ -35,16 +30,6 @@ def test_window_slides():
     for _ in range(10):
         estimator.on_tbs(500.0)
     assert estimator.rate_bps == pytest.approx(500 * 8 * 1000)
-
-
-def test_on_batch_equivalent_to_records():
-    a = TbsBandwidthEstimator(50)
-    b = TbsBandwidthEstimator(50)
-    batch = [_record(float(i)) for i in range(40)]
-    a.on_batch(batch)
-    for record in batch:
-        b.on_tbs(record.tbs_bytes)
-    assert a.rate_bps == b.rate_bps
 
 
 def test_invalid_window_rejected():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import FbccConfig
-from repro.lte.diagnostics import DiagRecord
 from repro.rate_control.fbcc.detector import (
     CongestionDetector,
     GAMMA_CAP,
@@ -89,10 +88,3 @@ def test_gamma_tracks_average_and_caps():
     assert 0 < detector.gamma <= kbytes(4) + 1
     _feed_levels(detector, [kbytes(60)] * 60_000)
     assert detector.gamma == pytest.approx(GAMMA_CAP)
-
-
-def test_on_batch_uses_mean_level():
-    detector = CongestionDetector(FbccConfig())
-    batch = [DiagRecord(time=i * 1e-3, buffer_bytes=kbytes(2), tbs_bytes=0.0) for i in range(40)]
-    assert detector.on_batch(batch) is False
-    assert detector.on_batch([]) is False

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.config import FbccConfig
-from repro.lte.diagnostics import DiagRecord
 from repro.rate_control.fbcc.encoding import EncodingRateControl
 from repro.rate_control.fbcc.rtp import RtpRateControl, SweetSpotLearner
 from repro.units import kbytes, mbps
-
-
-def _record(level, t=0.0, tbs=0.0):
-    return DiagRecord(time=t, buffer_bytes=level, tbs_bytes=tbs)
 
 
 class TestEncodingRateControl:
@@ -51,8 +46,7 @@ class TestEncodingRateControl:
 class TestRtpRateControl:
     def test_low_buffer_raises_rate(self):
         control = RtpRateControl(FbccConfig(), initial_rate=mbps(2.0), interval=0.04)
-        batch = [_record(kbytes(2))]
-        rate = control.on_batch(batch, tbs_rate_bps=mbps(2.0))
+        rate = control.on_level(kbytes(2), tbs_rate_bps=mbps(2.0))
         # Eq. 7: + (10 KB - 2 KB)/40 ms in bytes/s → +1.6 Mbps.
         assert rate == pytest.approx(mbps(2.0) + (kbytes(8) / 0.04) * 8, rel=0.01)
 
@@ -62,8 +56,7 @@ class TestRtpRateControl:
         control = RtpRateControl(
             config, initial_rate=mbps(8.0), interval=0.04, video_rate=lambda: video_rate
         )
-        batch = [_record(kbytes(40))]
-        rate = control.on_batch(batch, tbs_rate_bps=mbps(2.0))
+        rate = control.on_level(kbytes(40), tbs_rate_bps=mbps(2.0))
         assert rate == pytest.approx(
             RtpRateControl.VIDEO_RATE_FLOOR * video_rate
         )
@@ -71,12 +64,8 @@ class TestRtpRateControl:
     def test_rate_clamped_to_bounds(self):
         config = FbccConfig()
         control = RtpRateControl(config, initial_rate=config.rtp_max_rate, interval=0.04)
-        rate = control.on_batch([_record(0.0)], tbs_rate_bps=0.0)
+        rate = control.on_level(0.0, tbs_rate_bps=0.0)
         assert rate == config.rtp_max_rate
-
-    def test_empty_batch_keeps_rate(self):
-        control = RtpRateControl(FbccConfig(), initial_rate=mbps(1.0), interval=0.04)
-        assert control.on_batch([], tbs_rate_bps=0.0) == pytest.approx(mbps(1.0))
 
     def test_configured_target_used(self):
         config = FbccConfig(target_buffer=kbytes(12))

@@ -58,11 +58,11 @@ def test_loss_reports_emitted():
 
 def test_bwe_grows_on_clean_path():
     sim = Simulation()
-    bwe = SendSideBwe(sim, GccConfig())
+    bwe = SendSideBwe(GccConfig())
     early = None
     for index in range(1500):
         sim.run(0.004)
-        bwe.on_packet_report(sim.now - 0.05, sim.now, 1200.0)
+        bwe.on_packet_report(sim.now - 0.05, sim.now, 1200.0, sim.now)
         if index == 200:
             early = bwe.rate
     # Flat delays → no decreases, monotone probing upward.
@@ -72,21 +72,20 @@ def test_bwe_grows_on_clean_path():
 
 def test_bwe_cuts_on_growing_delay():
     sim = Simulation()
-    bwe = SendSideBwe(sim, GccConfig())
+    bwe = SendSideBwe(GccConfig())
     for index in range(300):
         sim.run(0.004)
-        bwe.on_packet_report(sim.now - 0.05, sim.now, 1200.0)
+        bwe.on_packet_report(sim.now - 0.05, sim.now, 1200.0, sim.now)
     assert bwe.aimd.decreases == 0
     for index in range(300):
         sim.run(0.004)
         # Queue builds: each packet 1.5 ms later than the last.
-        bwe.on_packet_report(sim.now - 0.05 - index * 0.0015, sim.now, 1200.0)
+        bwe.on_packet_report(sim.now - 0.05 - index * 0.0015, sim.now, 1200.0, sim.now)
     assert bwe.aimd.decreases >= 1
 
 
 def test_transport_combines_loss_and_delay():
-    sim = Simulation()
-    transport = SendSideGccTransport(sim, GccConfig())
+    transport = SendSideGccTransport(GccConfig())
     transport.on_feedback({"type": "rr", "loss": 0.5}, now=1.0)
     assert transport.video_rate < GccConfig().start_rate
     assert transport.pacing_rate == pytest.approx(
@@ -103,4 +102,4 @@ def test_end_to_end_session_with_sendside_gcc():
     result = session.run(30.0, warmup=10.0)
     assert result.summary.frames_displayed > 400
     assert result.summary.throughput.mean > 0.3e6
-    assert session.transport.rtt.samples > 0
+    assert session.transport.sender.rtt.samples > 0

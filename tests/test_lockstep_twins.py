@@ -12,13 +12,17 @@ require identical state and outputs after every step.  The scalar
 references are the model classes both engines run, built with the
 lockstep engines' :class:`~repro.sim.blocks.BlockDraws`.
 
-The receiver's post-run :meth:`~repro.telephony.uplink.ReceiverState.
-replay` is fuzzed the same way, against the live playout heap both
-engines ran inside their tick loops before it (kept here as the oracle).
+The event engine's :class:`~repro.rate_control.fbcc.controller.
+FbccTransport` is fuzzed against the FBCC loop as the scalar lockstep
+session drives it, report by report.  The receiver's post-run
+:meth:`~repro.telephony.uplink.ReceiverState.replay` is fuzzed against
+the live playout heap both engines ran inside their tick loops before
+it (kept here as the oracle).
 """
 
 import heapq
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -29,16 +33,19 @@ from repro.config import (
     ChannelConfig,
     FbccConfig,
     FleetConfig,
+    GccConfig,
     LteConfig,
     VideoConfig,
 )
 from repro.lte.cell import CellLoadArray, CellLoadProcess, LOAD_MAX, LOAD_MIN
 from repro.lte.channel import ChannelArray, ChannelProcess
+from repro.lte.diagnostics import DiagRecord
 from repro.lte.firmware_buffer import _RING_SLOTS, FirmwareBuffer, FirmwareBufferArray
 from repro.lte.scheduler import EnbScheduler, SchedulerArray
 from repro.lte.shared_cell import SharedCell, SharedCellArray
 from repro.metrics.summary import SessionLog
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
+from repro.rate_control.fbcc.controller import FbccLoop, FbccTransport
 from repro.rate_control.fbcc.batch import (
     DetectorArray,
     EncodingHoldArray,
@@ -851,6 +858,61 @@ def test_encoding_hold_array_matches_encoding_rate_control(
         assert array.congestion_events.tolist() == [
             c.congestion_events for c in scalars
         ]
+
+
+# -- Event FbccTransport vs the lockstep FbccLoop --------------------------
+
+
+@FUZZ
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    diag_interval=st.sampled_from([0.040, 0.020]),
+    k=st.integers(2, 12),
+    reports=st.integers(2, 120),
+    hard_share=st.sampled_from([0.0, 0.01]),
+)
+@example(seed=7, diag_interval=0.020, k=10, reports=60, hard_share=0.01)
+def test_event_fbcc_transport_matches_lockstep_fbcc_loop(
+    seed, diag_interval, k, reports, hard_share
+):
+    """One per-subframe (level, TBS) stream, fed to the event transport
+    in ``on_diag`` batches and to the FBCC loop as the scalar lockstep
+    session drives it (TBS per tick, a running level sum, a report at
+    each diag tick), with the fallback rate and the RTT pinned: Γ, the
+    congestion flag, the held rate, R_v and R_rtp agree after every
+    report, whatever the diag interval."""
+    rng = np.random.default_rng(seed)
+    ticks = int(round(diag_interval / MS))
+    config = FbccConfig(k_consecutive=k)
+    gcc = GccConfig()
+    clock = SimpleNamespace(now=0.0)
+    transport = FbccTransport(clock, config, gcc, diag_interval)
+    # Without feedback the event transport's GCC fallback stays put.
+    fallback, rtt = transport.gcc.rate, transport.gcc.rtt.rtt
+    loop = FbccLoop(
+        config, diag_interval, gcc.start_rate, lambda: fallback, lambda: rtt
+    )
+    levels = _levels(rng, 1, reports * ticks, hard_share)[:, 0].tolist()
+    tbs = rng.choice([0.0, 1.0, 777.0, 3000.0], reports * ticks).tolist()
+    for report in range(reports):
+        batch = []
+        level_sum = 0.0
+        for tick in range(report * ticks + 1, (report + 1) * ticks + 1):
+            level, size = levels[tick - 1], tbs[tick - 1]
+            batch.append(DiagRecord(tick * MS, level, size))
+            loop.bandwidth.on_tbs(size)
+            level_sum += level
+        now = (report + 1) * ticks * MS
+        clock.now = now
+        detections = transport.detector.detections
+        transport.on_diag(batch)
+        congested = loop.on_report(level_sum / ticks, level, now)
+        assert (transport.detector.detections > detections) == congested
+        assert transport.detector.gamma == loop.detector.gamma
+        assert transport.encoding.held_rate == loop.encoding.held_rate
+        assert transport.video_rate == loop.encoding.rate(now)
+        assert transport.pacing_rate == loop.rtp.rate
+        assert (transport.gcc.rate, transport.gcc.rtt.rtt) == (fallback, rtt)
 
 
 # -- ReceiverState.replay vs the live playout heap ------------------------
