@@ -10,8 +10,11 @@ CLI share one pool of finished sessions.
 Layout::
 
     .repro_cache/
+        counters.jsonl         # one appended line of counter deltas per bump
+        counters.json          # legacy lifetime totals (read-only base)
         <code-salt>/           # first 12 hex chars of the source hash
             <key>.pkl          # pickled List[SessionResult]
+            <key>.json         # JSON payload entries (the job service)
 
 The *code salt* is a SHA-256 over every ``repro`` source file, so any
 change to the simulator automatically invalidates the whole cache (old
@@ -35,7 +38,7 @@ import shutil
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.ledger import atomic_write_text, atomic_writer
+from repro.obs.ledger import atomic_write_text, atomic_writer, read_jsonl_lines
 from repro.telephony.session import SessionResult
 
 #: Counter names tracked by the cache; they mirror the ``cache.*``
@@ -52,8 +55,8 @@ _ENABLED: Optional[bool] = None
 #: under a running experiment).
 _CODE_SALT: Optional[str] = None
 
-#: Process-level hit/miss counters (this run); a persistent mirror in
-#: ``<cache_dir>/counters.json`` accumulates across processes so
+#: Process-level hit/miss counters (this run); a persistent log in
+#: ``<cache_dir>/counters.jsonl`` accumulates across processes so
 #: ``repro360 cache stats`` can report lifetime effectiveness.
 _COUNTERS: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
 
@@ -124,28 +127,30 @@ def _entry_path(key: str) -> Path:
 
 
 def _counters_path() -> Path:
+    return cache_dir() / "counters.jsonl"
+
+
+def _legacy_counters_path() -> Path:
     return cache_dir() / "counters.json"
 
 
 def _bump(**deltas: int) -> None:
-    """Add to the process counters and the persistent mirror (best effort)."""
+    """Add to the process counters and append them to the persistent log.
+
+    One short ``O_APPEND`` write per bump: concurrent processes cannot
+    lose each other's updates, and nothing is read or renamed (an
+    ``os.replace`` over an existing file can block for tens of ms).
+    Best effort: counter persistence must never break an experiment.
+    """
     for name, delta in deltas.items():
         _COUNTERS[name] += delta
     path = _counters_path()
+    line = json.dumps(deltas, separators=(",", ":"), sort_keys=True)
     try:
-        totals = {name: 0 for name in COUNTER_NAMES}
-        try:
-            stored = json.loads(path.read_text())
-            for name in COUNTER_NAMES:
-                totals[name] = int(stored.get(name, 0))
-        except (OSError, ValueError):
-            pass
-        for name, delta in deltas.items():
-            totals[name] += delta
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, json.dumps(totals))
+        with open(path, "a") as handle:
+            handle.write(line + "\n")
     except OSError:
-        # Counter persistence must never break an experiment.
         pass
 
 
@@ -161,19 +166,27 @@ def counters() -> Dict[str, int]:
 
 
 def persistent_counters() -> Dict[str, int]:
-    """Lifetime counters accumulated in ``<cache_dir>/counters.json``."""
+    """Lifetime counters: the sum of every whole line of
+    ``<cache_dir>/counters.jsonl`` (a torn line is skipped) on top of a
+    legacy ``counters.json`` total, if one is left."""
     totals = {name: 0 for name in COUNTER_NAMES}
+    records = [record for _, record in read_jsonl_lines(_counters_path())]
     try:
-        stored = json.loads(_counters_path().read_text())
-        for name in COUNTER_NAMES:
-            totals[name] = int(stored.get(name, 0))
+        records.insert(0, json.loads(_legacy_counters_path().read_text()))
     except (OSError, ValueError):
         pass
+    for record in records:
+        try:
+            deltas = [int(record.get(name, 0)) for name in COUNTER_NAMES]
+        except (AttributeError, TypeError, ValueError):
+            continue
+        for name, delta in zip(COUNTER_NAMES, deltas):
+            totals[name] += delta
     return totals
 
 
 def reset_counters() -> None:
-    """Zero the process counters (tests; the mirror is left alone)."""
+    """Zero the process counters (tests; the persistent log is left alone)."""
     for name in COUNTER_NAMES:
         _COUNTERS[name] = 0
 
@@ -298,8 +311,9 @@ def clear() -> int:
         for child in root.iterdir():
             if child.is_dir():
                 shutil.rmtree(child, ignore_errors=True)
-        try:
-            _counters_path().unlink()
-        except OSError:
-            pass
+        for path in (_counters_path(), _legacy_counters_path()):
+            try:
+                path.unlink()
+            except OSError:
+                pass
     return removed

@@ -12,8 +12,8 @@ perf trajectory of the simulator is tracked from PR to PR:
 
    - ``matrix_build``   — cached/rolled Eq. (1) mode matrices vs a
      fresh ``build_mode_matrix_reference`` build per ROI move;
-   - ``roi_quality``    — the receiver's array ROI-region PSNR vs the
-     per-tile scalar loop (``set_reference_kernels`` path);
+   - ``roi_quality``    — the viewer's batched ROI-region PSNR replay vs
+     the per-tile scalar loop (``set_reference_kernels`` path);
    - ``encoder_alloc``  — steady-state ``FrameEncoder.encode`` with the
      per-matrix caches vs a ``reference=True`` encoder;
    - ``full_session``   — the 30 s single-session leg (absolute time,
@@ -131,8 +131,9 @@ def bench_matrix_build(iterations: int = 4000, repeats: int = 3) -> dict:
 
 
 def bench_roi_quality(iterations: int = 2000, repeats: int = 3) -> dict:
-    """The receiver's per-frame ROI-region PSNR: array kernel vs the
-    scalar per-tile reference loop."""
+    """The viewer's ROI-region PSNR replay: one batched kernel call over
+    ``iterations`` frames vs the scalar per-tile reference loop, one
+    frame at a time."""
     from repro.compression.matrix import build_mode_matrix
     from repro.sim.rng import RngRegistry
     from repro.telephony.receiver import roi_region_psnr
@@ -151,17 +152,26 @@ def bench_roi_quality(iterations: int = 2000, repeats: int = 3) -> dict:
     j = 4 + dy
     valid = (j >= 0) & (j < grid.tiles_y)
     i, j = (5 + dx[valid]) % grid.tiles_x, j[valid]
+    crops_i = np.tile(i, (iterations, 1))
+    crops_j = np.tile(j, (iterations, 1))
+    levels = matrix[crops_i, crops_j]
+    bpp = np.full(iterations, 0.08)
+    times = 0.033 * np.arange(iterations)
 
-    def run() -> None:
+    def batched() -> None:
+        roi_region_psnr(crops_i, crops_j, levels, bpp, times, video, content, None)
+
+    def per_frame() -> None:
         for k in range(iterations):
             roi_region_psnr(
-                i, j, matrix, 0.08, 0.033 * k, video, content, None
+                crops_i[k : k + 1], crops_j[k : k + 1], levels[k : k + 1],
+                bpp[k : k + 1], times[k : k + 1], video, content, None,
             )
 
-    vectorized = _best_of(repeats, run)
+    vectorized = _best_of(repeats, batched)
     previous = quality.set_reference_kernels(True)
     try:
-        reference_s = _best_of(repeats, run)
+        reference_s = _best_of(repeats, per_frame)
     finally:
         quality.set_reference_kernels(previous)
     return _bench_entry(vectorized, reference_s, iterations)

@@ -74,11 +74,14 @@ class DiagMonitor:
             return
         batch, self._pending = self._pending, []
         if self._trace is not None:
+            # Running sums, not compensated sum() (design rule 4).
+            level = 0.0
+            tbs = 0.0
+            for record in batch:
+                level += record.buffer_bytes
+                tbs += record.tbs_bytes
             self._trace.emit(
-                "diag.batch",
-                n=len(batch),
-                mean_level=sum(r.buffer_bytes for r in batch) / len(batch),
-                tbs_bytes=sum(r.tbs_bytes for r in batch),
+                "diag.batch", n=len(batch), mean_level=level / len(batch), tbs_bytes=tbs
             )
         if self._meter is not None:
             self._meter.inc("lte.diag_batches")

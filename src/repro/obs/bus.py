@@ -21,6 +21,7 @@ summaries with tracing on and off.
 
 >>> bus = TraceBus(clock=lambda: 1.5)
 >>> bus.emit("mode_switch", to_index=3)
+{'to_index': 3}
 >>> bus.events[0].name, bus.events[0].fields["to_index"]
 ('mode_switch', 3)
 >>> len(bus)
@@ -99,14 +100,20 @@ class TraceBus:
         """Attach the timestamp source (a session binds its sim clock)."""
         self._clock = clock
 
-    def emit(self, name: str, **fields: Any) -> None:
-        """Record one event at the current simulated time."""
+    def emit(self, name: str, **fields: Any) -> Dict[str, Any]:
+        """Record one event at the current simulated time.
+
+        Returns the event's field dict, so a site can fill in a field
+        that is only known once the run is over (the viewer's
+        ``receiver.frame`` ``psnr_db``).
+        """
         ring = self._ring
         if len(ring) == ring.maxlen:
             self.dropped += 1
         ring.append(TraceEvent(self._clock(), name, fields))
         counters = self.counters
         counters[name] = counters.get(name, 0) + 1
+        return fields
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
@@ -125,7 +132,8 @@ class TraceBus:
         ``since``/``until`` are inclusive bounds in simulated seconds.
 
         >>> bus = TraceBus()
-        >>> bus.emit("a"); bus.emit("b")
+        >>> for name in ("a", "b"):
+        ...     fields = bus.emit(name)
         >>> [e.name for e in bus.select(names="a")]
         ['a']
         """

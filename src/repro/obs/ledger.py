@@ -486,14 +486,22 @@ def read_heartbeat_lines(run_dir: PathLike) -> List[Tuple[str, dict]]:
     (append) order.
 
     The one heartbeat parser: :func:`read_heartbeats`, :func:`list_runs`
-    and the job server's event stream all read through it.  Heartbeats
-    are appended in place, so a writer that dies mid-append (or one
-    still appending) leaves a torn line; any line that is not a JSON
+    and the job server's event stream all read through it.
+    """
+    return read_jsonl_lines(Path(run_dir) / HEARTBEAT_NAME)
+
+
+def read_jsonl_lines(path: PathLike) -> List[Tuple[str, dict]]:
+    """Every whole JSON-object line of an append-only JSONL file as
+    ``(line, record)``, in file (append) order.
+
+    Records are appended in place, so a writer that dies mid-append (or
+    one still appending) leaves a torn line; any line that is not a JSON
     object is dropped rather than raising, and a missing or unreadable
     file has no records.
     """
     try:
-        text = (Path(run_dir) / HEARTBEAT_NAME).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError):
         return []
     records: List[Tuple[str, dict]] = []

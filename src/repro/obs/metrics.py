@@ -142,7 +142,7 @@ _SPECS = (
     ),
     MetricSpec(
         "receiver.psnr_db", "histogram", "telephony", "dB",
-        "repro.telephony.receiver.PanoramicReceiver._display",
+        "repro.telephony.receiver.PanoramicReceiver._replay",
         "Distribution of ROI-region PSNR per displayed frame.",
         buckets=(24.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0, 40.0, 44.0),
     ),

@@ -106,10 +106,21 @@ class TrendlineEstimator:
         n = len(self._points)
         if n < 2:
             return 0.0
-        mean_x = sum(x for x, _ in self._points) / n
-        mean_y = sum(y for _, y in self._points) / n
-        num = sum((x - mean_x) * (y - mean_y) for x, y in self._points)
-        den = sum((x - mean_x) ** 2 for x, _ in self._points)
+        # Left-to-right running sums (design rule 4): ``sum()`` over
+        # floats is compensated from Python 3.12 on.
+        sum_x = 0.0
+        sum_y = 0.0
+        for x, y in self._points:
+            sum_x += x
+            sum_y += y
+        mean_x = sum_x / n
+        mean_y = sum_y / n
+        num = 0.0
+        den = 0.0
+        for x, y in self._points:
+            dx = x - mean_x
+            num += dx * (y - mean_y)
+            den += dx ** 2
         if den == 0.0:
             return 0.0
         return num / den

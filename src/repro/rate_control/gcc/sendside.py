@@ -75,7 +75,10 @@ class SendSideBwe(DelayBasedEstimator):
             return 0.0
         horizon = self._acked[-1][0] - window
         self._acked = [(t, s) for t, s in self._acked if t >= horizon]
-        return sum(s for _, s in self._acked) * BITS_PER_BYTE / window
+        acked = 0.0  # a running sum, not compensated sum() (design rule 4)
+        for _, size in self._acked:
+            acked += size
+        return acked * BITS_PER_BYTE / window
 
 
 class SendSideGccTransport(GccTransport):

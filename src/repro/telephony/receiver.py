@@ -6,6 +6,11 @@ measures the §5 metrics — timestamp-decoded frame delay, ROI-region
 PSNR (sender frame vs displayed ROI crop), displayed compression level
 — runs the Eq. (2) mismatch estimator, and feeds ROI + M back to the
 sender every frame interval over the data channel.
+
+The sender never reads the ROI PSNR, so the viewer stages each displayed
+frame and computes every PSNR in one batched pass when the run ends
+(:meth:`PanoramicReceiver.finish`), as the lockstep viewer's
+``ReceiverState.replay`` does.
 """
 
 from __future__ import annotations
@@ -30,42 +35,47 @@ from repro.video.frame import EncodedFrame, TileGrid
 from repro.video.quality import (
     displayed_tile_psnr_array,
     mse_from_psnr_array,
-    psnr_from_mse,
+    psnr_from_mse_array,
 )
 
 
 def roi_region_psnr(
     i: np.ndarray,
     j: np.ndarray,
-    matrix: np.ndarray,
-    bpp: float,
-    capture_time: float,
+    levels: np.ndarray,
+    bpp,
+    capture_times,
     config,
     content: ContentModel,
     weights: Optional[np.ndarray],
-) -> float:
-    """MSE-domain PSNR over the ROI measurement crop — the §5 metric.
+) -> np.ndarray:
+    """MSE-domain PSNR over ROI measurement crops — the §5 metric.
 
-    ``(i, j)`` are the absolute tile coordinates of the crop (x already
-    wrapped, y already clipped).  One array pass replaces the per-tile
-    scalar loop: complexity gather, R-D kernel, and the (optionally
-    solid-angle-weighted) MSE average all run on whole tile arrays.
-    Exposed as a free function so the ``roi_quality`` microbenchmark
-    times exactly what the receiver runs per displayed frame.
+    One row per displayed frame: row ``f`` of the ``(F, n)`` arrays
+    ``i``/``j`` holds the absolute tile coordinates of frame ``f``'s
+    crop (x already wrapped, y already clipped) and row ``f`` of
+    ``levels`` their compression levels; ``bpp`` and ``capture_times``
+    hold one value per frame.  Every frame of one call has the same crop
+    size ``n`` (pole rows clip the crop), so each row's ``sum`` is the
+    same ``n``-element pairwise sum whatever the batch size, and a
+    batch of one gives the per-frame value.  Complexity gather, R-D
+    kernel and the (optionally solid-angle-weighted) MSE average run on
+    whole arrays.  Exposed as a free function so the ``roi_quality``
+    microbenchmark times exactly what the receiver runs.
     """
-    levels = matrix[i, j]
-    complexity = content.complexity_tiles(i, j, capture_time)
+    bpp = np.asarray(bpp, dtype=float)[:, None]
+    times = np.asarray(capture_times, dtype=float)[:, None]
+    complexity = content.complexity_tiles(i, j, times)
     tile_mse = mse_from_psnr_array(
         displayed_tile_psnr_array(bpp, levels, config, complexity)
     )
     if weights is None:
-        total_mse = float(tile_mse.sum())
-        total_weight = float(len(tile_mse))
+        mean_mse = tile_mse.sum(axis=1) / float(tile_mse.shape[1])
     else:
         w = weights[i, j]
-        total_mse = float((w * tile_mse).sum())
-        total_weight = float(w.sum())
-    return psnr_from_mse(total_mse / max(1e-12, total_weight))
+        mean_mse = (w * tile_mse).sum(axis=1) / np.maximum(1e-12, w.sum(axis=1))
+    return psnr_from_mse_array(mean_mse)
+
 
 #: NACK retry cadence / limit and frame-abandon horizon.  Recovery is
 #: deliberately short-fused: an interactive frame more than ~a second
@@ -165,6 +175,15 @@ class PanoramicReceiver:
         span = np.arange(-half, half + 1)
         self._roi_dx = np.repeat(span, len(span))
         self._roi_dy = np.tile(span, len(span))
+        #: ROI centre -> its crop's ``(i, j)`` index arrays.
+        self._crops: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(id(matrix), centre) -> (matrix, crop, levels, mean level)``
+        #: for read-only (cached) matrices; the entry holds the matrix so
+        #: its id cannot be recycled while the entry lives.
+        self._regions: Dict[tuple, tuple] = {}
+        #: ``(crop, levels, bpp, capture_time, trace fields)`` of every
+        #: frame displayed since the last replay, in display order.
+        self._staged: List[tuple] = []
         interval = config.frame_interval()
         sim.every(interval, self._send_roi_feedback)
         sim.every(NACK_RETRY_INTERVAL, self._service_recovery)
@@ -270,47 +289,59 @@ class PanoramicReceiver:
         self._last_displayed_capture = frame.capture_time
         self._recent_delays.append(min(2.0, max(0.0, delay)))
 
-        roi_i, roi_j = self._roi_region_tiles()
-        displayed_level = float(frame.matrix[roi_i, roi_j].mean())
+        crop, levels, displayed_level = self._region(
+            frame.matrix, self._viewport.roi_center
+        )
+        # The converged level is the region level around the matrix's
+        # own centre: the sender embeds mode + ROI knowledge in each
+        # frame, so the client can evaluate it (§5).
         mismatch = self._mismatch.observe_frame(
             displayed_level,
             self.frame_delay_estimate,
             now,
-            converged_level=self._converged_region_level(frame),
-        )
-        roi_psnr = roi_region_psnr(
-            roi_i,
-            roi_j,
-            frame.matrix,
-            frame.bpp,
-            frame.capture_time,
-            self._config.video,
-            self._content,
-            self._tile_weights,
+            converged_level=self._region(frame.matrix, frame.sender_roi)[2],
         )
         self._log.mismatches.append(mismatch)
         self._log.roi_levels.append((now, displayed_level))
-        self._log.roi_psnrs.append(roi_psnr)
         self._log.display_times.append(now)
         self._log.frames_displayed += 1
+        fields = None
         if self._trace is not None:
-            self._trace.emit(
+            # psnr_db is filled in when the run's PSNRs are replayed.
+            fields = self._trace.emit(
                 "receiver.frame",
                 delay_s=delay,
-                psnr_db=roi_psnr,
+                psnr_db=None,
                 roi_level=displayed_level,
                 mismatch_s=mismatch,
             )
             if delay > self._config.freeze_threshold:
                 self._trace.emit("receiver.freeze", delay_s=delay)
+        self._staged.append((crop, levels, frame.bpp, frame.capture_time, fields))
         if meter is not None:
             meter.inc("receiver.frames")
             meter.observe("receiver.delay_s", delay)
-            meter.observe("receiver.psnr_db", roi_psnr)
             meter.observe("receiver.mismatch_s", mismatch)
             if delay > self._config.freeze_threshold:
                 meter.inc("receiver.freezes")
             meter.span_end("receiver.display", t0)
+
+    def _region(self, matrix: np.ndarray, center: Tuple[int, int]):
+        """``(crop, levels, mean level)`` of ``matrix`` over the
+        measurement crop around ``center`` (memoised for read-only
+        matrices, as :func:`repro.compression.matrix.pixel_ratio` is)."""
+        key = (id(matrix), center)
+        entry = self._regions.get(key)
+        if entry is not None and entry[0] is matrix:
+            return entry[1:]
+        crop = self._crops.get(center)
+        if crop is None:
+            crop = self._crops[center] = self._region_tiles(center)
+        levels = matrix[crop]
+        level = float(levels.mean())
+        if not matrix.flags.writeable:
+            self._regions[key] = (matrix, crop, levels, level)
+        return crop, levels, level
 
     def _region_tiles(self, center: Tuple[int, int]):
         """Absolute (i, j) index arrays of the measurement crop around
@@ -321,18 +352,50 @@ class PanoramicReceiver:
         i = (i_star + self._roi_dx[valid]) % self._grid.tiles_x
         return i, j[valid]
 
-    def _roi_region_tiles(self):
-        return self._region_tiles(self._viewport.roi_center)
+    def end_warmup(self) -> None:
+        """Drop the warm-up frames' PSNRs from the log.  An attached
+        meter or trace still gets them; otherwise they are not computed."""
+        if self._meter is not None or self._trace is not None:
+            self._replay()
+        else:
+            self._staged = []
 
-    def _converged_region_level(self, frame: EncodedFrame) -> float:
-        """Region level the frame's own mode gives at a *fresh* ROI.
+    def finish(self) -> None:
+        """Replay the measured frames' ROI PSNRs into the log.
 
-        By symmetry this is the region level around the matrix's own
-        centre (the sender embeds mode + ROI knowledge in each frame,
-        so the client can evaluate it, §5).
-        """
-        i, j = self._region_tiles(frame.sender_roi)
-        return float(frame.matrix[i, j].mean())
+        No part of the sender reads the PSNR (Eq. (2) feeds back the
+        displayed *level*), so it is computed once, after the run."""
+        self._log.roi_psnrs.extend(self._replay())
+
+    def _replay(self) -> List[float]:
+        """The staged frames' PSNRs in display order, observed into the
+        meter and filled into their ``receiver.frame`` trace events."""
+        staged, self._staged = self._staged, []
+        psnrs = [0.0] * len(staged)
+        by_size: Dict[int, List[int]] = {}
+        for index, entry in enumerate(staged):
+            by_size.setdefault(len(entry[1]), []).append(index)
+        for rows in by_size.values():
+            group = [staged[row] for row in rows]
+            values = roi_region_psnr(
+                np.array([entry[0][0] for entry in group]),
+                np.array([entry[0][1] for entry in group]),
+                np.array([entry[1] for entry in group]),
+                [entry[2] for entry in group],
+                [entry[3] for entry in group],
+                self._config.video,
+                self._content,
+                self._tile_weights,
+            )
+            for row, value in zip(rows, values.tolist()):
+                psnrs[row] = value
+        if self._trace is not None:
+            for entry, psnr in zip(staged, psnrs):
+                entry[4]["psnr_db"] = psnr
+        if self._meter is not None:
+            for psnr in psnrs:
+                self._meter.observe("receiver.psnr_db", psnr)
+        return psnrs
 
     # ------------------------------------------------------------------
     # Feedback path

@@ -172,7 +172,8 @@ class TelephonySession:
         if self.forward.ue is not None:
             self.forward.ue.diag.subscribe(self._on_diag_batch)
         self._diag_second_tbs = 0.0
-        self._diag_second_levels: List[float] = []
+        self._diag_second_level = 0.0
+        self._diag_second_records = 0
         self._diag_second_start = 0.0
         self._baseline_dropped = 0
         self._baseline_lost = 0
@@ -201,19 +202,22 @@ class TelephonySession:
     def _on_diag_batch(self, batch: List[DiagRecord]) -> None:
         """Feed FBCC and keep per-second (TBS rate, buffer) aggregates."""
         self.transport.on_diag(batch)
+        # Running sums, not compensated sum() (design rule 4).
         for record in batch:
             self._diag_second_tbs += record.tbs_bytes
-            self._diag_second_levels.append(record.buffer_bytes)
+            self._diag_second_level += record.buffer_bytes
+        self._diag_second_records += len(batch)
         if self.sim.now - self._diag_second_start >= 1.0:
-            levels = self._diag_second_levels or [0.0]
+            records = self._diag_second_records
             self.log.diag_seconds.append(
                 (
                     self._diag_second_tbs * BITS_PER_BYTE,
-                    sum(levels) / len(levels),
+                    self._diag_second_level / records if records else 0.0,
                 )
             )
             self._diag_second_tbs = 0.0
-            self._diag_second_levels = []
+            self._diag_second_level = 0.0
+            self._diag_second_records = 0
             self._diag_second_start = self.sim.now
 
     def run(
@@ -256,12 +260,14 @@ class TelephonySession:
         self.log.start_time = self.sim.now
         self._baseline_dropped = self.sender.pacer.dropped_frames
         self._baseline_lost = self.forward.lost_packets
+        self.receiver.end_warmup()
         if self.trace is not None:
             self.trace.emit("session.warmup_done")
 
     def _finish(self, duration: float, t0: float = 0.0) -> SessionResult:
         """Close out the run: counters, summary, meter, result."""
         meter = self.meter
+        self.receiver.finish()
         self._finalise_counters()
         summary = SessionSummary.from_log(
             self.log,

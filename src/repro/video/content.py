@@ -52,18 +52,24 @@ class ContentModel:
         )
         return float(self._base[i, j] * wave)
 
-    def complexity_tiles(self, i: np.ndarray, j: np.ndarray, t: float) -> np.ndarray:
+    def complexity_tiles(self, i: np.ndarray, j: np.ndarray, t) -> np.ndarray:
         """Complexity of the tiles ``(i[k], j[k])`` at time ``t``.
 
         The vectorised twin of :meth:`complexity` — bit-identical
-        element-wise, and the per-frame gather the receiver's ROI
-        quality kernel runs on.
+        element-wise, and the gather the receiver's ROI quality kernel
+        runs on.  ``t`` is a time or an array of times broadcasting
+        against ``i`` (a ``(F, 1)`` column for ``(F, n)`` crops, one
+        capture time per frame).
         """
         i = np.asarray(i)
         if quality.reference_kernels():
+            i, j, t = np.broadcast_arrays(i, np.asarray(j), np.asarray(t, dtype=float))
             return np.array(
-                [self.complexity(int(a), int(b), t) for a, b in zip(i, np.asarray(j))]
-            )
+                [
+                    self.complexity(int(a), int(b), float(c))
+                    for a, b, c in zip(i.ravel(), j.ravel(), t.ravel())
+                ]
+            ).reshape(i.shape)
         wave = 1.0 + WAVE_AMPLITUDE * np.sin(
             _TWO_PI * (t / WAVE_PERIOD + i / self._grid.tiles_x) + self._phase
         )

@@ -133,3 +133,63 @@ def test_torn_entry_is_a_miss():
     path.parent.mkdir(parents=True)
     path.write_bytes(b"\x80\x05 torn")
     assert cache.load(key) is None
+
+
+# ----------------------------------------------------------------------
+# Persistent counter log (counters.jsonl)
+# ----------------------------------------------------------------------
+
+_BUMP_SCRIPT = """
+import sys
+from repro.experiments import cache
+
+for _ in range(int(sys.argv[1])):
+    cache._bump(entry_hits=1, session_hits=2)
+"""
+
+
+def test_concurrent_bumps_lose_no_update(tmp_path):
+    """Processes bumping at once (more of them than most CI cores):
+    every appended line counts, where a read-modify-rename of one
+    totals file loses updates."""
+    bumps, processes = 200, 3
+    env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "shared")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    workers = [
+        subprocess.Popen([sys.executable, "-c", _BUMP_SCRIPT, str(bumps)], env=env)
+        for _ in range(processes)
+    ]
+    assert [worker.wait(timeout=120) for worker in workers] == [0] * processes
+    cache.set_cache_dir(tmp_path / "shared")
+    lifetime = cache.persistent_counters()
+    assert lifetime["entry_hits"] == processes * bumps
+    assert lifetime["session_hits"] == 2 * processes * bumps
+
+
+def test_torn_counter_line_is_skipped():
+    cache._bump(entry_misses=1)
+    cache._bump(sessions_stored=3)
+    with open(cache.cache_dir() / "counters.jsonl", "a") as handle:
+        handle.write('{"entry_hits":5,"sess')  # a writer died mid-append
+    lifetime = cache.persistent_counters()
+    assert lifetime == {
+        "entry_hits": 0, "entry_misses": 1, "session_hits": 0, "sessions_stored": 3
+    }
+
+
+def test_legacy_counters_file_is_folded_in():
+    root = cache.cache_dir()
+    root.mkdir(parents=True)
+    (root / "counters.json").write_text(
+        '{"entry_hits": 7, "entry_misses": 2, "session_hits": 14, "sessions_stored": 4}'
+    )
+    cache._bump(entry_hits=1, session_hits=2)
+    assert cache.persistent_counters() == {
+        "entry_hits": 8, "entry_misses": 2, "session_hits": 16, "sessions_stored": 4
+    }
+    assert cache.stats()["entry_hits"] == 8
+    cache.clear()
+    assert not (root / "counters.json").exists()
+    assert not (root / "counters.jsonl").exists()
+    assert cache.persistent_counters() == {name: 0 for name in cache.COUNTER_NAMES}

@@ -50,3 +50,18 @@ def test_record_fields():
     assert record.time == pytest.approx(0.005)
     assert record.buffer_bytes == 1234.0
     assert record.tbs_bytes == 567.0
+
+
+def test_batch_trace_sums_left_to_right():
+    """A compensated sum (``sum()`` from Python 3.12 on) reads a mean of
+    1/3 and a TBS of 1 here."""
+    from repro.obs.bus import TraceBus
+
+    sim = Simulation()
+    bus = TraceBus(clock=lambda: sim.now)
+    monitor = DiagMonitor(sim, interval=0.040, trace=bus)
+    for value in (1e16, 1.0, -1e16):
+        monitor.record(buffer_bytes=value, tbs_bytes=value)
+    sim.run(0.05)
+    (event,) = bus.select(names="diag.batch")
+    assert event.fields == {"n": 3, "mean_level": 0.0, "tbs_bytes": 0.0}

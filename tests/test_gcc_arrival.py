@@ -69,3 +69,11 @@ def test_trendline_negative_for_draining_queue():
     for t in range(1, 60):
         value = trend.update(-0.002, t * 0.01)
     assert value < -1.0
+
+
+def test_slope_sums_left_to_right():
+    """Running sums: ``sum()`` over floats is compensated from Python
+    3.12 on, and ``math.fsum`` moments give -2.0000000000000004 here."""
+    trend = TrendlineEstimator(window=20, gain=4.0)
+    trend._points.extend([(0.1, 0.7), (0.2, 0.1), (0.3, 0.3)])
+    assert trend._slope() == -2.0

@@ -103,3 +103,10 @@ def test_end_to_end_session_with_sendside_gcc():
     assert result.summary.frames_displayed > 400
     assert result.summary.throughput.mean > 0.3e6
     assert session.transport.sender.rtt.samples > 0
+
+
+def test_acked_rate_sums_left_to_right():
+    """A compensated sum (``sum()`` from Python 3.12 on) reads 1 byte here."""
+    bwe = SendSideBwe(GccConfig())
+    bwe._acked = [(0.0, 1e16), (0.1, 1.0), (0.2, -1e16)]
+    assert bwe.acked_rate(window=0.5) == 0.0

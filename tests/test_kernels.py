@@ -213,19 +213,43 @@ def _roi_crop(grid, video, center):
     return (center[0] + dx[valid]) % grid.tiles_x, j[valid]
 
 
+def _psnr_batches(grid, video, centers):
+    """All crops of ``centers`` with a distinct matrix, bpp and capture
+    time per frame, grouped by crop size as the receiver groups them."""
+    groups = {}
+    for k, center in enumerate(centers):
+        i, j = _roi_crop(grid, video, center)
+        sender_roi = ((k * 5) % grid.tiles_x, k % grid.tiles_y)
+        matrix = build_mode_matrix(grid, sender_roi, 1.5, (1, 1))
+        frame = (i, j, matrix[i, j], 0.02 + 0.01 * (k % 9), 0.033 * k)
+        groups.setdefault(len(i), []).append(frame)
+    return [
+        tuple(np.array([frame[field] for frame in frames]) for field in range(5))
+        for frames in groups.values()
+    ]
+
+
 def test_roi_region_psnr_matches_reference_loop(grid, video_config, content):
-    matrix = build_mode_matrix(grid, (5, 4), 1.5, (1, 1))
-    weights = np.abs(np.cos(np.linspace(0.0, 3.0, grid.tiles_x)))[:, None] * np.ones(
-        (grid.tiles_x, grid.tiles_y)
-    )
-    for center in [(5, 4), (0, 0), (11, grid.tiles_y - 1)]:
-        i, j = _roi_crop(grid, video_config, center)
-        for w in (None, weights):
-            vec = roi_region_psnr(i, j, matrix, 0.08, 2.5, video_config, content, w)
+    from repro.video.projection import solid_angle_weights
+
+    centers = [(x, y) for x in range(grid.tiles_x) for y in range(grid.tiles_y)]
+    batches = _psnr_batches(grid, video_config, centers)
+    assert sorted(len(batch[0][0]) for batch in batches) == [6, 9]  # pole rows clip
+    for weights in (None, solid_angle_weights(grid)):
+        for i, j, levels, bpp, times in batches:
+            batched = roi_region_psnr(
+                i, j, levels, bpp, times, video_config, content, weights
+            ).tolist()
             set_reference_kernels(True)
-            ref = roi_region_psnr(i, j, matrix, 0.08, 2.5, video_config, content, w)
+            reference = [
+                roi_region_psnr(
+                    i[f : f + 1], j[f : f + 1], levels[f : f + 1], bpp[f : f + 1],
+                    times[f : f + 1], video_config, content, weights,
+                )[0]
+                for f in range(len(i))
+            ]
             set_reference_kernels(False)
-            assert vec == ref
+            assert batched == reference
 
 
 def test_encoder_caches_do_not_change_frames(grid, video_config):
@@ -262,6 +286,37 @@ def _session_digest(result):
         result.log.diag_seconds,
         result.log.frames_displayed,
     )
+
+
+def _replayed_psnrs(result):
+    hist = result.meter.histogram("receiver.psnr_db")
+    _, traced = result.trace.series("receiver.frame", "psnr_db")
+    return (
+        result.log.roi_psnrs,
+        (hist.sum, hist.count, hist.counts),
+        traced,
+    )
+
+
+def test_replayed_psnr_identical_with_reference_kernels():
+    """The viewer computes every ROI PSNR after the run; a traced and
+    metered run with warm-up fills the log, the histogram and every
+    ``receiver.frame`` event the same in both kernel modes."""
+    config = scenario("cellular", scheme="poi360", transport="fbcc", duration=5.0, seed=6)
+
+    def run():
+        return _replayed_psnrs(run_session(config, warmup=2.0, trace=True, meter=True))
+
+    vectorized = run()
+    set_reference_kernels(True)
+    reference = run()
+    set_reference_kernels(False)
+    assert vectorized == reference
+    psnrs, (_, count, _), traced = vectorized
+    # Warm-up frames reach the meter and the trace, not the log.
+    assert len(traced) == count > len(psnrs) > 0
+    assert traced[-len(psnrs):] == psnrs
+    assert all(np.isfinite(traced))
 
 
 @pytest.mark.parametrize("scheme", ["poi360", "conduit", "pyramid"])

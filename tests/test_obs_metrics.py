@@ -367,7 +367,7 @@ def test_cache_counters_track_miss_store_hit(_fresh_cache):
     second = cache.counters()
     assert second["entry_hits"] == 1
     assert second["session_hits"] == 1
-    # The persistent mirror accumulates the same totals.
+    # The persistent counter log accumulates the same totals.
     lifetime = cache.persistent_counters()
     assert lifetime["entry_hits"] >= 1
     assert lifetime["sessions_stored"] >= 1

@@ -64,3 +64,15 @@ def test_session_components_exposed():
     assert session.transport.name == "fbcc"
     assert session.grid.num_tiles == 96
     assert session.head is not None
+
+
+def test_diag_second_sums_left_to_right():
+    """A compensated sum (``sum()`` from Python 3.12 on) reads a mean
+    buffer level of 1/3 and 8 TBS bits here."""
+    from repro.lte.diagnostics import DiagRecord
+
+    config = cellular(scheme="poi360", transport="gcc", duration=5.0, seed=13)
+    session = TelephonySession(config)
+    session._diag_second_start = -1.0  # this batch closes the second
+    session._on_diag_batch([DiagRecord(0.0, v, v) for v in (1e16, 1.0, -1e16)])
+    assert session.log.diag_seconds == [(0.0, 0.0)]
