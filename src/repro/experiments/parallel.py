@@ -449,9 +449,9 @@ def run_tasks(
                 progress(len(results), total, result)
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Chunked map: preserves order, amortises pickling overhead.
-        chunksize = max(1, len(tasks) // (workers * 4))
-        for result in pool.map(_run_task, tasks, chunksize=chunksize):
+        # One task per chunk: results stream back in task order, and a
+        # worker never holds more than the one result it is sending.
+        for result in pool.map(_run_task, tasks, chunksize=1):
             results.append(result)
             if progress is not None:
                 progress(len(results), total, result)

@@ -17,7 +17,8 @@ perf trajectory of the simulator is tracked from PR to PR:
    - ``encoder_alloc``  — steady-state ``FrameEncoder.encode`` with the
      per-matrix caches vs a ``reference=True`` encoder;
    - ``full_session``   — the 30 s single-session leg (absolute time,
-     plus the ratio against the pre-optimisation seed baseline).
+     plus the ratio against the pre-optimisation seed baseline); it
+     always runs the baseline's 30 s + 10 s session.
 
 A third, always-on leg guards the observability layer itself:
 ``bench_ledger_overhead`` times a batched cohort plain vs with full run
@@ -58,6 +59,12 @@ SEED_BASELINE = {
     "note": "best of 5: 30 s cellular/poi360/gcc session (10 s warm-up) "
     "before hot-path batching",
 }
+
+#: The single-session leg's session and warm-up length: the seed
+#: baseline's own, whatever ``duration``/``warmup`` the grid legs use,
+#: so ``single_session_vs_seed`` compares the same session.
+SEED_SESSION_DURATION = 30.0
+SEED_SESSION_WARMUP = 10.0
 
 
 def _best_of(repeats: int, fn, *args) -> float:
@@ -525,7 +532,10 @@ def run_perf_bench(
     try:
         kernels = run_kernel_benches()
         leg_done("kernels")
-        single = min(_time_single_session(duration, warmup) for _ in range(3))
+        single = min(
+            _time_single_session(SEED_SESSION_DURATION, SEED_SESSION_WARMUP)
+            for _ in range(3)
+        )
         leg_done("single_session")
         serial = _time_grid(settings, jobs=1)
         leg_done("micro_grid_serial")

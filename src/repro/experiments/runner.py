@@ -147,13 +147,15 @@ def run_grid(
     All sessions still missing after the cache lookups are pooled into
     one task list before fanning out, so workers stay busy across
     condition boundaries (a grid of short conditions parallelises as
-    well as one long condition).
+    well as one long condition).  Results stream back in task order, and
+    each condition is cached (L1 and L2) as soon as its last session
+    returns: a run killed part-way keeps every condition it finished.
     """
     settings = settings or ExperimentSettings.quick()
     grid: Dict[Tuple[str, str], List[SessionResult]] = {}
-    missing: List[Tuple[str, str]] = []
+    # (scenario, scheme, session count) of every condition still to run.
+    missing: List[Tuple[str, str, int]] = []
     pooled_tasks: List[SessionTask] = []
-    per_condition = max(1, len(settings.users()) * settings.repetitions)
     for scenario_name in scenarios:
         for scheme in schemes:
             key = (settings, scenario_name, scheme, transport)
@@ -167,21 +169,30 @@ def run_grid(
                 _CACHE[key] = results
                 grid[(scenario_name, scheme)] = results
                 continue
-            missing.append((scenario_name, scheme))
-            pooled_tasks.extend(
-                _condition_tasks(scenario_name, scheme, transport, settings)
-            )
-    if missing:
-        pooled_results = run_tasks(pooled_tasks, jobs=jobs)
-        for index, (scenario_name, scheme) in enumerate(missing):
-            results = pooled_results[
-                index * per_condition : (index + 1) * per_condition
-            ]
+            tasks = _condition_tasks(scenario_name, scheme, transport, settings)
+            missing.append((scenario_name, scheme, len(tasks)))
+            pooled_tasks.extend(tasks)
+    finished: List[SessionResult] = []
+
+    def store_finished() -> None:
+        """Cache every leading condition whose sessions have all returned."""
+        while missing and len(finished) >= missing[0][2]:
+            scenario_name, scheme, count = missing.pop(0)
+            results = finished[:count]
+            del finished[:count]
             _CACHE[(settings, scenario_name, scheme, transport)] = results
             _disk_cache.store(
                 _disk_key(scenario_name, scheme, transport, settings), results
             )
             grid[(scenario_name, scheme)] = results
+
+    def checkpoint(done: int, total: int, result: SessionResult) -> None:
+        finished.append(result)
+        store_finished()
+
+    if missing:
+        run_tasks(pooled_tasks, jobs=jobs, progress=checkpoint)
+        store_finished()  # conditions with no sessions
     return grid
 
 

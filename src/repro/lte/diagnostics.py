@@ -29,6 +29,10 @@ class DiagRecord(NamedTuple):
     tbs_bytes: float
 
 
+#: Builds a :class:`DiagRecord` from its field tuple without the
+#: named-tuple constructor's Python frame (once per subframe).
+_new_record = tuple.__new__
+
 #: Signature of a diagnostic-batch subscriber.
 DiagListener = Callable[[List[DiagRecord]], None]
 
@@ -61,15 +65,17 @@ class DiagMonitor:
         """Log one subframe's modem state (called by the UE each 1 ms)."""
         # ``_now`` rather than the ``now`` property: this runs once per
         # simulated millisecond.
-        self._pending.append(DiagRecord(self._sim._now, buffer_bytes, tbs_bytes))
+        self._pending.append(
+            _new_record(DiagRecord, (self._sim._now, buffer_bytes, tbs_bytes))
+        )
 
     def record_at(self, time: float, buffer_bytes: float, tbs_bytes: float) -> None:
         """Log a backfilled record carrying an explicit (past) timestamp."""
-        self._pending.append(DiagRecord(time, buffer_bytes, tbs_bytes))
+        self._pending.append(_new_record(DiagRecord, (time, buffer_bytes, tbs_bytes)))
 
     def _deliver(self) -> None:
         if self._idle_filler is not None:
-            self._idle_filler(self._sim.now)
+            self._idle_filler(self._sim._now)
         if not self._pending:
             return
         batch, self._pending = self._pending, []

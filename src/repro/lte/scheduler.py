@@ -94,19 +94,36 @@ class EnbScheduler:
     def grant_for_subframe(
         self, reported: float, actual: float, cqi: int, load: float
     ) -> float:
-        """Transport block size (bytes) granted this subframe (0 = none)."""
-        if reported <= 0.0:
+        """Transport block size (bytes) granted this subframe (0 = none).
+
+        Advances the burst/idle service process first.  Burst lengths
+        are geometric with the configured mean; idle gaps are sized so
+        the long-run duty cycle matches the scheduling probability,
+        which is computed only when a new burst is drawn.
+        """
+        if reported <= 0.0 or cqi <= 0:
             return 0.0
-        if cqi <= 0:
+        if self._burst_left > 0:
+            self._burst_left -= 1
+        elif self._idle_left > 0:
+            self._idle_left -= 1
             return 0.0
-        backlog_fraction = min(1.0, reported / self._backlog_ref)
-        probability = (
-            self._p_max * (1.0 - load) * max(MIN_SCHEDULING_FRACTION, backlog_fraction)
-        )
-        if not self._in_service_burst(probability):
-            return 0.0
+        else:
+            # min()/max() spelled as the comparisons the builtins make.
+            backlog = reported / self._backlog_ref
+            backlog = backlog if backlog < 1.0 else 1.0
+            floor = MIN_SCHEDULING_FRACTION
+            backlog = backlog if backlog > floor else floor
+            duty = self._p_max * (1.0 - load) * backlog
+            duty = duty if duty > 1e-3 else 1e-3
+            duty = duty if duty < 1.0 else 1.0
+            burst = 1 + int(self._mean_burst * self._burst())
+            idle = int(round(burst * (1.0 - duty) / duty))
+            self._burst_left = burst - 1  # this subframe is the burst's first
+            self._idle_left = idle if idle < MAX_IDLE_SUBFRAMES else MAX_IDLE_SUBFRAMES
         # PRBs granted when scheduled: the PF share shrinks with load.
-        prbs = max(2, int(round(self._prb_quota * (2.0 - load))))
+        prbs = int(round(self._prb_quota * (2.0 - load)))
+        prbs = prbs if prbs > 2 else 2
         if self._claim is not None:
             # Shared cell: the PF share is only an *entitlement* — the
             # subframe's remaining PRB budget caps what is actually
@@ -114,28 +131,8 @@ class EnbScheduler:
             prbs = self._claim(prbs)
             if prbs <= 0:
                 return 0.0
-        capacity = transport_block_bytes(cqi, prbs)
-        fading = self._fading()
-        return min(actual, capacity * fading)
-
-    def _in_service_burst(self, duty_cycle: float) -> bool:
-        """Advance the burst/idle process; True when this subframe serves.
-
-        Burst lengths are geometric with the configured mean; idle gaps
-        are sized so the long-run duty cycle matches ``duty_cycle``.
-        """
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return True
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return False
-        duty = min(1.0, max(1e-3, duty_cycle))
-        burst = 1 + int(self._mean_burst * self._burst())
-        idle = min(MAX_IDLE_SUBFRAMES, int(round(burst * (1.0 - duty) / duty)))
-        self._burst_left = burst - 1  # this subframe is the burst's first
-        self._idle_left = idle
-        return True
+        granted = transport_block_bytes(cqi, prbs) * self._fading()
+        return granted if granted < actual else actual
 
 
 class SchedulerArray:

@@ -125,7 +125,7 @@ class SharedCell:
 
     __slots__ = (
         "config", "background", "_prb_budget", "_alpha", "_decay",
-        "_weight_max", "_fallbacks", "_shares", "_updated",
+        "_weight_max", "_weight_floor", "_fallbacks", "_shares", "_updated",
         "_budget_time", "_budget_left", "_agg_time", "_agg_total", "_now",
     )
 
@@ -138,6 +138,7 @@ class SharedCell:
         self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
         self._decay = 1.0 - self._alpha
         self._weight_max = max(1.0, config.pf_weight_max)
+        self._weight_floor = 1.0 / self._weight_max
         #: Per member: its own background-load model (``UeUplink.cell``,
         #: the component it would have consulted solo, used when the
         #: cell has no scheduled background), the EWMA of the PRB
@@ -221,11 +222,23 @@ class SharedCell:
         return shares[index]
 
     def _aggregate(self, now: float) -> float:
-        """Total decayed share across members (cached per subframe)."""
+        """Total decayed share across members (cached per subframe).
+
+        Taking the snapshot decays every member to ``now``, as
+        :meth:`_decay_to` would one by one."""
         if now != self._agg_time:
+            shares = self._shares
+            updated = self._updated
+            decay = self._decay
             total = 0.0
-            for index in range(len(self._shares)):
-                total += self._decay_to(index, now)
+            for index in range(len(shares)):
+                elapsed = now - updated[index]
+                if elapsed > 0.0:
+                    ticks = int(round(elapsed / LTE_SUBFRAME))
+                    if ticks > 0:
+                        shares[index] *= decay**ticks
+                    updated[index] = now
+                total += shares[index]
             self._agg_total = total
             self._agg_time = now
         return self._agg_total
@@ -240,6 +253,7 @@ class SharedCell:
         ``mean_share / own_share``, clamped into
         ``[1/pf_weight_max, pf_weight_max]``; exactly ``1.0`` for a
         lone member (shares cancel) or for perfectly equal shares.
+        :meth:`load_for` computes the same weight inline.
         """
         total = self._aggregate(now)
         count = len(self._shares)
@@ -248,9 +262,8 @@ class SharedCell:
         weight = (total / count + _SHARE_EPS) / (self._shares[index] + _SHARE_EPS)
         if weight > self._weight_max:
             return self._weight_max
-        floor = 1.0 / self._weight_max
-        if weight < floor:
-            return floor
+        if weight < self._weight_floor:
+            return self._weight_floor
         return weight
 
     # ------------------------------------------------------------------
@@ -267,19 +280,35 @@ class SharedCell:
         """Effective load for member ``index`` at ``now``.
 
         ``background + sum(peer shares)``, then shrunk (grown) by the
-        member's PF weight: ``1 - w * (1 - raw)``.  The weight branch is
-        skipped when ``w == 1.0`` so a lone member sees its background
-        model's value bit-for-bit.
+        member's PF weight (:meth:`pf_weight`): ``1 - w * (1 - raw)``.
+        The weight branch is skipped when ``w == 1.0`` so a lone member
+        sees its background model's value bit-for-bit.  One body over
+        the subframe's aggregate snapshot: every member's share was
+        decayed to ``now`` when the snapshot was taken.
         """
-        peers = self._aggregate(now) - self._shares[index]
+        total = self._agg_total if now == self._agg_time else self._aggregate(now)
+        shares = self._shares
+        own = shares[index]
+        peers = total - own
         if peers < 0.0:
             # A claim bumped this member's share after the aggregate
             # snapshot was taken this subframe; peers cannot be negative.
             peers = 0.0
-        raw = self.background_load(index) + peers
+        background = self.background
+        if background is not None:
+            raw = background.load + peers
+        else:
+            raw = self._fallbacks[index].load + peers
         if raw > LOAD_MAX:
             raw = LOAD_MAX
-        weight = self.pf_weight(index, now)
+        count = len(shares)
+        if count <= 1:
+            return raw
+        weight = (total / count + _SHARE_EPS) / (own + _SHARE_EPS)
+        if weight > self._weight_max:
+            weight = self._weight_max
+        elif weight < self._weight_floor:
+            weight = self._weight_floor
         if weight != 1.0:
             boosted = 1.0 - weight * (1.0 - raw)
             if boosted < 0.0:

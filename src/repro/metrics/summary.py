@@ -14,6 +14,11 @@ from repro.metrics.stability import stability_series
 from repro.metrics.throughput import ThroughputStats, per_second_series
 
 
+def _no_arrivals() -> np.ndarray:
+    """An empty ``SessionLog.arrivals``."""
+    return np.empty((0, 2))
+
+
 @dataclass
 class SessionLog:
     """Raw measurements collected while a session runs."""
@@ -26,12 +31,16 @@ class SessionLog:
     display_times: List[float] = field(default_factory=list)
     #: (display time, compression level at the viewer's ROI centre).
     roi_levels: List[Tuple[float, float]] = field(default_factory=list)
-    #: (arrival time, bytes) of received media packets.  The scalar
-    #: lockstep engine appends tuples when it drains a packet, stamped
-    #: with its arrival time, and keeps only those due by the last tick;
-    #: the batched engine swaps in an ``(m, 2)`` float64 array holding
-    #: the same rows (see ``BatchedSimulation._materialise_arrivals``).
-    arrivals: List[Tuple[float, float]] = field(default_factory=list)
+    #: ``(m, 2)`` float64 array of the ``(arrival time, bytes)`` rows
+    #: of received media packets, in arrival order, 16 bytes a row.
+    #: Every engine stages rows while it runs and sets this once, at the
+    #: end of the run: the event viewer and the scalar lockstep engine
+    #: from a flat ``array("d")`` (see ``PanoramicReceiver.finish`` and
+    #: ``UplinkSession._finalise``), the batched engine as a view into
+    #: one shared array (``BatchedSimulation._materialise_arrivals``).
+    #: The lockstep engines log a packet when they drain it, stamped
+    #: with its arrival time, and keep only those due by the last tick.
+    arrivals: np.ndarray = field(default_factory=_no_arrivals)
     #: Frame-level mismatch time samples (s).
     mismatches: List[float] = field(default_factory=list)
     #: (time, firmware buffer level bytes) samples at the sender.
@@ -56,7 +65,7 @@ class SessionLog:
         self.roi_psnrs.clear()
         self.display_times.clear()
         self.roi_levels.clear()
-        self.arrivals = []
+        self.arrivals = _no_arrivals()
         self.mismatches.clear()
         self.buffer_levels.clear()
         self.diag_seconds.clear()
@@ -115,14 +124,10 @@ class SessionSummary:
         duration: float,
         freeze_threshold: float = 0.6,
     ) -> "SessionSummary":
-        if len(log.arrivals):
-            # (t - start, size) pairs, shifted as one vector op — the
-            # elementwise float64 subtraction matches the scalar one.
-            # np.array copies, so an ndarray-backed log stays unshifted.
-            arrivals = np.array(log.arrivals, dtype=np.float64)
-            arrivals[:, 0] -= log.start_time
-        else:
-            arrivals = []
+        # (t - start, size) rows, shifted as one vector op: the
+        # elementwise float64 subtraction matches the scalar one, and
+        # ``size - 0.0`` is ``size``.
+        arrivals = log.arrivals - (log.start_time, 0.0)
         series = per_second_series(arrivals, duration)
         return SessionSummary(
             scheme=scheme,

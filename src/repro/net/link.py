@@ -54,15 +54,19 @@ class StochasticLink:
             self.lost += 1
             return
         jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
-        arrival = self._sim.now + max(self.delay * 0.25, self.delay + jitter)
+        # max(delay / 4, delay + jitter), as the comparison max() makes.
+        transit = self.delay + jitter
+        floor = self.delay * 0.25
+        arrival = self._sim._now + (transit if transit > floor else floor)
         # Keep FIFO order: a late packet delays the ones behind it.
-        arrival = max(arrival, self._last_arrival)
+        if self._last_arrival > arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
         self.delivered += 1
         self._sim.at(arrival, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
-        packet.arrived = self._sim.now
+        packet.arrived = self._sim._now
         if self._sink is not None:
             self._sink(packet)
 
@@ -105,15 +109,18 @@ class RateLimitedLink:
             self.dropped += 1
             return
         serialization = packet.size_bytes * BITS_PER_BYTE / self.rate_bps
-        start = max(self._sim.now, self._busy_until)
+        now = self._sim._now
+        start = self._busy_until if self._busy_until > now else now
         self._busy_until = start + serialization
         self._queued_bytes += packet.size_bytes
         jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
-        arrival = self._busy_until + max(self.delay * 0.25, self.delay + jitter)
+        transit = self.delay + jitter
+        floor = self.delay * 0.25
+        arrival = self._busy_until + (transit if transit > floor else floor)
         self._sim.at(arrival, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
         self._queued_bytes -= packet.size_bytes
-        packet.arrived = self._sim.now
+        packet.arrived = self._sim._now
         if self._sink is not None:
             self._sink(packet)

@@ -22,7 +22,7 @@ class Packet:
     size_bytes: float
     created: float
     payload: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Filled in on delivery by the path.
     arrived: Optional[float] = None
 

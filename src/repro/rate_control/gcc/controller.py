@@ -90,7 +90,7 @@ class ViewerFeedback:
     def _on_arrival(self, packet: Packet) -> float:
         """Note ``packet``'s echo and sequence number; returns its send time."""
         sent = packet.payload.get("sent", packet.created)
-        self._last_echo = (sent, self._sim.now)
+        self._last_echo = (sent, self._sim._now)
         self._track_loss(packet)
         return sent
 
@@ -139,7 +139,7 @@ class GccReceiver(ViewerFeedback):
 
     def on_media_packet(self, packet: Packet) -> None:
         """Feed one arrived RTP packet into the estimator."""
-        now = self._sim.now
+        now = self._sim._now
         sent = self._on_arrival(packet)
         self._track_rate(now, packet.size_bytes)
         if packet.payload.get("rtx"):
@@ -151,7 +151,7 @@ class GccReceiver(ViewerFeedback):
 
     def incoming_rate(self) -> float:
         """Received media rate over the last half second (bps)."""
-        self._evict(self._sim.now)
+        self._evict(self._sim._now)
         return self._window_bytes * BITS_PER_BYTE / RATE_WINDOW
 
     def _track_rate(self, now: float, size_bytes: float) -> None:
@@ -214,9 +214,12 @@ class GccSenderControl:
     def rate(self) -> float:
         """R_gcc: min(loss-based, delay-based), bps."""
         rate = self._loss_based.rate
-        if self._delay_rate is not None:
-            rate = min(rate, self._delay_rate)
-        return max(self._config.min_rate, rate)
+        delay_rate = self._delay_rate
+        # min() and max() spelled as the comparisons they make.
+        if delay_rate is not None and delay_rate < rate:
+            rate = delay_rate
+        floor = self._config.min_rate
+        return rate if rate > floor else floor
 
 
 class GccTransport(TransportController):

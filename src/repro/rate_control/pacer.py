@@ -163,7 +163,7 @@ class PacedSender:
         return self._seq
 
     def _send(self, packet: Packet) -> None:
-        packet.payload["sent"] = self._sim.now
+        packet.payload["sent"] = self._sim._now
         self.bytes_paced += packet.size_bytes
         if self._on_sent is not None:
             self._on_sent(packet)

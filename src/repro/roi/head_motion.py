@@ -89,7 +89,7 @@ class HeadMotion:
         if self._saccading:
             self._advance_saccade(dt)
             return
-        if self._sim.now <= self._pursuit_until:
+        if self._sim._now <= self._pursuit_until:
             self.yaw += self._pursuit_velocity * dt
             limit = self._config.pitch_limit
             self.pitch = min(
@@ -97,7 +97,7 @@ class HeadMotion:
             )
             return
         self._advance_drift(dt)
-        if self._sim.now >= self._next_saccade:
+        if self._sim._now >= self._next_saccade:
             if self._rng.random() < self._config.pursuit_probability:
                 self._start_pursuit()
                 self._next_saccade = self._sim.now + self._draw_dwell()

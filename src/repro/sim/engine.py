@@ -26,6 +26,17 @@ import math
 from typing import Any, Callable, List, Optional, Tuple
 
 
+_heappush = heapq.heappush
+_INF = math.inf
+
+
+def _reject(delay: float) -> None:
+    """Raise for a delay :meth:`Simulation.schedule` cannot queue."""
+    if delay < 0:
+        raise ValueError(f"cannot schedule in the past (delay={delay!r})")
+    raise ValueError(f"delay must be finite (delay={delay!r})")
+
+
 #: Compact the heap only when at least this many cancelled entries are
 #: buried in it (avoids rebuilding tiny queues over and over).
 _COMPACT_MIN_DEAD = 64
@@ -100,7 +111,11 @@ class PeriodicHandle(EventHandle):
         if self.cancelled:
             return
         if keep:
-            sim._push(self.next_time, self, self._fire, ())
+            self._queued += 1
+            sim._live += 1
+            _heappush(
+                sim._queue, (self.next_time, next(sim._sequence), self, self._fire, ())
+            )
         else:
             self.paused = True
 
@@ -176,7 +191,7 @@ class Simulation:
         callback: Callable[..., Any],
         args: tuple,
     ) -> None:
-        heapq.heappush(self._queue, (when, next(self._sequence), handle, callback, args))
+        _heappush(self._queue, (when, next(self._sequence), handle, callback, args))
         handle._queued += 1
         self._live += 1
 
@@ -205,17 +220,32 @@ class Simulation:
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` seconds (>= 0)."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        if not math.isfinite(delay):
-            raise ValueError(f"delay must be finite (delay={delay!r})")
+        # One chained comparison admits every valid delay; NaN fails it.
+        if not 0.0 <= delay < _INF:
+            _reject(delay)
         handle = EventHandle(self)
-        self._push(self._now + delay, handle, callback, args)
+        handle._queued = 1
+        _heappush(
+            self._queue, (self._now + delay, next(self._sequence), handle, callback, args)
+        )
+        self._live += 1
         return handle
 
     def at(self, when: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` at absolute time ``when``."""
-        return self.schedule(when - self._now, callback, *args)
+        """Run ``callback(*args)`` at absolute time ``when``.
+
+        The entry is queued at ``now + (when - now)``, the instant
+        :meth:`schedule` gives the same delay.
+        """
+        now = self._now
+        delay = when - now
+        if not 0.0 <= delay < _INF:
+            _reject(delay)
+        handle = EventHandle(self)
+        handle._queued = 1
+        _heappush(self._queue, (now + delay, next(self._sequence), handle, callback, args))
+        self._live += 1
+        return handle
 
     def every(
         self,
@@ -240,7 +270,12 @@ class Simulation:
                 return
             callback(*args)
             if not handle.cancelled:
-                self._push(self._now + period, handle, tick, ())
+                handle._queued += 1
+                self._live += 1
+                _heappush(
+                    self._queue,
+                    (self._now + period, next(self._sequence), handle, tick, ()),
+                )
 
         self._push(self._now + phase + period, handle, tick, ())
         return handle

@@ -15,6 +15,7 @@ frame and computes every PSNR in one batched pass when the run ends
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -184,6 +185,10 @@ class PanoramicReceiver:
         #: ``(crop, levels, bpp, capture_time, trace fields)`` of every
         #: frame displayed since the last replay, in display order.
         self._staged: List[tuple] = []
+        #: Flat ``(arrival time, bytes)`` pairs of the packets received
+        #: since the last warm-up reset; :meth:`finish` hands them to
+        #: the log as ``log.arrivals``.
+        self._arrivals = array("d")
         interval = config.frame_interval()
         sim.every(interval, self._send_roi_feedback)
         sim.every(NACK_RETRY_INTERVAL, self._service_recovery)
@@ -194,8 +199,8 @@ class PanoramicReceiver:
 
     def on_media_packet(self, packet: Packet) -> None:
         """Entry point for packets arriving from the forward path."""
-        now = self._sim.now
-        self._log.arrivals.append((now, packet.size_bytes))
+        now = self._sim._now
+        self._arrivals.extend((now, packet.size_bytes))
         self._gcc.on_media_packet(packet)
         if packet.payload.get("fec"):
             if self._fec is not None:
@@ -354,18 +359,23 @@ class PanoramicReceiver:
 
     def end_warmup(self) -> None:
         """Drop the warm-up frames' PSNRs from the log.  An attached
-        meter or trace still gets them; otherwise they are not computed."""
+        meter or trace still gets them; otherwise they are not computed.
+        The packets received so far are dropped too."""
+        del self._arrivals[:]
         if self._meter is not None or self._trace is not None:
             self._replay()
         else:
             self._staged = []
 
     def finish(self) -> None:
-        """Replay the measured frames' ROI PSNRs into the log.
+        """Replay the measured frames' ROI PSNRs into the log and hand
+        it the received packets as an ``(m, 2)`` array.
 
         No part of the sender reads the PSNR (Eq. (2) feeds back the
         displayed *level*), so it is computed once, after the run."""
         self._log.roi_psnrs.extend(self._replay())
+        self._log.arrivals = np.array(self._arrivals).reshape(-1, 2)
+        self._arrivals = array("d")
 
     def _replay(self) -> List[float]:
         """The staged frames' PSNRs in display order, observed into the

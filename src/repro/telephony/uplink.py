@@ -373,12 +373,13 @@ class _Pkt:
         self.completes = completes
 
 
-def _arrived_by(arrivals: list, time: float) -> int:
-    """How many of the time-ordered ``(time, bytes)`` ``arrivals`` are
-    due by ``time``; the rest, at the end, are still in flight."""
+def _arrived_by(arrivals: array, time: float) -> int:
+    """How many items of the flat, time-ordered ``(time, bytes)`` pairs
+    ``arrivals`` are due by ``time``; the rest, at the end, are still in
+    flight."""
     cut = len(arrivals)
-    while cut and arrivals[cut - 1][0] > time:
-        cut -= 1
+    while cut and arrivals[cut - 2] > time:
+        cut -= 2
     return cut
 
 
@@ -447,6 +448,9 @@ class UplinkSession:
         #: Flat (arrival, capture, size_bytes) triples of every completed
         #: undamaged frame, replayed through the receiver after the run.
         self._completions = array("d")
+        #: Flat (arrival, size_bytes) pairs of every logged packet, handed
+        #: to ``log.arrivals`` as an ``(m, 2)`` array after the run.
+        self._arrivals = array("d")
         #: Level sum of the open diag batch (one record per tick since
         #: the last delivery).
         self._batch_level_sum = 0.0
@@ -563,9 +567,8 @@ class UplinkSession:
         # 9. end of warm-up: drop everything measured so far, except the
         # arrivals still in flight
         if k == self._warm_ticks:
-            in_flight = log.arrivals[_arrived_by(log.arrivals, now) :]
+            del self._arrivals[: _arrived_by(self._arrivals, now)]
             log.reset()
-            log.arrivals.extend(in_flight)
             log.start_time = now
             self._baseline_fw_drops = fw.dropped_packets
             self._baseline_pacer_drops = self._pacer.dropped_frames
@@ -574,9 +577,9 @@ class UplinkSession:
     def _stage_sent(self, arrival: float, completed) -> None:
         """Log drained packets, which arrive at time ``arrival``, and
         stage the frames their last packets complete."""
-        arrivals = self.log.arrivals
+        arrivals = self._arrivals
         for pkt in completed:
-            arrivals.append((arrival, pkt.size_bytes))
+            arrivals.extend((arrival, pkt.size_bytes))
             if pkt.completes:
                 capture, size, _ = self._frame_table.pop(pkt.frame_id)
                 self._completions.extend((arrival, capture, size))
@@ -619,6 +622,8 @@ class UplinkSession:
         """Close the logs after the last tick (shared by :meth:`run`
         and the cell driver's external tick loop)."""
         log = self.log
+        log.arrivals = np.array(self._arrivals).reshape(-1, 2)
+        self._arrivals = array("d")
         completions = np.frombuffer(self._completions).reshape(-1, 3)
         self._receiver.replay(
             completions[:, 0],

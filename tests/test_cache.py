@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import cache
+from repro.experiments import cache, runner
+from repro.experiments.microbench import SCHEMES
 from repro.experiments.runner import (
     ExperimentSettings,
     clear_cache,
+    run_grid,
     run_sessions,
 )
 
@@ -42,11 +44,11 @@ def _fresh_cache(tmp_path):
     clear_cache()
 
 
-def _key(settings=TINY):
+def _key(settings=TINY, scheme="poi360"):
     return cache.condition_key(
         settings,
         "cellular",
-        "poi360",
+        scheme,
         "gcc",
         (profile.name for profile in settings.users()),
     )
@@ -193,3 +195,42 @@ def test_legacy_counters_file_is_folded_in():
     assert not (root / "counters.json").exists()
     assert not (root / "counters.jsonl").exists()
     assert cache.persistent_counters() == {name: 0 for name in cache.COUNTER_NAMES}
+
+
+class _Killed(Exception):
+    pass
+
+
+def test_run_grid_checkpoints_each_condition(monkeypatch):
+    """A grid killed after its first condition's sessions keeps exactly
+    that condition cached; a rerun runs only the other conditions."""
+    schemes = SCHEMES[:3]
+    real_run_tasks = runner.run_tasks
+
+    def killed_after_first_condition(tasks, jobs=None, progress=None):
+        def relay(done, total, result):
+            progress(done, total, result)
+            if done == len(TINY.users()) * TINY.repetitions:
+                raise _Killed
+
+        return real_run_tasks(tasks, jobs=jobs, progress=relay)
+
+    monkeypatch.setattr(runner, "run_tasks", killed_after_first_condition)
+    with pytest.raises(_Killed):
+        run_grid(("cellular",), schemes, settings=TINY)
+    assert list(runner._CACHE) == [(TINY, "cellular", schemes[0], "gcc")]
+    stored = [cache.load(_key(scheme=scheme)) is not None for scheme in schemes]
+    assert stored == [True, False, False]
+
+    ran = []
+
+    def counting(tasks, jobs=None, progress=None):
+        ran.extend(tasks)
+        return real_run_tasks(tasks, jobs=jobs, progress=progress)
+
+    monkeypatch.setattr(runner, "run_tasks", counting)
+    clear_cache()  # a fresh process: the disk cache only
+    grid = run_grid(("cellular",), schemes, settings=TINY)
+    assert [task.scheme for task in ran] == list(schemes[1:])
+    assert list(grid) == [("cellular", scheme) for scheme in schemes]
+    assert all(len(results) == 1 for results in grid.values())

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.metrics import export
@@ -11,6 +12,7 @@ from repro.metrics.summary import SessionLog, SessionSummary
 def _log():
     log = SessionLog()
     log.start_time = 5.0
+    arrivals = []
     for index in range(30):
         t = 5.0 + index / 30.0
         log.frame_delays.append(0.25)
@@ -18,7 +20,8 @@ def _log():
         log.display_times.append(t)
         log.roi_levels.append((t, 1.1))
         log.mismatches.append(0.3)
-        log.arrivals.append((t, 1200.0))
+        arrivals.append((t, 1200.0))
+    log.arrivals = np.array(arrivals)
     log.buffer_levels.append((5.0, 4096.0))
     log.diag_seconds.append((2.5e6, 6000.0))
     log.rate_trace.append((5.0, 2e6, 5e6))

@@ -384,3 +384,45 @@ def test_check_perf_fails_on_missing_kernel():
     fresh = _record(roi_quality=1.7)
     failures = check_perf.compare(fresh, baseline)
     assert len(failures) == 1 and "encoder_alloc" in failures[0]
+
+
+def test_single_session_leg_times_the_seed_session_so_a_slow_one_fails(monkeypatch):
+    """The single-session leg runs the seed baseline's 30 s + 10 s
+    session whatever ``duration``/``warmup`` the grid legs use, so a
+    session leg that takes 3x the committed time fails the gate."""
+    import json
+
+    from repro.experiments import perf
+
+    check_perf = _load_check_perf()
+    committed_path = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+    committed = json.loads(committed_path.read_text())
+    timed = []
+
+    def session_leg(seconds):
+        def time_session(duration, warmup):
+            timed.append((duration, warmup))
+            return seconds
+
+        return time_session
+
+    monkeypatch.setattr(perf, "run_kernel_benches", lambda: committed["kernels"])
+    monkeypatch.setattr(perf, "_time_grid", lambda settings, jobs: 1.0)
+    monkeypatch.setattr(perf, "bench_batched_sessions", lambda: committed["batch"])
+    monkeypatch.setattr(perf, "bench_batched_cells", lambda: committed["fleet_batch"])
+    monkeypatch.setattr(
+        perf, "bench_ledger_overhead", lambda ledger=None: committed["ledger"]
+    )
+
+    def fresh_record(seconds):
+        monkeypatch.setattr(perf, "_time_single_session", session_leg(seconds))
+        return perf.run_perf_bench(
+            duration=10.0, warmup=4.0, jobs=1, batch=True, fleet_batch=True
+        )
+
+    same = fresh_record(committed["single_session_s"])
+    assert timed == [(30.0, 10.0)] * 3
+    assert check_perf.compare(same, committed) == []
+    slow = fresh_record(3 * committed["single_session_s"])
+    failures = check_perf.compare(slow, committed)
+    assert len(failures) == 1 and "single_session_vs_seed" in failures[0]

@@ -9,14 +9,16 @@ from repro.metrics.summary import SessionLog, SessionSummary
 def _populated_log():
     log = SessionLog()
     log.start_time = 10.0
+    arrivals = []
     for index in range(120):
         t = 10.0 + index / 30.0
         log.frame_delays.append(0.3 + 0.001 * index)
         log.roi_psnrs.append(35.0 + (index % 5))
         log.display_times.append(t)
         log.roi_levels.append((t, 1.0 + 0.1 * (index % 3)))
-        log.arrivals.append((t, 1200.0))
+        arrivals.append((t, 1200.0))
         log.mismatches.append(0.3)
+    log.arrivals = np.array(arrivals)
     log.frames_sent = 130
     log.frames_displayed = 120
     log.sent_bits = 4e6
@@ -53,7 +55,7 @@ def test_reset_clears_everything():
     log = _populated_log()
     log.reset()
     assert not log.frame_delays
-    assert not log.arrivals
+    assert log.arrivals.shape == (0, 2)
     assert log.frames_sent == 0
     assert log.sent_bits == 0.0
 
