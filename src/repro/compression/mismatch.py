@@ -80,4 +80,9 @@ class MismatchEstimator:
         """Sliding-window average M (0 when no samples yet)."""
         if not self._samples:
             return 0.0
-        return sum(m for _, m in self._samples) / len(self._samples)
+        # A left-to-right running sum, not sum(), which compensates
+        # float sums from Python 3.12 on.
+        total = 0.0
+        for _, m in self._samples:
+            total += m
+        return total / len(self._samples)

@@ -299,6 +299,13 @@ def normalise_spec(spec: dict) -> dict:
         raise ValueError(
             "rotate_profiles requires the event engine (drop it or drop batch)"
         )
+    default_profile = MetricsSpec.profile
+    if values["batch"] and values.get("profile", default_profile) != default_profile:
+        # The batched sweep builds its configs without a user profile.
+        raise ValueError(
+            f"profile {values['profile']!r} requires the event engine "
+            "(batch runs apply no user profile; drop it or drop batch)"
+        )
     canonical = {"kind": kind}
     canonical.update(sorted(values.items()))
     return canonical

@@ -13,6 +13,11 @@ returns a falsy value to pause itself, and a producer wakes it with
 :meth:`PeriodicHandle.wake` — ticks stay on the original time grid, so
 the process is indistinguishable from one that ticked all along.
 
+Both kinds of periodic process are one :class:`PeriodicHandle` whose
+heap entries carry no callback: the dispatch loop (:meth:`Simulation.run`
+and :meth:`Simulation.step`) calls the handle's callback and re-arms the
+next tick itself, so a tick costs no Python frame beyond the callback's.
+
 Determinism: events scheduled for the same instant fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run
 is fully reproducible given the RNG seed.
@@ -72,9 +77,13 @@ class EventHandle:
 
 
 class PeriodicHandle(EventHandle):
-    """Handle of an :meth:`Simulation.every_while` periodic process.
+    """Handle of a periodic process (:meth:`Simulation.every` and
+    :meth:`Simulation.every_while`).
 
-    Besides ``cancel()`` it supports event-driven idling:
+    Its heap entries carry ``None`` in place of a callback; the dispatch
+    loop calls the callback and queues the next tick at
+    ``now + period`` (:meth:`Simulation._rearm`).  Besides ``cancel()``
+    a *gated* process (``every_while``) supports event-driven idling:
 
     - the process *pauses* when its callback returns a falsy value — no
       further ticks are scheduled and the heap stays clean;
@@ -86,7 +95,7 @@ class PeriodicHandle(EventHandle):
       (used by components that backfill bookkeeping for idle ticks).
     """
 
-    __slots__ = ("period", "next_time", "paused", "_callback", "_args")
+    __slots__ = ("period", "next_time", "paused", "gated", "_callback", "_args")
 
     def __init__(
         self,
@@ -94,30 +103,16 @@ class PeriodicHandle(EventHandle):
         period: float,
         callback: Callable[..., Any],
         args: tuple,
+        gated: bool,
     ) -> None:
         super().__init__(sim)
         self.period = period
         self.next_time = 0.0
         self.paused = False
+        #: True for ``every_while``: a falsy callback result pauses.
+        self.gated = gated
         self._callback = callback
         self._args = args
-
-    def _fire(self) -> None:
-        if self.cancelled:
-            return
-        keep = self._callback(*self._args)
-        sim = self._sim
-        self.next_time = sim._now + self.period
-        if self.cancelled:
-            return
-        if keep:
-            self._queued += 1
-            sim._live += 1
-            _heappush(
-                sim._queue, (self.next_time, next(sim._sequence), self, self._fire, ())
-            )
-        else:
-            self.paused = True
 
     def skip(self) -> None:
         """Consume the next pending tick without running it (paused only)."""
@@ -141,7 +136,7 @@ class PeriodicHandle(EventHandle):
             nxt += period
         self.next_time = nxt
         self.paused = False
-        sim._push(nxt, self, self._fire, ())
+        sim._push(nxt, self, None, ())
 
 
 class Simulation:
@@ -152,7 +147,7 @@ class Simulation:
     >>> sim = Simulation()
     >>> hits = []
     >>> sim.every(0.010, lambda: hits.append(sim.now))
-    <repro.sim.engine.EventHandle object at ...>
+    <repro.sim.engine.PeriodicHandle object at ...>
     >>> sim.run(0.035)
     >>> len(hits)
     3
@@ -160,7 +155,7 @@ class Simulation:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._queue: List[Tuple[float, int, EventHandle, Callable[..., Any], tuple]] = []
+        self._queue: List[Tuple[float, int, EventHandle, Optional[Callable[..., Any]], tuple]] = []
         self._sequence = itertools.count()
         self._running = False
         #: Queued entries whose handle is not cancelled (O(1) pending()).
@@ -170,9 +165,8 @@ class Simulation:
         #: per-event dispatch loop stays untouched.
         self.trace = None
         #: Metrics meter (``repro.obs.meter``); None unless a session
-        #: enables metering. ``run()`` selects a counting dispatch loop
-        #: only when the meter is live, so the unmetered hot loop is
-        #: byte-for-byte the historical one.
+        #: enables metering. ``run()`` folds the number of events it
+        #: dispatched into it when it returns.
         self.meter = None
 
     @property
@@ -202,15 +196,16 @@ class Simulation:
         workload that cancels many far-future events (timeouts, NACK
         timers) would otherwise keep them resident until their deadline.
         """
-        dead = len(self._queue) - self._live
-        if dead < _COMPACT_MIN_DEAD or dead * 2 < len(self._queue):
+        queue = self._queue
+        dead = len(queue) - self._live
+        if dead < _COMPACT_MIN_DEAD or dead * 2 < len(queue):
             return
-        kept = [entry for entry in self._queue if not entry[2].cancelled]
-        for entry in self._queue:
+        for entry in queue:
             if entry[2].cancelled:
                 entry[2]._queued -= 1
-        self._queue = kept
-        heapq.heapify(self._queue)
+        # In place: a running dispatch loop holds this very list.
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
 
     # ------------------------------------------------------------------
     # Scheduling API
@@ -253,7 +248,7 @@ class Simulation:
         callback: Callable[..., Any],
         *args: Any,
         phase: float = 0.0,
-    ) -> EventHandle:
+    ) -> PeriodicHandle:
         """Run ``callback(*args)`` every ``period`` seconds.
 
         The first invocation happens at ``now + phase + period`` unless a
@@ -261,24 +256,7 @@ class Simulation:
         one full period from now.  The returned handle cancels the whole
         periodic process.
         """
-        if period <= 0:
-            raise ValueError(f"period must be positive (period={period!r})")
-        handle = EventHandle(self)
-
-        def tick() -> None:
-            if handle.cancelled:
-                return
-            callback(*args)
-            if not handle.cancelled:
-                handle._queued += 1
-                self._live += 1
-                _heappush(
-                    self._queue,
-                    (self._now + period, next(self._sequence), handle, tick, ()),
-                )
-
-        self._push(self._now + phase + period, handle, tick, ())
-        return handle
+        return self._periodic(period, callback, args, phase, gated=False)
 
     def every_while(
         self,
@@ -295,12 +273,29 @@ class Simulation:
         schedule is identical to :meth:`every` (same float-accumulated
         tick instants); waking resumes on that same grid.
         """
+        return self._periodic(period, callback, args, phase, gated=True)
+
+    def _periodic(
+        self, period: float, callback: Callable[..., Any], args: tuple, phase: float,
+        gated: bool,
+    ) -> PeriodicHandle:
         if period <= 0:
             raise ValueError(f"period must be positive (period={period!r})")
-        handle = PeriodicHandle(self, period, callback, args)
+        handle = PeriodicHandle(self, period, callback, args, gated)
         handle.next_time = self._now + phase + period
-        self._push(handle.next_time, handle, handle._fire, ())
+        self._push(handle.next_time, handle, None, ())
         return handle
+
+    def _rearm(self, handle: PeriodicHandle, keep: Any) -> None:
+        """Queue a periodic process's next tick after the one that just
+        ran (or pause it).  :meth:`run` does the same inline."""
+        if handle.cancelled:
+            return
+        handle.next_time = nxt = self._now + handle.period
+        if keep or not handle.gated:
+            self._push(nxt, handle, None, ())
+        else:
+            handle.paused = True
 
     # ------------------------------------------------------------------
     # Execution
@@ -323,39 +318,39 @@ class Simulation:
             self.trace.emit("sim.run_begin", deadline=deadline, pending=self._live)
         queue = self._queue
         pop = heapq.heappop
+        sequence = self._sequence
         meter = self.meter
         dispatched = 0
         self._running = True
         try:
-            if meter is not None:
-                while queue:
-                    entry = queue[0]
-                    when = entry[0]
-                    if when > deadline:
-                        break
-                    pop(queue)
-                    handle = entry[2]
-                    handle._queued -= 1
-                    if handle.cancelled:
-                        continue
-                    self._live -= 1
-                    self._now = when
-                    dispatched += 1
-                    entry[3](*entry[4])
-            else:
-                while queue:
-                    entry = queue[0]
-                    when = entry[0]
-                    if when > deadline:
-                        break
-                    pop(queue)
-                    handle = entry[2]
-                    handle._queued -= 1
-                    if handle.cancelled:
-                        continue
-                    self._live -= 1
-                    self._now = when
-                    entry[3](*entry[4])
+            while queue:
+                entry = queue[0]
+                when = entry[0]
+                if when > deadline:
+                    break
+                pop(queue)
+                handle = entry[2]
+                handle._queued -= 1
+                if handle.cancelled:
+                    continue
+                self._live -= 1
+                self._now = when
+                dispatched += 1
+                callback = entry[3]
+                if callback is not None:
+                    callback(*entry[4])
+                    continue
+                # A periodic tick: run it, then re-arm (Simulation._rearm).
+                keep = handle._callback(*handle._args)
+                if handle.cancelled:
+                    continue
+                handle.next_time = when = when + handle.period
+                if keep or not handle.gated:
+                    handle._queued += 1
+                    self._live += 1
+                    _heappush(queue, (when, next(sequence), handle, None, ()))
+                else:
+                    handle.paused = True
         finally:
             self._running = False
         if deadline is not math.inf:
@@ -383,7 +378,10 @@ class Simulation:
             self._now = when
             if self.meter is not None:
                 self.meter.inc("sim.events")
-            callback(*args)
+            if callback is not None:
+                callback(*args)
+            else:
+                self._rearm(handle, handle._callback(*handle._args))
             return True
         return False
 

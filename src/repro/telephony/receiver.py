@@ -30,7 +30,7 @@ from repro.net.path import ReversePath
 from repro.rate_control.gcc.controller import GccReceiver
 from repro.roi.viewport import Viewport
 from repro.sim.engine import Simulation
-from repro.telephony.timestamping import decode_timestamp
+from repro.telephony.timestamping import TimestampDecoder
 from repro.video.content import ContentModel
 from repro.video.frame import EncodedFrame, TileGrid
 from repro.video.quality import (
@@ -134,7 +134,6 @@ class PanoramicReceiver:
         self._reverse = reverse
         self._gcc = gcc_receiver
         self._log = log
-        self._rng = rng
         self._mismatch = MismatchEstimator(
             config.compression.mismatch_window, l_min=config.compression.l_min
         )
@@ -170,6 +169,8 @@ class PanoramicReceiver:
         self._last_complete_capture = 0.0
         #: NTP sync error between the endpoints (§5).
         self._clock_offset = float(rng.normal(0.0, 0.003))
+        #: From here on the decode noise is the stream's only consumer.
+        self._timestamps = TimestampDecoder(rng)
         #: Precomputed (dx, dy) offset arrays of the ROI measurement
         #: crop, in the canonical dx-major order of the §5 dump.
         half = config.video.roi_measure_halfwidth
@@ -285,7 +286,7 @@ class PanoramicReceiver:
         meter = self._meter
         t0 = meter.span_start() if meter is not None else 0.0
         now = self._sim.now
-        sent_time = decode_timestamp(frame.timestamp_blocks, self._rng)
+        sent_time = self._timestamps.decode(frame.capture_time)
         delay = (now + self._clock_offset) - sent_time
         self._log.frame_delays.append(delay)
         self._assemblies.pop(frame.frame_id, None)

@@ -10,8 +10,7 @@ the ROI knowledge, the mismatch-driven compression mode, the transport
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.compression.base import CompressionScheme
 from repro.config import SessionConfig
@@ -21,7 +20,6 @@ from repro.net.path import ForwardPath
 from repro.rate_control.base import TransportController
 from repro.rate_control.pacer import PacedSender
 from repro.sim.engine import Simulation
-from repro.telephony.timestamping import encode_timestamp
 from repro.video.capture import VideoSource
 from repro.video.encoder import FrameEncoder
 from repro.video.frame import EncodedFrame, TileGrid
@@ -68,7 +66,8 @@ class PanoramicSender:
         )
         #: Sender's (possibly stale) knowledge of the viewer ROI, r_s.
         self.roi_knowledge: Tuple[int, int] = (0, grid.tiles_y // 2)
-        self._history: "OrderedDict[int, Packet]" = OrderedDict()
+        #: Sent media packets by sequence number, the last HISTORY_DEPTH.
+        self._history: Dict[int, Packet] = {}
         if config.fec.enabled:
             from repro.rate_control.fec import FecEncoder
 
@@ -89,8 +88,9 @@ class PanoramicSender:
             target_rate /= 1.0 + self.fec.overhead_ratio
         self._scheme.fit_to_rate(target_rate, self._encoder.floor_rate)
         matrix = self._scheme.matrix(self.roi_knowledge)
+        # The colored-block timestamp encodes capture_time (= now); the
+        # viewer's decoder derives the blocks from it.
         frame = self._encoder.encode(matrix, self.roi_knowledge, target_rate, now)
-        frame.timestamp_blocks = encode_timestamp(now)
         self._log.frames_sent += 1
         self._log.sent_bits += frame.size_bits
         if self._trace is not None:
@@ -110,9 +110,11 @@ class PanoramicSender:
         """Keep sent packets for NACK retransmission (RTX history)."""
         if packet.payload.get("rtx") or packet.payload.get("fec"):
             return
-        self._history[packet.payload["seq"]] = packet
-        while len(self._history) > HISTORY_DEPTH:
-            self._history.popitem(last=False)
+        seq = packet.payload["seq"]
+        self._history[seq] = packet
+        # Media sequence numbers are consecutive, so the packet
+        # HISTORY_DEPTH back is the oldest one kept.
+        self._history.pop(seq - HISTORY_DEPTH, None)
         if self.fec is not None:
             self.fec.on_media(packet)
 

@@ -114,6 +114,20 @@ def batch_unsupported_reason(config: SessionConfig) -> Optional[str]:
         return "explicit competitor UEs are event-driven"
     if config.fbcc.target_buffer is None:
         return "the online sweet-spot learner (target_buffer=None) is unsupported"
+    # The lockstep sender sends no parity and its viewer has flat ROI
+    # quality: these knobs would be silently ignored.
+    if config.fec.enabled:
+        return "FEC (fec.enabled) is modelled by the event engine only"
+    if config.video.solid_angle_weighting:
+        return (
+            "solid-angle-weighted ROI PSNR (video.solid_angle_weighting) is "
+            "modelled by the event engine only"
+        )
+    if config.viewer.roi_prediction_horizon > 0.0:
+        return (
+            "ROI prediction (viewer.roi_prediction_horizon > 0) is modelled "
+            "by the event engine only"
+        )
     if config.video.fps <= 0:
         return "fps must be positive"
     video = config.video

@@ -9,7 +9,7 @@ plain absolute in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -98,8 +98,6 @@ class EncodedFrame:
     bpp: float
     pixel_ratio: float
     keyframe: bool = False
-    #: Embedded colored-block timestamp digits (§5 measurement system).
-    timestamp_blocks: Tuple[Tuple[int, int, int], ...] = field(default_factory=tuple)
 
     @property
     def size_bytes(self) -> float:

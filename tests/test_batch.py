@@ -137,6 +137,33 @@ def test_unsupported_configs_are_reported_and_rejected():
         run_uplink_session(off_grid)
 
 
+@pytest.mark.parametrize(
+    "knob, change",
+    [
+        ("fec.enabled", lambda c: replace(c, fec=replace(c.fec, enabled=True))),
+        (
+            "video.solid_angle_weighting",
+            lambda c: replace(c, video=replace(c.video, solid_angle_weighting=True)),
+        ),
+        (
+            "viewer.roi_prediction_horizon",
+            lambda c: replace(c, viewer=replace(c.viewer, roi_prediction_horizon=0.2)),
+        ),
+    ],
+)
+def test_lockstep_refuses_knobs_it_does_not_model(knob, change):
+    """The lockstep sender sends no FEC parity and its viewer has flat
+    ROI quality and no prediction: a config asking for either is
+    refused, not run with the knob silently ignored."""
+    config = change(lockstep_config(duration=0.2))
+    reason = batch_unsupported_reason(config)
+    assert reason is not None and knob in reason
+    with pytest.raises(ValueError, match=knob):
+        run_uplink_session(config)
+    with pytest.raises(ValueError, match=knob):
+        run_batched([config])
+
+
 def test_mixed_cadence_cohort_rejected():
     fast_diag = lockstep_config(seed=2)
     fast_diag = replace(

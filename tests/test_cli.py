@@ -228,6 +228,15 @@ def test_fleet_batch_rejects_unmodelled_pair(capsys):
     assert "batch runs model only" in capsys.readouterr().err
 
 
+def test_metrics_batch_rejects_a_named_profile(capsys):
+    code = cli.main(
+        ["metrics", "--batch", "--profile", "user4-restless", "--sessions", "2",
+         "--duration", "1"]
+    )
+    assert code == 2
+    assert "requires the event engine" in capsys.readouterr().err
+
+
 def test_fleet_exits_2_on_job_value_error(monkeypatch, capsys):
     from repro.service import jobs
 

@@ -9,12 +9,17 @@ Each fast path is checked against a verbatim copy of its old body:
 - ``EnbScheduler.grant_for_subframe``: the duty-cycle probability only
   when a new burst/idle draw is due, against the old eager one;
 - ``Simulation.schedule``/``at``: one chained comparison, same errors;
-- ``SessionLog.arrivals``: an ``(m, 2)`` float64 array in every engine.
+- ``SessionLog.arrivals``: an ``(m, 2)`` float64 array in every engine;
+- ``TimestampDecoder``: block-drawn noise and the arithmetic decode,
+  against one ``decode_timestamp`` call per frame;
+- ``PeriodicHandle``: ticks re-armed by the dispatch loop, against the
+  old per-tick closure and ``_fire`` frame.
 
 The CI job on Python 3.12 runs this file too: none of these paths may
 lean on the interpreter's float summation.
 """
 
+import heapq
 import math
 import pickle
 from dataclasses import replace
@@ -31,7 +36,17 @@ from repro.lte.shared_cell import _BG_TICKS, _SHARE_EPS, LOAD_MAX, SharedCell
 from repro.lte.tbs import transport_block_bytes
 from repro.sim.batch import run_batched
 from repro.sim.blocks import CallDraws
-from repro.sim.engine import Simulation
+from repro.obs.meter import SessionMeter
+from repro.sim.engine import EventHandle, PeriodicHandle, Simulation
+from repro.telephony import timestamping
+from repro.telephony.timestamping import (
+    DECODE_BLOCK,
+    NUM_DIGITS,
+    PIXEL_NOISE_STD,
+    TimestampDecoder,
+    decode_timestamp,
+    encode_timestamp,
+)
 from repro.telephony.session import TelephonySession
 from repro.telephony.uplink import run_uplink_session
 from repro.traces.scenarios import scenario
@@ -332,3 +347,252 @@ def test_lockstep_arrivals_are_equal_arrays_in_both_engines():
         assert len(scalar) > 0
         assert np.array_equal(scalar, result.log.arrivals)
         assert result.log.arrivals.dtype == np.float64
+
+
+# ----------------------------------------------------------------------
+# TimestampDecoder
+# ----------------------------------------------------------------------
+
+
+def _capture_times(rng, frames):
+    """Frame-grid instants (float-accumulated, as the capture process
+    ticks), millisecond half-way points and arbitrary times."""
+    grid = np.cumsum(np.full(frames // 3, 1.0 / 30.0))
+    halves = (rng.integers(0, 10**9, frames // 3) + 0.5) / 1000.0
+    free = rng.uniform(0.0, 1e6, frames - 2 * (frames // 3))
+    return np.concatenate([grid, halves, free]).tolist()
+
+
+@pytest.mark.parametrize("sigma, frames", [(PIXEL_NOISE_STD, 12_000), (25.0, 3_000)])
+def test_timestamp_decoder_equals_decode_timestamp(sigma, frames, monkeypatch):
+    times = _capture_times(np.random.default_rng(11), frames)
+    reference_rng, decoder_rng = (np.random.default_rng(5) for _ in range(2))
+    reference = [
+        decode_timestamp(encode_timestamp(t), reference_rng, sigma) for t in times
+    ]
+    fallbacks = []
+
+    def counted(blocks, *args):
+        fallbacks.append(1)
+        return decode_timestamp(blocks, *args)
+
+    monkeypatch.setattr(timestamping, "decode_timestamp", counted)
+    monkeypatch.setattr(timestamping, "PIXEL_NOISE_STD", sigma)
+    decoder = TimestampDecoder(decoder_rng)
+    decoded = [decoder.decode(t) for t in times]
+    assert decoded == reference
+    if sigma == PIXEL_NOISE_STD:
+        # 10.6 sigma of margin: every frame takes the arithmetic path.
+        assert not fallbacks
+    else:
+        # Both paths ran, and the fallback decoded some frames wrongly.
+        assert 0 < len(fallbacks) < frames
+        assert any(d != decode_timestamp(encode_timestamp(t)) for d, t in zip(decoded, times))
+
+
+def test_decode_noise_blocks_are_the_per_frame_draws():
+    blocks, frames = (np.random.default_rng(9) for _ in range(2))
+    block = blocks.normal(0.0, PIXEL_NOISE_STD, size=(DECODE_BLOCK, NUM_DIGITS, 3))
+    for k in range(DECODE_BLOCK):
+        assert np.array_equal(
+            block[k], frames.normal(0.0, PIXEL_NOISE_STD, size=(NUM_DIGITS, 3))
+        )
+    assert blocks.bit_generator.state == frames.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# PeriodicHandle: ticks re-armed by the dispatch loop
+# ----------------------------------------------------------------------
+
+
+class _OldPeriodicHandle(EventHandle):
+    """The old ``every_while`` handle: one ``_fire`` frame per tick."""
+
+    __slots__ = ("period", "next_time", "paused", "_callback", "_args")
+
+    def __init__(self, sim, period, callback, args):
+        super().__init__(sim)
+        self.period = period
+        self.next_time = 0.0
+        self.paused = False
+        self._callback = callback
+        self._args = args
+
+    def _fire(self):
+        if self.cancelled:
+            return
+        keep = self._callback(*self._args)
+        sim = self._sim
+        self.next_time = sim._now + self.period
+        if self.cancelled:
+            return
+        if keep:
+            self._queued += 1
+            sim._live += 1
+            heapq.heappush(
+                sim._queue, (self.next_time, next(sim._sequence), self, self._fire, ())
+            )
+        else:
+            self.paused = True
+
+    def skip(self):
+        self.next_time += self.period
+
+    def wake(self):
+        if self.cancelled or not self.paused:
+            return
+        sim = self._sim
+        now = sim._now
+        nxt = self.next_time
+        period = self.period
+        while nxt < now:
+            nxt += period
+        self.next_time = nxt
+        self.paused = False
+        sim._push(nxt, self, self._fire, ())
+
+
+class _ClosureSimulation(Simulation):
+    """``Simulation`` with the old periodic processes and dispatch loop."""
+
+    def every(self, period, callback, *args, phase=0.0):
+        if period <= 0:
+            raise ValueError(f"period must be positive (period={period!r})")
+        handle = EventHandle(self)
+
+        def tick():
+            if handle.cancelled:
+                return
+            callback(*args)
+            if not handle.cancelled:
+                handle._queued += 1
+                self._live += 1
+                heapq.heappush(
+                    self._queue,
+                    (self._now + period, next(self._sequence), handle, tick, ()),
+                )
+
+        self._push(self._now + phase + period, handle, tick, ())
+        return handle
+
+    def every_while(self, period, callback, *args, phase=0.0):
+        if period <= 0:
+            raise ValueError(f"period must be positive (period={period!r})")
+        handle = _OldPeriodicHandle(self, period, callback, args)
+        handle.next_time = self._now + phase + period
+        self._push(handle.next_time, handle, handle._fire, ())
+        return handle
+
+    def run(self, duration=None):
+        deadline = math.inf if duration is None else self._now + duration
+        queue = self._queue
+        meter = self.meter
+        dispatched = 0
+        while queue:
+            entry = queue[0]
+            when = entry[0]
+            if when > deadline:
+                break
+            heapq.heappop(queue)
+            handle = entry[2]
+            handle._queued -= 1
+            if handle.cancelled:
+                continue
+            self._live -= 1
+            self._now = when
+            dispatched += 1
+            entry[3](*entry[4])
+        if deadline is not math.inf:
+            self._now = deadline
+        if meter is not None:
+            meter.inc("sim.runs")
+            meter.inc("sim.events", dispatched)
+
+    def step(self):
+        while self._queue:
+            when, _seq, handle, callback, args = heapq.heappop(self._queue)
+            handle._queued -= 1
+            if handle.cancelled:
+                continue
+            self._live -= 1
+            self._now = when
+            if self.meter is not None:
+                self.meter.inc("sim.events")
+            callback(*args)
+            return True
+        return False
+
+
+_periods = st.sampled_from((0.001, 0.003, 0.005, 0.01, 0.04, 1.0 / 30.0))
+_engine_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("once"), st.floats(0.0, 0.2)),
+        st.tuples(st.just("every"), _periods, st.sampled_from((0.0, 0.002, 0.0137))),
+        # A gated process pauses whenever its cycled pattern says so.
+        st.tuples(st.just("while"), _periods, st.lists(st.booleans(), min_size=1, max_size=6)),
+        st.tuples(st.just("wake"), st.integers(0, 30), st.floats(0.0, 0.1)),
+        st.tuples(st.just("cancel"), st.integers(0, 30), st.floats(0.0, 0.1)),
+        st.tuples(st.just("run"), st.floats(0.0, 0.15)),
+        st.tuples(st.just("step"), st.integers(1, 25)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _play(sim, ops):
+    """Apply ``ops`` to ``sim``; returns everything observable."""
+    fired, seen, handles, gated_handles = [], [], [], []
+
+    def note(label):
+        fired.append((sim.now, label))
+
+    def gated(label, pattern):
+        note(label)
+        return next(pattern)
+
+    for index, op in enumerate(ops):
+        kind = op[0]
+        if kind == "once":
+            handles.append(sim.schedule(op[1], note, index))
+        elif kind == "every":
+            handles.append(sim.every(op[1], note, index, phase=op[2]))
+        elif kind == "while":
+            handles.append(sim.every_while(op[1], gated, index, cycle(op[2])))
+            gated_handles.append(handles[-1])
+        elif kind == "wake" and gated_handles:
+            sim.schedule(op[2], gated_handles[op[1] % len(gated_handles)].wake)
+        elif kind == "cancel" and handles:
+            sim.schedule(op[2], handles[op[1] % len(handles)].cancel)
+        elif kind == "run":
+            sim.run(op[1])
+        elif kind == "step":
+            seen.append([sim.step() for _ in range(op[1])])
+        seen.append((sim.now, sim.pending(), len(sim._queue)))
+        seen.append([h.cancelled for h in handles])
+        seen.append([(h.paused, h.next_time) for h in gated_handles])
+    sim.run(0.3)
+    seen.append((sim.now, sim.pending(), sim.meter.counters))
+    return fired, seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(_engine_ops)
+def test_folded_periodic_handle_equals_the_old_closure(ops):
+    sims = [Simulation(), _ClosureSimulation()]
+    for sim in sims:
+        sim.meter = SessionMeter()
+    folded, closure = (_play(sim, ops) for sim in sims)
+    assert folded == closure
+
+
+def test_every_handle_now_supports_the_periodic_api():
+    sim = Simulation()
+    times = []
+    handle = sim.every(0.01, lambda: times.append(sim.now))
+    assert isinstance(handle, PeriodicHandle) and not handle.gated
+    sim.run(0.035)
+    assert times == [0.01, 0.02, 0.03] and handle.next_time == 0.04
+    handle.cancel()
+    sim.run(0.1)
+    assert len(times) == 3 and sim.pending() == 0

@@ -74,3 +74,13 @@ def test_converged_level_reference():
         1.5, frame_delay=0.2, now=2.0, converged_level=1.2
     )
     assert m >= 0.2  # now mismatched
+
+
+def test_average_sums_left_to_right():
+    """M is a running left-to-right sum over the window, identical on
+    every interpreter: Python 3.12's compensated ``sum()`` (like
+    ``math.fsum``) would give exactly 0.1 here."""
+    estimator = MismatchEstimator(window_s=10.0)
+    for k in range(10):
+        estimator.observe_frame(1.0, frame_delay=0.1, now=0.01 * k)
+    assert estimator.average() == 0.09999999999999999

@@ -75,7 +75,6 @@ class TestReceiver:
         delays_before = len(session.log.frame_delays)
         # Re-display an old frame: delay recorded, display rejected.
         old_capture = session.log.display_times[0] - 1.0 if session.log.display_times else 0.0
-        from repro.telephony.timestamping import encode_timestamp
         import numpy as np
         from repro.video.frame import EncodedFrame
 
@@ -88,7 +87,6 @@ class TestReceiver:
             size_bits=8000.0,
             bpp=0.05,
             pixel_ratio=0.5,
-            timestamp_blocks=encode_timestamp(old_capture),
         )
         receiver._display(stale)
         assert len(session.log.frame_delays) == delays_before + 1

@@ -134,6 +134,7 @@ def test_spec_field_round_trips_through_cli_and_json(kind, name, value):
     {"kind": "fleet", "calls": {"n": 1}},
     {"kind": "fleet", "calls": 1.5},
     {"kind": "fleet", "batch": True, "rotate_profiles": True},
+    {"kind": "metrics", "batch": True, "profile": "user1-calm"},
     {"kind": "metrics", "sessions": 2.7},
     {"kind": "fleet", "calls": [1.9]},
     {"kind": "fleet", "calls": [True]},
@@ -156,6 +157,26 @@ def test_spec_field_round_trips_through_cli_and_json(kind, name, value):
 def test_normalise_spec_rejects(bad):
     with pytest.raises(ValueError):
         normalise_spec(bad)
+
+
+@pytest.mark.parametrize("spec", [
+    # The specs of the benchmark's batch workloads (batch_sweep,
+    # batch_small, fleet_batch) and the CLI defaults with --batch.
+    {"kind": "metrics", "batch": True, "sessions": 256, "duration": 10.0, "warmup": 2.0},
+    {"kind": "metrics", "batch": True, "sessions": 8, "duration": 120.0, "warmup": 2.0},
+    {"kind": "fleet", "batch": True, "calls": [2, 4, 8], "cells": 32,
+     "duration": 10.0, "warmup": 2.0},
+    {"kind": "metrics", "batch": True, "profile": "user2-typical"},
+    {"kind": "fleet", "batch": True},
+])
+def test_normalise_spec_accepts_default_batch_specs(spec):
+    assert normalise_spec(spec)["batch"] is True
+
+
+def test_batch_metrics_refuses_a_named_profile():
+    with pytest.raises(ValueError, match="profile 'user3-explorer' requires the event engine"):
+        normalise_spec({"kind": "metrics", "batch": True, "profile": "user3-explorer"})
+    assert normalise_spec({"kind": "metrics", "profile": "user3-explorer"})
 
 
 @pytest.mark.parametrize("kind", ["metrics", "fleet"])

@@ -304,3 +304,22 @@ def test_every_while_cancel_while_paused_stays_cancelled():
     assert sim.pending() == 0
     sim.run(0.05)
     assert count["n"] == 1
+
+
+def test_compaction_inside_a_run_keeps_the_run_going():
+    """Cancelling enough events to compact the heap from inside a
+    callback must not strand the running dispatch loop on a stale
+    queue: what is scheduled afterwards still fires in the same run."""
+    sim = Simulation()
+    timers = [sim.schedule(1000.0 + k, lambda: None) for k in range(200)]
+    fired = []
+
+    def cancel_all():
+        for timer in timers:
+            timer.cancel()
+        sim.schedule(0.5, lambda: fired.append(sim.now))
+
+    sim.schedule(1.0, cancel_all)
+    sim.run(2.0)
+    assert fired == [1.5]
+    assert sim.pending() == 0 and len(sim._queue) < 64
