@@ -104,6 +104,12 @@ class CellMemberView:
         """Claim up to ``prbs`` from this subframe's remaining budget."""
         return self._cell.claim(self.index, prbs, self._clock._now)
 
+    def touch(self) -> None:
+        """Take this subframe's aggregate snapshot, as reading ``load``
+        would, without composing the load (the scheduler's idle
+        countdown does not use it)."""
+        self._cell._aggregate(self._clock._now)
+
 
 class SharedCell:
     """PF grant splitting across the POI360 callers camped on one cell.
@@ -339,8 +345,12 @@ class SharedCell:
         The first claim of a subframe resets the budget (minus the
         scheduled background's take) unless :meth:`begin_tick` already
         did; later claims within the same subframe see only what is
-        left.  Within a subframe, members are served in attach order —
-        long-run fairness is the PF coupling's job, not the
+        left.  The lockstep engines serve members in attach order.  The
+        event engine serves them in heap order: a member woken from idle
+        re-enters the heap behind the members still ticking, so it
+        claims last in its subframe (in ``fleet_event`` seed 1, 6,962 of
+        20,159 consecutive same-subframe claims are out of attach
+        order).  Long-run fairness is the PF coupling's job, not the
         intra-subframe order's.
         """
         if now != self._budget_time:

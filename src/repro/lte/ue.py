@@ -70,6 +70,8 @@ class UeUplink:
         #: What the grant path reads the cell load from: the UE's own
         #: model, or its shared-cell member view after :meth:`join_cell`.
         self._load_source = self.cell
+        #: The member view's ``touch`` after :meth:`join_cell`, else None.
+        self._touch = None
         self.buffer = FirmwareBuffer(config.firmware_buffer_cap)
         self.diag = DiagMonitor(sim, config.diag_interval, trace=trace, meter=meter)
         self._sink = sink
@@ -100,6 +102,7 @@ class UeUplink:
         """
         self.cell_view = cell.add_member(self.cell, self._sim)
         self._load_source = self.cell_view
+        self._touch = self.cell_view.touch
         self.scheduler.attach_cell(self.cell_view)
         return self.cell_view
 
@@ -152,20 +155,35 @@ class UeUplink:
         # The load is read only past this gate: a shared cell's view
         # decays its share EWMAs lazily on each read.
         if reported > 0.0 and self._sim._now > channel.outage_until:
-            grant = self._grant(
-                reported, level, channel.cqi_value, self._load_source.load
-            )
-            if grant > 0.0:
-                completed = buffer.drain(grant)
-                tbs = level - buffer.level
-                self.bytes_sent += tbs
-                if self._sink is not None:
-                    schedule = self._sim.schedule
-                    latency = self._config.radio_latency
-                    sink = self._sink
-                    for packet in completed:
-                        schedule(latency, sink, packet)
-                level = buffer.level
+            scheduler = self.scheduler
+            if (
+                not scheduler._burst_left
+                and scheduler._idle_left
+                and channel.cqi_value > 0
+            ):
+                # The scheduler's idle countdown grants 0 whatever the
+                # load, so only count down.  A shared cell still takes
+                # this subframe's aggregate snapshot, as the load read
+                # would have: its shares keep decaying one subframe at a
+                # time (k steps of ``decay`` are not one ``decay**k``).
+                scheduler._idle_left -= 1
+                if self._touch is not None:
+                    self._touch()
+            else:
+                grant = self._grant(
+                    reported, level, channel.cqi_value, self._load_source.load
+                )
+                if grant > 0.0:
+                    completed = buffer.drain(grant)
+                    tbs = level - buffer.level
+                    self.bytes_sent += tbs
+                    if self._sink is not None:
+                        schedule = self._sim.schedule
+                        latency = self._config.radio_latency
+                        sink = self._sink
+                        for packet in completed:
+                            schedule(latency, sink, packet)
+                    level = buffer.level
         self._record(level, tbs)
         if self._trace is not None:
             self._trace.emit("fw_buffer", level=level, tbs=tbs)

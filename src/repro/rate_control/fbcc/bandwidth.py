@@ -34,6 +34,26 @@ class TbsBandwidthEstimator:
         self._tbs.append(tbs_bytes)
         self._sum += tbs_bytes
 
+    def on_batch(self, batch) -> float:
+        """Feed a diag batch's TBS record by record, as :meth:`on_tbs`
+        would, and return the batch's buffer-level sum.
+
+        Both are running sums, left to right, never ``sum()`` (design
+        rule 4).
+        """
+        tbs = self._tbs
+        window = self._window
+        total = self._sum
+        level_sum = 0.0
+        for _, level, tbs_bytes in batch:
+            if len(tbs) == window:
+                total -= tbs[0]
+            tbs.append(tbs_bytes)
+            total += tbs_bytes
+            level_sum += level
+        self._sum = total
+        return level_sum
+
     @property
     def rate_bps(self) -> float:
         """Eq. (4): PHY throughput over the window (bps)."""

@@ -98,12 +98,7 @@ class FbccTransport(FbccLoop, TransportController):
         """Consume one (non-empty) 40 ms diagnostic batch from the modem."""
         meter = self._meter
         t0 = meter.span_start() if meter is not None else 0.0
-        on_tbs = self.bandwidth.on_tbs
-        # A running sum, never sum() (design rule 4).
-        level_sum = 0.0
-        for record in batch:
-            on_tbs(record.tbs_bytes)
-            level_sum += record.buffer_bytes
+        level_sum = self.bandwidth.on_batch(batch)
         congested = self.on_report(
             level_sum / len(batch), batch[-1].buffer_bytes, self._sim.now
         )

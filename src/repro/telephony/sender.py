@@ -27,6 +27,9 @@ from repro.video.frame import EncodedFrame, TileGrid
 #: Retransmission history depth (packets).
 HISTORY_DEPTH = 4096
 
+#: Media older than this (s) is superseded: NACKs for it are refused.
+RTX_MAX_AGE = 0.8
+
 #: Cadence of the Rv/Rrtp trace sampling (s).
 RATE_SAMPLE_INTERVAL = 0.2
 
@@ -66,8 +69,11 @@ class PanoramicSender:
         )
         #: Sender's (possibly stale) knowledge of the viewer ROI, r_s.
         self.roi_knowledge: Tuple[int, int] = (0, grid.tiles_y // 2)
-        #: Sent media packets by sequence number, the last HISTORY_DEPTH.
+        #: Sent media packets by sequence number: at most the last
+        #: HISTORY_DEPTH, none older than RTX_MAX_AGE.
         self._history: Dict[int, Packet] = {}
+        #: Sequence number of the oldest packet in the history.
+        self._oldest = 0
         if config.fec.enabled:
             from repro.rate_control.fec import FecEncoder
 
@@ -111,10 +117,22 @@ class PanoramicSender:
         if packet.payload.get("rtx") or packet.payload.get("fec"):
             return
         seq = packet.payload["seq"]
-        self._history[seq] = packet
-        # Media sequence numbers are consecutive, so the packet
-        # HISTORY_DEPTH back is the oldest one kept.
-        self._history.pop(seq - HISTORY_DEPTH, None)
+        history = self._history
+        history[seq] = packet
+        # Media sequence numbers are consecutive and their capture times
+        # never decrease, so both bounds evict from the oldest upward,
+        # this packet included.  An aged packet goes at once: any later
+        # lookup at t >= now also finds t - created > RTX_MAX_AGE, so
+        # _retransmit refuses it.
+        now = self._sim._now
+        oldest = self._oldest
+        while oldest <= seq and (
+            oldest <= seq - HISTORY_DEPTH
+            or now - history[oldest].created > RTX_MAX_AGE
+        ):
+            del history[oldest]
+            oldest += 1
+        self._oldest = oldest
         if self.fec is not None:
             self.fec.on_media(packet)
 
@@ -135,7 +153,7 @@ class PanoramicSender:
         original = self._history.get(seq)
         if original is None:
             return  # aged out of the history; the frame will be lost
-        if self._sim.now - original.created > 0.8:
+        if self._sim.now - original.created > RTX_MAX_AGE:
             return  # stale media is superseded; do not waste uplink on it
         payload = {k: v for k, v in original.payload.items() if k != "sent"}
         payload["rtx"] = True

@@ -203,9 +203,13 @@ class TelephonySession:
         """Feed FBCC and keep per-second (TBS rate, buffer) aggregates."""
         self.transport.on_diag(batch)
         # Running sums, not compensated sum() (design rule 4).
-        for record in batch:
-            self._diag_second_tbs += record.tbs_bytes
-            self._diag_second_level += record.buffer_bytes
+        tbs = self._diag_second_tbs
+        level = self._diag_second_level
+        for _, buffer_bytes, tbs_bytes in batch:
+            tbs += tbs_bytes
+            level += buffer_bytes
+        self._diag_second_tbs = tbs
+        self._diag_second_level = level
         self._diag_second_records += len(batch)
         if self.sim.now - self._diag_second_start >= 1.0:
             records = self._diag_second_records

@@ -13,7 +13,13 @@ Each fast path is checked against a verbatim copy of its old body:
 - ``TimestampDecoder``: block-drawn noise and the arithmetic decode,
   against one ``decode_timestamp`` call per frame;
 - ``PeriodicHandle``: ticks re-armed by the dispatch loop, against the
-  old per-tick closure and ``_fire`` frame.
+  old per-tick closure and ``_fire`` frame;
+- ``PanoramicSender._record_sent``: an RTX history bounded by age as
+  well as count, against the count-only one;
+- ``UeUplink._subframe``: the scheduler's idle countdown without a grant
+  call or load read, against a grant call on every eligible subframe;
+- ``TbsBandwidthEstimator.on_batch``: one loop per diag batch, against
+  one ``on_tbs`` call per record.
 
 The CI job on Python 3.12 runs this file too: none of these paths may
 lean on the interpreter's float summation.
@@ -24,20 +30,26 @@ import math
 import pickle
 from dataclasses import replace
 from itertools import cycle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import FleetConfig, LteConfig
+from repro.config import FleetConfig, LteConfig, SessionConfig
+from repro.lte.diagnostics import DiagRecord
 from repro.lte.scheduler import MAX_IDLE_SUBFRAMES, MIN_SCHEDULING_FRACTION, EnbScheduler
-from repro.lte.shared_cell import _BG_TICKS, _SHARE_EPS, LOAD_MAX, SharedCell
+from repro.lte.shared_cell import _BG_TICKS, _SHARE_EPS, LOAD_MAX, CellMemberView, SharedCell
 from repro.lte.tbs import transport_block_bytes
+from repro.lte.ue import UeUplink
+from repro.net.packet import Packet
+from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.sim.batch import run_batched
 from repro.sim.blocks import CallDraws
 from repro.obs.meter import SessionMeter
 from repro.sim.engine import EventHandle, PeriodicHandle, Simulation
+from repro.telephony import sender as sender_module
 from repro.telephony import timestamping
 from repro.telephony.timestamping import (
     DECODE_BLOCK,
@@ -47,6 +59,8 @@ from repro.telephony.timestamping import (
     decode_timestamp,
     encode_timestamp,
 )
+from repro.telephony.fleet import CellSession, member_configs
+from repro.telephony.sender import PanoramicSender
 from repro.telephony.session import TelephonySession
 from repro.telephony.uplink import run_uplink_session
 from repro.traces.scenarios import scenario
@@ -596,3 +610,313 @@ def test_every_handle_now_supports_the_periodic_api():
     handle.cancel()
     sim.run(0.1)
     assert len(times) == 3 and sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# PanoramicSender._record_sent: the age-bounded RTX history
+# ----------------------------------------------------------------------
+
+
+class _CountOnlySender(PanoramicSender):
+    """``PanoramicSender`` with the old history: the last HISTORY_DEPTH."""
+
+    def _record_sent(self, packet):
+        if packet.payload.get("rtx") or packet.payload.get("fec"):
+            return
+        seq = packet.payload["seq"]
+        self._history[seq] = packet
+        self._history.pop(seq - sender_module.HISTORY_DEPTH, None)
+        if self.fec is not None:
+            self.fec.on_media(packet)
+
+
+class _Clock:
+    """The two clock reads the sender makes."""
+
+    def __init__(self):
+        self._now = 0.0
+
+    @property
+    def now(self):
+        return self._now
+
+
+class _RtxQueue:
+    def __init__(self):
+        self.queued = []
+
+    def enqueue_retransmit(self, packet):
+        self.queued.append(packet)
+
+
+def _bare_sender(cls, clock):
+    sender = cls.__new__(cls)
+    sender._sim = clock
+    sender._history = {}
+    sender._oldest = 0
+    sender.fec = None
+    sender.pacer = _RtxQueue()
+    return sender
+
+
+def _seconds(*typical, top):
+    return st.sampled_from(typical) | st.floats(0.0, top)
+
+
+_media_steps = st.lists(
+    st.tuples(
+        _seconds(0.0, 0.04, 0.8, top=0.9),  # capture-time step to this frame
+        st.integers(1, 12),  # packets in the frame
+        _seconds(0.0, 0.001, 0.005, top=0.1),  # pacing delay of each packet
+        # NACK lookups after the frame: how many sequence numbers back,
+        # and when, relative to the instant that packet turns stale; or
+        # (None) now, for the oldest packet still fresh and the one before.
+        st.lists(
+            st.tuples(
+                st.none() | st.integers(-2, 300),
+                st.sampled_from((-0.02, -1e-9, 0.0, 1e-9)) | st.floats(-0.3, 0.3),
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_media_steps, st.sampled_from((3, 16, sender_module.HISTORY_DEPTH)))
+def test_age_bounded_history_retransmits_as_the_count_only_one(steps, depth):
+    clock = _Clock()
+    senders = [_bare_sender(PanoramicSender, clock), _bare_sender(_CountOnlySender, clock)]
+    captures = []
+    with mock.patch.object(sender_module, "HISTORY_DEPTH", depth):
+        for capture_step, packets, delay, lookups in steps:
+            capture = (captures[-1] if captures else 0.0) + capture_step
+            clock._now = max(clock._now, capture)
+            for _ in range(packets):
+                clock._now += delay
+                seq = len(captures)
+                captures.append(capture)
+                packet = Packet("video", 1200.0, capture, {"seq": seq, "sent": clock._now})
+                for sender in senders:
+                    sender._record_sent(packet)
+            for back, offset in lookups:
+                if back is None:
+                    fresh = next(
+                        (
+                            i for i, c in enumerate(captures)
+                            if clock._now - c <= sender_module.RTX_MAX_AGE
+                        ),
+                        len(captures),
+                    )
+                    seqs = (fresh - 1, fresh)
+                else:
+                    seqs = (len(captures) - 1 - back,)
+                    if 0 <= seqs[0] < len(captures):
+                        stale = captures[seqs[0]] + sender_module.RTX_MAX_AGE
+                        clock._now = max(clock._now, stale + offset)
+                for seq in seqs:
+                    for sender in senders:
+                        sender._retransmit(seq)
+                    bounded, count_only = (s.pacer.queued for s in senders)
+                    assert len(bounded) == len(count_only)
+                    if bounded:
+                        assert bounded[-1].payload == count_only[-1].payload
+                        assert bounded[-1].created == count_only[-1].created
+            # The bounded history is the newest part of the count-only one.
+            bounded, count_only = (list(s._history.items()) for s in senders)
+            assert bounded == count_only[len(count_only) - len(bounded):]
+
+
+# ----------------------------------------------------------------------
+# UeUplink._subframe: the scheduler's idle countdown
+# ----------------------------------------------------------------------
+
+
+class _GrantEveryUeUplink(UeUplink):
+    """``UeUplink`` with the old subframe: a grant call, and so a load
+    read, on every eligible subframe."""
+
+    def _subframe(self):
+        buffer = self.buffer
+        ring = self._bsr_ring
+        reported = ring[0]
+        level = buffer.level
+        ring.append(level)
+        tbs = 0.0
+        channel = self.channel
+        if reported > 0.0 and self._sim._now > channel.outage_until:
+            grant = self._grant(
+                reported, level, channel.cqi_value, self._load_source.load
+            )
+            if grant > 0.0:
+                completed = buffer.drain(grant)
+                tbs = level - buffer.level
+                self.bytes_sent += tbs
+                if self._sink is not None:
+                    schedule = self._sim.schedule
+                    latency = self._config.radio_latency
+                    sink = self._sink
+                    for packet in completed:
+                        schedule(latency, sink, packet)
+                level = buffer.level
+        self._record(level, tbs)
+        if self._trace is not None:
+            self._trace.emit("fw_buffer", level=level, tbs=tbs)
+        self.active_subframes += 1
+        return bool(level) or any(ring)
+
+
+@st.composite
+def uplink_cell_programs(draw):
+    members = draw(st.integers(1, 8))
+    crowd = draw(st.booleans())
+    fleet = FleetConfig(
+        ues=members,
+        prb_budget=draw(st.integers(4, 60)),
+        share_time_constant=draw(st.floats(0.002, 1.0)),
+        pf_weight_max=draw(st.floats(1.0, 8.0)),
+        background_ues=draw(st.integers(1, 6)) if crowd else 0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    lte = replace(
+        LteConfig(),
+        scheduling_burst_subframes=draw(st.floats(0.5, 6.0)),
+        p_max=draw(st.floats(0.05, 1.0)),
+    )
+    tick = st.tuples(
+        st.integers(-1, 15),  # CQI
+        st.booleans(),  # inside a handover outage
+        st.sampled_from((0.0, 0.0, 300.0, 1200.0, 20_000.0)),  # bytes pushed
+    )
+    steps = []
+    for _ in range(draw(st.integers(1, 120))):
+        # Subframes since the last step (> 1: the ones between were
+        # all-idle), then which members tick, in which order, and how.
+        gap = draw(st.integers(1, 4))
+        order = draw(st.permutations(range(members)))
+        active = draw(st.lists(st.booleans(), min_size=members, max_size=members))
+        ticks = draw(st.lists(tick, min_size=members, max_size=members))
+        steps.append((gap, [(m, ticks[m]) for m in order if active[m]]))
+    return fleet, lte, draw(st.integers(0, 2**32 - 1)), steps
+
+
+def _uplink_cell(cls, fleet, lte, seed):
+    sim = Simulation()
+    cell = SharedCell(fleet)
+    rngs = [np.random.default_rng(seed + m) for m in range(fleet.ues)]
+    ues = [cls(sim, lte, rng) for rng in rngs]
+    for ue in ues:
+        ue.join_cell(cell)
+    return sim, cell, ues, rngs
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(uplink_cell_programs())
+def test_idle_countdown_equals_the_grant_call(program):
+    fleet, lte, seed, steps = program
+    worlds = [_uplink_cell(cls, fleet, lte, seed) for cls in (UeUplink, _GrantEveryUeUplink)]
+    k, now = 0, 0.0
+    for gap, ticks in steps:
+        for _ in range(gap):
+            k += 1
+            now += LTE_SUBFRAME
+            for sim, cell, _, _ in worlds:
+                sim._now = now
+                if cell.background is not None and k % _BG_TICKS == 0:
+                    cell.background.update(now)
+        for member, (cqi, outage, pushed) in ticks:
+            seen = []
+            for sim, cell, ues, rngs in worlds:
+                ue = ues[member]
+                ue.channel.cqi_value = cqi
+                ue.channel.outage_until = now if outage else -1.0
+                if pushed:
+                    ue.buffer.push(Packet("video", pushed, now))
+                keep = ue._subframe()
+                scheduler = ue.scheduler
+                seen.append(
+                    (
+                        keep, ue.bytes_sent, ue.diag._pending[-1],
+                        scheduler._burst_left, scheduler._idle_left,
+                        rngs[member].bit_generator.state,
+                    )
+                )
+            assert seen[0] == seen[1]
+        idle, reference = (world[1] for world in worlds)
+        assert _bits(idle._shares) == _bits(reference._shares)
+        assert _bits(idle._updated) == _bits(reference._updated)
+        assert idle._agg_time == reference._agg_time
+        assert _bits([idle._agg_total]) == _bits([reference._agg_total])
+
+
+def _fleet_cell_run():
+    config = SessionConfig(scheme="poi360", transport="fbcc", seed=5)
+    session = CellSession(member_configs(config, 3), fleet=FleetConfig(ues=3, seed=5))
+    return session.cell, session.run(3.0, warmup=1.0)
+
+
+def test_fleet_cell_with_idle_countdown_equals_the_grant_call(monkeypatch):
+    """A whole event-engine cell: the countdown path runs, and the run's
+    results and final shares are those of the old subframe body."""
+    touches = []
+    touch = CellMemberView.touch
+    monkeypatch.setattr(CellMemberView, "touch", lambda view: touches.append(touch(view)))
+    cell, countdown = _fleet_cell_run()
+    monkeypatch.setattr(UeUplink, "_subframe", _GrantEveryUeUplink._subframe)
+    reference_cell, reference = _fleet_cell_run()
+    assert len(touches) > 1000
+    assert _bits(cell._shares) == _bits(reference_cell._shares)
+    assert _bits(cell._updated) == _bits(reference_cell._updated)
+    assert countdown.member_bytes == reference.member_bytes
+    for got, want in zip(countdown.results, reference.results):
+        assert pickle.dumps(got.summary) == pickle.dumps(want.summary)
+        assert np.array_equal(got.log.arrivals, want.log.arrivals)
+
+
+# ----------------------------------------------------------------------
+# TbsBandwidthEstimator.on_batch
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from((1e16, -1e16, 1.0, 0.5, 3.0)) | st.floats(0.0, 2e4),
+                st.sampled_from((1e16, -1e16, 1.0, 0.5, 3.0)) | st.floats(0.0, 2e4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_tbs_on_batch_equals_per_record_on_tbs(window, batches):
+    batched, per_record = TbsBandwidthEstimator(window), TbsBandwidthEstimator(window)
+    for pairs in batches:
+        batch = [DiagRecord(0.0, level, tbs) for level, tbs in pairs]
+        level_sum = batched.on_batch(batch)
+        want = 0.0
+        for record in batch:
+            per_record.on_tbs(record.tbs_bytes)
+            want += record.buffer_bytes
+        assert level_sum.hex() == want.hex()
+        assert batched._sum.hex() == per_record._sum.hex()
+        assert list(batched._tbs) == list(per_record._tbs)
+
+
+def test_tbs_on_batch_cancels_left_to_right():
+    """A compensated sum reads a level sum and a window sum of 1.0 here."""
+    estimator = TbsBandwidthEstimator(3)
+    batch = [DiagRecord(0.0, v, v) for v in (1e16, 1.0, -1e16)]
+    assert estimator.on_batch(batch) == 0.0
+    assert estimator._sum == 0.0
