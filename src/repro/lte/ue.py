@@ -148,7 +148,7 @@ class UeUplink:
         buffer = self.buffer
         ring = self._bsr_ring
         reported = ring[0]
-        level = buffer.level
+        level = buffer._level
         ring.append(level)
         tbs = 0.0
         channel = self.channel
@@ -175,15 +175,17 @@ class UeUplink:
                 )
                 if grant > 0.0:
                     completed = buffer.drain(grant)
-                    tbs = level - buffer.level
+                    tbs = level - buffer._level
                     self.bytes_sent += tbs
-                    if self._sink is not None:
-                        schedule = self._sim.schedule
-                        latency = self._config.radio_latency
-                        sink = self._sink
+                    sink = self._sink
+                    if sink is not None:
+                        sim = self._sim
+                        push = sim._push
+                        oneshot = sim._oneshot
+                        arrival = sim._now + self._config.radio_latency
                         for packet in completed:
-                            schedule(latency, sink, packet)
-                    level = buffer.level
+                            push(arrival, oneshot, sink, (packet,))
+                    level = buffer._level
         self._record(level, tbs)
         if self._trace is not None:
             self._trace.emit("fw_buffer", level=level, tbs=tbs)

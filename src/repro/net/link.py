@@ -38,7 +38,10 @@ class StochasticLink:
         self._sim = sim
         self._rng = rng
         self.delay = delay
-        self.jitter_std = jitter_std
+        # A Python float: ``jitter_std * z`` (:meth:`deliver`) then stays
+        # one, as numpy's ``normal(0.0, jitter_std)`` returns, whatever
+        # scalar type the caller passed.
+        self.jitter_std = float(jitter_std)
         self.loss = loss
         self._sink = sink
         self._last_arrival = 0.0
@@ -53,17 +56,23 @@ class StochasticLink:
         if self.loss > 0.0 and self._rng.random() < self.loss:
             self.lost += 1
             return
-        jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
+        # numpy's ``normal(0.0, std)`` is ``0.0 + std * z`` for the same
+        # ``z``, at a higher cost per call; the ``0.0 +`` only turns a
+        # ``-0.0`` into ``0.0``, which ``delay + jitter`` cannot tell apart.
+        jitter = self.jitter_std * self._rng.standard_normal() if self.jitter_std else 0.0
         # max(delay / 4, delay + jitter), as the comparison max() makes.
         transit = self.delay + jitter
         floor = self.delay * 0.25
-        arrival = self._sim._now + (transit if transit > floor else floor)
+        sim = self._sim
+        now = sim._now
+        arrival = now + (transit if transit > floor else floor)
         # Keep FIFO order: a late packet delays the ones behind it.
         if self._last_arrival > arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         self.delivered += 1
-        self._sim.at(arrival, self._arrive, packet)
+        # Queued where ``sim.at(arrival)`` would queue it.
+        sim._push(now + (arrival - now), sim._oneshot, self._arrive, (packet,))
 
     def _arrive(self, packet: Packet) -> None:
         packet.arrived = self._sim._now
@@ -88,7 +97,7 @@ class RateLimitedLink:
         self._rng = rng
         self.rate_bps = rate_bps
         self.delay = delay
-        self.jitter_std = jitter_std
+        self.jitter_std = float(jitter_std)  # as StochasticLink's
         self.queue_cap_bytes = queue_cap_bytes
         self._sink = sink
         self._busy_until = 0.0
@@ -109,15 +118,18 @@ class RateLimitedLink:
             self.dropped += 1
             return
         serialization = packet.size_bytes * BITS_PER_BYTE / self.rate_bps
-        now = self._sim._now
+        sim = self._sim
+        now = sim._now
         start = self._busy_until if self._busy_until > now else now
         self._busy_until = start + serialization
         self._queued_bytes += packet.size_bytes
-        jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
+        # The draw of ``normal(0.0, std)`` (StochasticLink.deliver).
+        jitter = self.jitter_std * self._rng.standard_normal() if self.jitter_std else 0.0
         transit = self.delay + jitter
         floor = self.delay * 0.25
         arrival = self._busy_until + (transit if transit > floor else floor)
-        self._sim.at(arrival, self._arrive, packet)
+        # Queued where ``sim.at(arrival)`` would queue it.
+        sim._push(now + (arrival - now), sim._oneshot, self._arrive, (packet,))
 
     def _arrive(self, packet: Packet) -> None:
         self._queued_bytes -= packet.size_bytes

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-_packet_ids = itertools.count()
 
-
-@dataclass
 class Packet:
     """A network packet (RTP media or data-channel feedback).
 
@@ -18,14 +13,18 @@ class Packet:
     viewer's ROI / mismatch report for feedback messages.
     """
 
-    kind: str
-    size_bytes: float
-    created: float
-    payload: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=_packet_ids.__next__)
-    #: Filled in on delivery by the path.
-    arrived: Optional[float] = None
+    __slots__ = ("kind", "size_bytes", "created", "payload", "arrived")
 
-    def age(self, now: float) -> float:
-        """Time since the packet was created."""
-        return now - self.created
+    def __init__(
+        self,
+        kind: str,
+        size_bytes: float,
+        created: float,
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.kind = kind
+        self.size_bytes = size_bytes
+        self.created = created
+        self.payload = {} if payload is None else payload
+        #: Filled in on delivery by the path.
+        self.arrived: Optional[float] = None

@@ -62,18 +62,15 @@ class ForwardPath:
             )
         else:
             raise ValueError(f"unknown access type: {path_config.access!r}")
+        #: Injects a paced RTP packet at the sender's access hop: the
+        #: access hop's own entry point, bound once (one call per packet).
+        self.send: PacketSink = (
+            self.ue.send if self.ue is not None else self.access_link.deliver
+        )
 
     def set_receiver(self, sink: PacketSink) -> None:
         """Attach the viewer-side packet handler."""
         self._core.set_sink(sink)
-
-    def send(self, packet: Packet) -> None:
-        """Inject a paced RTP packet at the sender's access hop."""
-        if self.ue is not None:
-            self.ue.send(packet)
-        else:
-            assert self.access_link is not None
-            self.access_link.deliver(packet)
 
     @property
     def access_backlog_bytes(self) -> float:

@@ -10,16 +10,7 @@ means queues are building somewhere on the path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
-
-
-@dataclass
-class _Group:
-    first_send: float
-    last_send: float
-    last_arrival: float
-    size_bytes: float
 
 
 class InterGroupFilter:
@@ -32,42 +23,55 @@ class InterGroupFilter:
     propagation delta).  The latter absorbs the radio scheduler's
     serve-in-bursts pattern that would otherwise read as huge delay
     gradients.
+
+    A group is its first send time and its latest send and arrival
+    times, kept in attributes for the current and the previous group.
     """
 
     def __init__(self, burst_interval: float):
         self._burst_interval = burst_interval
-        self._current: Optional[_Group] = None
-        self._previous: Optional[_Group] = None
-
-    def _belongs_to_burst(self, send_time: float, arrival_time: float) -> bool:
-        assert self._current is not None
-        arrival_delta = arrival_time - self._current.last_arrival
-        propagation_delta = arrival_delta - (send_time - self._current.last_send)
-        return arrival_delta <= self._burst_interval and propagation_delta < 0
+        #: The current group's first send time; None before any packet.
+        self._first_send: Optional[float] = None
+        self._last_send = 0.0
+        self._last_arrival = 0.0
+        #: The previous group's last send time; None before one completes.
+        self._prev_send: Optional[float] = None
+        self._prev_arrival = 0.0
 
     def on_packet(
         self, send_time: float, arrival_time: float, size_bytes: float
     ) -> Optional[Tuple[float, float]]:
         """Feed one packet; returns (delay_delta, arrival_time) when a
         group completes, else None."""
-        if self._current is None:
-            self._current = _Group(send_time, send_time, arrival_time, size_bytes)
+        first_send = self._first_send
+        if first_send is None:
+            self._first_send = self._last_send = send_time
+            self._last_arrival = arrival_time
             return None
-        in_send_burst = send_time - self._current.first_send <= self._burst_interval
-        if in_send_burst or self._belongs_to_burst(send_time, arrival_time):
-            self._current.last_send = max(self._current.last_send, send_time)
-            self._current.last_arrival = max(self._current.last_arrival, arrival_time)
-            self._current.size_bytes += size_bytes
+        burst = self._burst_interval
+        last_send = self._last_send
+        last_arrival = self._last_arrival
+        arrival_delta = arrival_time - last_arrival
+        if send_time - first_send <= burst or (
+            arrival_delta <= burst and arrival_delta - (send_time - last_send) < 0
+        ):
+            # max() spelled as the comparison it makes.
+            if send_time > last_send:
+                self._last_send = send_time
+            if arrival_time > last_arrival:
+                self._last_arrival = arrival_time
             return None
-        completed = self._current
-        self._current = _Group(send_time, send_time, arrival_time, size_bytes)
-        if self._previous is None:
-            self._previous = completed
+        prev_send = self._prev_send
+        prev_arrival = self._prev_arrival
+        self._prev_send = last_send
+        self._prev_arrival = last_arrival
+        self._first_send = self._last_send = send_time
+        self._last_arrival = arrival_time
+        if prev_send is None:
             return None
-        delta_send = completed.last_send - self._previous.last_send
-        delta_arrival = completed.last_arrival - self._previous.last_arrival
-        self._previous = completed
-        return (delta_arrival - delta_send, completed.last_arrival)
+        delta_send = last_send - prev_send
+        delta_arrival = last_arrival - prev_arrival
+        return (delta_arrival - delta_send, last_arrival)
 
 
 class TrendlineEstimator:

@@ -87,26 +87,27 @@ class ViewerFeedback:
         sim.every(feedback_interval, self._send_delay_feedback)
         sim.every(config.loss_interval, self._send_receiver_report)
 
-    def _on_arrival(self, packet: Packet) -> float:
-        """Note ``packet``'s echo and sequence number; returns its send time."""
-        sent = packet.payload.get("sent", packet.created)
+    def _on_arrival(self, packet: Packet) -> Optional[float]:
+        """Note ``packet``'s echo and sequence number; returns its send
+        time, or None for a retransmission (its send time is stale)."""
+        payload = packet.payload
+        sent = payload.get("sent", packet.created)
         self._last_echo = (sent, self._sim._now)
-        self._track_loss(packet)
-        return sent
-
-    def _track_loss(self, packet: Packet) -> None:
-        seq = packet.payload.get("seq")
-        if seq is None or packet.payload.get("rtx"):
+        if payload.get("rtx"):
             # Retransmissions ride a separate stream in WebRTC (RTX
             # ssrc); counting them here would mask real loss.
-            return
-        if self._max_seq is None:
-            self._max_seq = seq
-            self._expected += 1
-        elif seq > self._max_seq:
-            self._expected += seq - self._max_seq
-            self._max_seq = seq
-        self._received += 1
+            return None
+        seq = payload.get("seq")
+        if seq is not None:
+            max_seq = self._max_seq
+            if max_seq is None:
+                self._max_seq = seq
+                self._expected += 1
+            elif seq > max_seq:
+                self._expected += seq - max_seq
+                self._max_seq = seq
+            self._received += 1
+        return sent
 
     def _echo_fields(self) -> Dict[str, Any]:
         if self._last_echo is None:
@@ -141,12 +142,17 @@ class GccReceiver(ViewerFeedback):
         """Feed one arrived RTP packet into the estimator."""
         now = self._sim._now
         sent = self._on_arrival(packet)
-        self._track_rate(now, packet.size_bytes)
-        if packet.payload.get("rtx"):
+        size = packet.size_bytes
+        self._window.append((now, size))
+        self._window_bytes += size
+        self._evict(now)
+        if sent is None:
             return  # retransmissions carry stale send times
-        before = self.estimator.rate
-        self.estimator.on_packet(sent, now, packet.size_bytes, now, self.incoming_rate)
-        if self.estimator.rate < before * 0.97:
+        estimator = self.estimator
+        aimd = estimator.aimd
+        before = aimd.rate
+        estimator.on_packet(sent, now, size, now, self.incoming_rate)
+        if aimd.rate < before * 0.97:
             self._send_delay_feedback()  # immediate REMB on decrease
 
     def incoming_rate(self) -> float:
@@ -154,16 +160,11 @@ class GccReceiver(ViewerFeedback):
         self._evict(self._sim._now)
         return self._window_bytes * BITS_PER_BYTE / RATE_WINDOW
 
-    def _track_rate(self, now: float, size_bytes: float) -> None:
-        self._window.append((now, size_bytes))
-        self._window_bytes += size_bytes
-        self._evict(now)
-
     def _evict(self, now: float) -> None:
+        window = self._window
         horizon = now - RATE_WINDOW
-        while self._window and self._window[0][0] < horizon:
-            _, size = self._window.popleft()
-            self._window_bytes -= size
+        while window and window[0][0] < horizon:
+            self._window_bytes -= window.popleft()[1]
 
     def _send_delay_feedback(self) -> None:
         message = {"type": "remb", "rate": self.estimator.rate}

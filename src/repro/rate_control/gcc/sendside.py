@@ -42,8 +42,8 @@ class TwccFeedbackGenerator(ViewerFeedback):
 
     def on_media_packet(self, packet: Packet) -> None:
         sent = self._on_arrival(packet)
-        if not packet.payload.get("rtx"):
-            self._pending.append((sent, self._sim.now, packet.size_bytes))
+        if sent is not None:
+            self._pending.append((sent, self._sim._now, packet.size_bytes))
 
     def _send_delay_feedback(self) -> None:
         if not self._pending:

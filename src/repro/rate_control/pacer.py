@@ -162,28 +162,33 @@ class PacedSender:
     def next_seq(self) -> int:
         return self._seq
 
-    def _send(self, packet: Packet) -> None:
+    def _send(
+        self, item: Optional[_QueuedFrame], size: float, last: bool,
+        packet: Optional[Packet] = None,
+    ) -> None:
+        """Stamp and hand on one packet: ``packet`` when given (a
+        retransmission), else the next media packet of ``item``, built
+        here (:meth:`FramePacer.drain`'s ``emit``)."""
+        if packet is None:
+            frame = item.frame
+            packet = Packet(
+                "video",
+                size,
+                frame.capture_time,
+                {
+                    "frame": frame,
+                    "frame_seq": item.next_index,
+                    "frame_packets": item.total_packets,
+                    "seq": self._seq,
+                },
+            )
+            self._seq += 1
+            item.next_index += 1
         packet.payload["sent"] = self._sim._now
         self.bytes_paced += packet.size_bytes
         if self._on_sent is not None:
             self._on_sent(packet)
         self._sink(packet)
-
-    def _emit_media(self, item: _QueuedFrame, size: float, last: bool) -> None:
-        packet = Packet(
-            kind="video",
-            size_bytes=size,
-            created=item.frame.capture_time,
-            payload={
-                "frame": item.frame,
-                "frame_seq": item.next_index,
-                "frame_packets": item.total_packets,
-                "seq": self._seq,
-            },
-        )
-        self._seq += 1
-        item.next_index += 1
-        self._send(packet)
 
     def _tick(self) -> None:
         pacer = self._pacer
@@ -192,8 +197,9 @@ class PacedSender:
         while retransmits and retransmits[0].size_bytes <= pacer.budget:
             packet = retransmits.popleft()
             pacer.budget -= packet.size_bytes
-            self._send(packet)
-        pacer.drain(self._emit_media)
+            self._send(None, packet.size_bytes, False, packet)
+        if pacer.frames:
+            pacer.drain(self._send)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,13 @@ Both kinds of periodic process are one :class:`PeriodicHandle` whose
 heap entries carry no callback: the dispatch loop (:meth:`Simulation.run`
 and :meth:`Simulation.step`) calls the handle's callback and re-arms the
 next tick itself, so a tick costs no Python frame beyond the callback's.
+:meth:`Simulation.run` leaves a tick's entry at the root of the heap
+while its callback runs (nothing can be queued ahead of it) and then
+replaces it with the next tick in one sift.
+
+One-shot events that nobody cancels (packet hops, frame hand-offs) skip
+the per-event handle: components queue them with :meth:`Simulation._push`
+under the simulation's one shared, never-cancelled ``_oneshot`` handle.
 
 Determinism: events scheduled for the same instant fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run
@@ -32,6 +39,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 
 _heappush = heapq.heappush
+_heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 _INF = math.inf
 
 
@@ -160,6 +169,9 @@ class Simulation:
         self._running = False
         #: Queued entries whose handle is not cancelled (O(1) pending()).
         self._live = 0
+        #: The one handle of every one-shot event nobody cancels
+        #: (:meth:`_push` it with the event's absolute time).
+        self._oneshot = EventHandle(self)
         #: Observability bus (``repro.obs``); None unless a session
         #: enables tracing. Only ``run()`` boundaries emit — the
         #: per-event dispatch loop stays untouched.
@@ -185,6 +197,9 @@ class Simulation:
         callback: Callable[..., Any],
         args: tuple,
     ) -> None:
+        """Queue ``callback(*args)`` at absolute time ``when`` (not
+        checked) under ``handle``.  With ``handle`` the shared
+        ``_oneshot``, the event cannot be cancelled."""
         _heappush(self._queue, (when, next(self._sequence), handle, callback, args))
         handle._queued += 1
         self._live += 1
@@ -197,14 +212,21 @@ class Simulation:
         timers) would otherwise keep them resident until their deadline.
         """
         queue = self._queue
-        dead = len(queue) - self._live
-        if dead < _COMPACT_MIN_DEAD or dead * 2 < len(queue):
+        # A periodic tick whose callback is running keeps its entry at
+        # the root, already taken off its handle's count and the live
+        # count (:meth:`run`); it is the only entry whose handle counts
+        # none of its own.  It is neither live nor dead, and it stays.
+        firing = 1 if queue and not queue[0][2]._queued else 0
+        size = len(queue) - firing
+        dead = size - self._live
+        if dead < _COMPACT_MIN_DEAD or dead * 2 < size:
             return
-        for entry in queue:
+        for entry in queue[firing:]:
             if entry[2].cancelled:
                 entry[2]._queued -= 1
-        # In place: a running dispatch loop holds this very list.
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        # In place: a running dispatch loop holds this very list.  The
+        # firing entry sorts first, so heapify leaves it at the root.
+        queue[firing:] = [entry for entry in queue[firing:] if not entry[2].cancelled]
         heapq.heapify(queue)
 
     # ------------------------------------------------------------------
@@ -312,12 +334,16 @@ class Simulation:
         callback schedules *at* the deadline while the run is draining —
         and the clock ends at exactly the deadline.  Events strictly
         beyond the deadline stay queued for a later ``run()``.
+
+        Not re-entrant: a callback may not call :meth:`run` or
+        :meth:`step` (a running tick's entry is still in the heap).
         """
+        if self._running:
+            raise RuntimeError("Simulation.run() called from inside a callback")
         deadline = math.inf if duration is None else self._now + duration
         if self.trace is not None:
             self.trace.emit("sim.run_begin", deadline=deadline, pending=self._live)
         queue = self._queue
-        pop = heapq.heappop
         sequence = self._sequence
         meter = self.meter
         dispatched = 0
@@ -328,29 +354,44 @@ class Simulation:
                 when = entry[0]
                 if when > deadline:
                     break
-                pop(queue)
                 handle = entry[2]
                 handle._queued -= 1
-                if handle.cancelled:
+                callback = entry[3]
+                if callback is not None:
+                    _heappop(queue)
+                    if handle.cancelled:
+                        continue
+                    self._live -= 1
+                    self._now = when
+                    dispatched += 1
+                    callback(*entry[4])
                     continue
+                if handle.cancelled:
+                    _heappop(queue)
+                    continue
+                # A periodic tick.  Its entry stays at the root while the
+                # callback runs: anything queued meanwhile sorts after it.
                 self._live -= 1
                 self._now = when
                 dispatched += 1
-                callback = entry[3]
-                if callback is not None:
-                    callback(*entry[4])
-                    continue
-                # A periodic tick: run it, then re-arm (Simulation._rearm).
-                keep = handle._callback(*handle._args)
+                try:
+                    keep = handle._callback(*handle._args)
+                except BaseException:
+                    _heappop(queue)
+                    raise
                 if handle.cancelled:
+                    _heappop(queue)
                     continue
+                # Re-arm in place (Simulation._rearm); the sequence
+                # number is drawn after the callback, as a push would.
                 handle.next_time = when = when + handle.period
                 if keep or not handle.gated:
                     handle._queued += 1
                     self._live += 1
-                    _heappush(queue, (when, next(sequence), handle, None, ()))
+                    _heapreplace(queue, (when, next(sequence), handle, None, ()))
                 else:
                     handle.paused = True
+                    _heappop(queue)
         finally:
             self._running = False
         if deadline is not math.inf:
@@ -369,6 +410,8 @@ class Simulation:
         still counts only :meth:`run` invocations — single-stepping a
         simulation is not a run, but the events it dispatches are events.
         """
+        if self._running:
+            raise RuntimeError("Simulation.step() called from inside a callback")
         while self._queue:
             when, _seq, handle, callback, args = heapq.heappop(self._queue)
             handle._queued -= 1

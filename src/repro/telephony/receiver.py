@@ -214,43 +214,38 @@ class PanoramicReceiver:
                 self._accept_media(recovered, now)
 
     def _accept_media(self, packet: Packet, now: float) -> None:
-        self._track_sequence(packet)
-        self._assemble(packet, now)
-
-    def _track_sequence(self, packet: Packet) -> None:
-        seq = packet.payload.get("seq")
-        if seq is None:
-            return
-        if packet.payload.get("rtx"):
-            self._missing.pop(seq, None)
-            return
-        if seq >= self._expected_seq:
-            gap = range(self._expected_seq, seq)
-            if gap:
-                now = self._sim.now
-                for missing in gap:
-                    self._missing[missing] = _MissingSeq(now, now)
-                self._send_nack(list(gap))
-            self._expected_seq = seq + 1
-        else:
-            self._missing.pop(seq, None)
-
-    def _assemble(self, packet: Packet, now: float) -> None:
-        frame: EncodedFrame = packet.payload["frame"]
+        """Sequence tracking (a NACK for every new gap) and frame
+        assembly of one media packet, received or FEC-recovered."""
+        payload = packet.payload
+        seq = payload.get("seq")
+        if seq is not None:
+            expected = self._expected_seq
+            if payload.get("rtx"):
+                self._missing.pop(seq, None)
+            elif seq >= expected:
+                if seq > expected:
+                    missing = self._missing
+                    for lost in range(expected, seq):
+                        missing[lost] = _MissingSeq(now, now)
+                    self._send_nack(list(range(expected, seq)))
+                self._expected_seq = seq + 1
+            else:
+                self._missing.pop(seq, None)
+        frame: EncodedFrame = payload["frame"]
         assembly = self._assemblies.get(frame.frame_id)
         if assembly is None:
-            assembly = _Assembly(
-                frame=frame, total=packet.payload["frame_packets"], first_arrival=now
-            )
+            assembly = _Assembly(frame=frame, total=payload["frame_packets"], first_arrival=now)
             self._assemblies[frame.frame_id] = assembly
         if assembly.done:
             return
-        assembly.got.add(packet.payload["frame_seq"])
-        if len(assembly.got) >= assembly.total:
+        got = assembly.got
+        got.add(payload["frame_seq"])
+        if len(got) >= assembly.total:
             assembly.done = True
             self._update_jitter(frame, now)
             render_latency = self._config.video.decode_latency + self.playout_delay
-            self._sim.schedule(render_latency, self._display, frame)
+            sim = self._sim
+            sim._push(now + render_latency, sim._oneshot, self._display, (frame,))
 
     def _update_jitter(self, frame: EncodedFrame, now: float) -> None:
         if self._last_complete is not None:

@@ -22,7 +22,7 @@ from repro.rate_control.pacer import PacedSender
 from repro.sim.engine import Simulation
 from repro.video.capture import VideoSource
 from repro.video.encoder import FrameEncoder
-from repro.video.frame import EncodedFrame, TileGrid
+from repro.video.frame import TileGrid
 
 #: Retransmission history depth (packets).
 HISTORY_DEPTH = 4096
@@ -107,16 +107,18 @@ class PanoramicSender:
             meter.inc("sender.frames")
             meter.observe("sender.frame_kbits", frame.size_bits / 1e3)
             meter.span_end("sender.encode", t0)
-        self._sim.schedule(self._config.video.encode_latency, self._emit_frame, frame)
-
-    def _emit_frame(self, frame: EncodedFrame) -> None:
-        self.pacer.enqueue_frame(frame)
+        sim = self._sim
+        sim._push(
+            sim._now + self._config.video.encode_latency, sim._oneshot,
+            self.pacer.enqueue_frame, (frame,),
+        )
 
     def _record_sent(self, packet: Packet) -> None:
         """Keep sent packets for NACK retransmission (RTX history)."""
-        if packet.payload.get("rtx") or packet.payload.get("fec"):
+        payload = packet.payload
+        if payload.get("rtx") or payload.get("fec"):
             return
-        seq = packet.payload["seq"]
+        seq = payload["seq"]
         history = self._history
         history[seq] = packet
         # Media sequence numbers are consecutive and their capture times

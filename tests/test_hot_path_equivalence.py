@@ -12,14 +12,22 @@ Each fast path is checked against a verbatim copy of its old body:
 - ``SessionLog.arrivals``: an ``(m, 2)`` float64 array in every engine;
 - ``TimestampDecoder``: block-drawn noise and the arithmetic decode,
   against one ``decode_timestamp`` call per frame;
-- ``PeriodicHandle``: ticks re-armed by the dispatch loop, against the
-  old per-tick closure and ``_fire`` frame;
+- ``PeriodicHandle``: ticks re-armed in place by the dispatch loop,
+  against the old per-tick closure and ``_fire`` frame, with probing
+  ticks that read the engine's accounting, cancel or wake handles
+  (their own included) and make the heap compact mid-callback;
 - ``PanoramicSender._record_sent``: an RTX history bounded by age as
   well as count, against the count-only one;
 - ``UeUplink._subframe``: the scheduler's idle countdown without a grant
   call or load read, against a grant call on every eligible subframe;
 - ``TbsBandwidthEstimator.on_batch``: one loop per diag batch, against
-  one ``on_tbs`` call per record.
+  one ``on_tbs`` call per record;
+- ``StochasticLink``/``RateLimitedLink.deliver``: ``std *
+  standard_normal()`` and a handle-free push, against ``normal(0.0,
+  std)`` and ``sim.at`` (arrival times compared by ``repr``, so a numpy
+  scalar leaking into the clock fails);
+- ``InterGroupFilter``: groups kept in attributes, against one ``_Group``
+  per group and ``max()`` calls.
 
 The CI job on Python 3.12 runs this file too: none of these paths may
 lean on the interpreter's float summation.
@@ -28,7 +36,7 @@ lean on the interpreter's float summation.
 import heapq
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import cycle
 from unittest import mock
 
@@ -43,8 +51,10 @@ from repro.lte.scheduler import MAX_IDLE_SUBFRAMES, MIN_SCHEDULING_FRACTION, Enb
 from repro.lte.shared_cell import _BG_TICKS, _SHARE_EPS, LOAD_MAX, CellMemberView, SharedCell
 from repro.lte.tbs import transport_block_bytes
 from repro.lte.ue import UeUplink
+from repro.net.link import RateLimitedLink, StochasticLink
 from repro.net.packet import Packet
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
+from repro.rate_control.gcc.arrival import InterGroupFilter
 from repro.sim.batch import run_batched
 from repro.sim.blocks import CallDraws
 from repro.obs.meter import SessionMeter
@@ -64,7 +74,7 @@ from repro.telephony.sender import PanoramicSender
 from repro.telephony.session import TelephonySession
 from repro.telephony.uplink import run_uplink_session
 from repro.traces.scenarios import scenario
-from repro.units import LTE_SUBFRAME
+from repro.units import BITS_PER_BYTE, LTE_SUBFRAME
 from tests.test_batch import lockstep_config
 
 
@@ -538,6 +548,16 @@ class _ClosureSimulation(Simulation):
 
 
 _periods = st.sampled_from((0.001, 0.003, 0.005, 0.01, 0.04, 1.0 / 30.0))
+#: What a probing tick does after recording the engine's accounting:
+#: cancel or wake a handle (its own included), or queue and cancel
+#: enough far-future events to make the heap compact mid-callback.
+_tick_actions = st.one_of(
+    st.just(("none",)),
+    st.just(("cancel_self",)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("wake"), st.integers(0, 30)),
+    st.tuples(st.just("flood"), st.integers(64, 80)),
+)
 _engine_ops = st.lists(
     st.one_of(
         st.tuples(st.just("once"), st.floats(0.0, 0.2)),
@@ -548,6 +568,14 @@ _engine_ops = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 30), st.floats(0.0, 0.1)),
         st.tuples(st.just("run"), st.floats(0.0, 0.15)),
         st.tuples(st.just("step"), st.integers(1, 25)),
+        # A process that looks at the engine and acts on it from inside
+        # its ticks: plain (``every``) without a pattern, else gated.
+        st.tuples(
+            st.just("probe"),
+            st.sampled_from((0.003, 0.005, 0.01, 0.04)),
+            st.lists(_tick_actions, min_size=1, max_size=4),
+            st.none() | st.lists(st.booleans(), min_size=1, max_size=6),
+        ),
     ),
     min_size=1,
     max_size=40,
@@ -557,6 +585,7 @@ _engine_ops = st.lists(
 def _play(sim, ops):
     """Apply ``ops`` to ``sim``; returns everything observable."""
     fired, seen, handles, gated_handles = [], [], [], []
+    probes = {}  # op index -> the probing process's handle
 
     def note(label):
         fired.append((sim.now, label))
@@ -564,6 +593,32 @@ def _play(sim, ops):
     def gated(label, pattern):
         note(label)
         return next(pattern)
+
+    def probe(label, actions, pattern):
+        note(label)
+        own = probes[label]
+
+        def account():
+            # A running tick may keep its own entry in the heap; every
+            # other entry and all the accounting must read as if it
+            # were popped.
+            others = sum(1 for entry in sim._queue if entry[2] is not own)
+            seen.append((label, sim.pending(), others, [h._queued for h in handles]))
+
+        account()
+        action = next(actions)
+        if action[0] == "cancel_self":
+            own.cancel()
+        elif action[0] == "cancel":
+            handles[action[1] % len(handles)].cancel()
+        elif action[0] == "wake" and gated_handles:
+            gated_handles[action[1] % len(gated_handles)].wake()
+        elif action[0] == "flood":
+            flood = [sim.schedule(1.0, note, -1) for _ in range(action[1])]
+            for handle in flood:
+                handle.cancel()
+        account()
+        return True if pattern is None else next(pattern)
 
     for index, op in enumerate(ops):
         kind = op[0]
@@ -573,6 +628,13 @@ def _play(sim, ops):
             handles.append(sim.every(op[1], note, index, phase=op[2]))
         elif kind == "while":
             handles.append(sim.every_while(op[1], gated, index, cycle(op[2])))
+            gated_handles.append(handles[-1])
+        elif kind == "probe" and op[3] is None:
+            handles.append(sim.every(op[1], probe, index, cycle(op[2]), None))
+            probes[index] = handles[-1]
+        elif kind == "probe":
+            handles.append(sim.every_while(op[1], probe, index, cycle(op[2]), cycle(op[3])))
+            probes[index] = handles[-1]
             gated_handles.append(handles[-1])
         elif kind == "wake" and gated_handles:
             sim.schedule(op[2], gated_handles[op[1] % len(gated_handles)].wake)
@@ -584,7 +646,9 @@ def _play(sim, ops):
             seen.append([sim.step() for _ in range(op[1])])
         seen.append((sim.now, sim.pending(), len(sim._queue)))
         seen.append([h.cancelled for h in handles])
-        seen.append([(h.paused, h.next_time) for h in gated_handles])
+        # A cancelled process has no next tick: the folded handle stops
+        # its clock at a self-cancel, the old one took one more step.
+        seen.append([(h.paused, None if h.cancelled else h.next_time) for h in gated_handles])
     sim.run(0.3)
     seen.append((sim.now, sim.pending(), sim.meter.counters))
     return fired, seen
@@ -920,3 +984,156 @@ def test_tbs_on_batch_cancels_left_to_right():
     batch = [DiagRecord(0.0, v, v) for v in (1e16, 1.0, -1e16)]
     assert estimator.on_batch(batch) == 0.0
     assert estimator._sum == 0.0
+
+
+# ----------------------------------------------------------------------
+# StochasticLink / RateLimitedLink: standard-normal jitter, handle-free push
+# ----------------------------------------------------------------------
+
+
+class _OldStochasticLink(StochasticLink):
+    """The old ``deliver``: ``normal(0.0, std)`` and ``sim.at``."""
+
+    def deliver(self, packet):
+        if self.loss > 0.0 and self._rng.random() < self.loss:
+            self.lost += 1
+            return
+        jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
+        transit = self.delay + jitter
+        floor = self.delay * 0.25
+        arrival = self._sim._now + (transit if transit > floor else floor)
+        if self._last_arrival > arrival:
+            arrival = self._last_arrival
+        self._last_arrival = arrival
+        self.delivered += 1
+        self._sim.at(arrival, self._arrive, packet)
+
+
+class _OldRateLimitedLink(RateLimitedLink):
+    """The old ``deliver``: ``normal(0.0, std)`` and ``sim.at``."""
+
+    def deliver(self, packet):
+        if self._queued_bytes + packet.size_bytes > self.queue_cap_bytes:
+            self.dropped += 1
+            return
+        serialization = packet.size_bytes * BITS_PER_BYTE / self.rate_bps
+        now = self._sim._now
+        start = self._busy_until if self._busy_until > now else now
+        self._busy_until = start + serialization
+        self._queued_bytes += packet.size_bytes
+        jitter = self._rng.normal(0.0, self.jitter_std) if self.jitter_std else 0.0
+        transit = self.delay + jitter
+        floor = self.delay * 0.25
+        arrival = self._busy_until + (transit if transit > floor else floor)
+        self._sim.at(arrival, self._arrive, packet)
+
+
+def _link_run(cls, kwargs, sends, seed):
+    sim = Simulation()
+    rng = np.random.default_rng(seed)
+    arrived = []
+    link = cls(sim, rng, sink=arrived.append, **kwargs)
+    for when, size in sends:
+        sim.schedule(when, link.deliver, Packet("video", size, when))
+    sim.run(10.0)
+    # repr tells a numpy scalar from a float: the clock must stay a float.
+    return [repr(p.arrived) for p in arrived], [p.created for p in arrived], rng.random()
+
+
+_jitters = st.sampled_from((0.0, 0.0015)) | st.floats(0.0, 0.05) | st.floats(0.0, 0.05).map(
+    np.float64
+)
+_sends = st.lists(
+    st.tuples(st.floats(0.0, 2.0), st.sampled_from((80.0, 1200.0)) | st.floats(1.0, 1500.0)),
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_jitters, st.sampled_from((0.0, 0.004, 0.05)), st.sampled_from((0.0, 0.1)), _sends,
+       st.integers(0, 2**16))
+def test_stochastic_link_equals_the_old_body(jitter, delay, loss, sends, seed):
+    kwargs = dict(delay=delay, jitter_std=jitter, loss=loss)
+    assert _link_run(StochasticLink, kwargs, sends, seed) == _link_run(
+        _OldStochasticLink, kwargs, sends, seed
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_jitters, st.sampled_from((0.0, 0.008)), st.sampled_from((2e6, 20e6)), _sends,
+       st.integers(0, 2**16))
+def test_rate_limited_link_equals_the_old_body(jitter, delay, rate, sends, seed):
+    kwargs = dict(rate_bps=rate, delay=delay, jitter_std=jitter, queue_cap_bytes=20_000)
+    assert _link_run(RateLimitedLink, kwargs, sends, seed) == _link_run(
+        _OldRateLimitedLink, kwargs, sends, seed
+    )
+
+
+# ----------------------------------------------------------------------
+# InterGroupFilter: groups kept in attributes
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Group:
+    first_send: float
+    last_send: float
+    last_arrival: float
+    size_bytes: float
+
+
+class _OldInterGroupFilter:
+    """The old filter: one ``_Group`` per group, ``max()`` calls."""
+
+    def __init__(self, burst_interval):
+        self._burst_interval = burst_interval
+        self._current = None
+        self._previous = None
+
+    def _belongs_to_burst(self, send_time, arrival_time):
+        arrival_delta = arrival_time - self._current.last_arrival
+        propagation_delta = arrival_delta - (send_time - self._current.last_send)
+        return arrival_delta <= self._burst_interval and propagation_delta < 0
+
+    def on_packet(self, send_time, arrival_time, size_bytes):
+        if self._current is None:
+            self._current = _Group(send_time, send_time, arrival_time, size_bytes)
+            return None
+        in_send_burst = send_time - self._current.first_send <= self._burst_interval
+        if in_send_burst or self._belongs_to_burst(send_time, arrival_time):
+            self._current.last_send = max(self._current.last_send, send_time)
+            self._current.last_arrival = max(self._current.last_arrival, arrival_time)
+            self._current.size_bytes += size_bytes
+            return None
+        completed = self._current
+        self._current = _Group(send_time, send_time, arrival_time, size_bytes)
+        if self._previous is None:
+            self._previous = completed
+            return None
+        delta_send = completed.last_send - self._previous.last_send
+        delta_arrival = completed.last_arrival - self._previous.last_arrival
+        self._previous = completed
+        return (delta_arrival - delta_send, completed.last_arrival)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((0.005, 0.01)),
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 0.02) | st.sampled_from((0.0, 0.005, 0.01)),
+            st.floats(-0.02, 0.05) | st.sampled_from((0.0, 0.005)),
+        ),
+        max_size=80,
+    ),
+)
+def test_inter_group_filter_equals_the_old_groups(burst, steps):
+    """Send times step forward (sometimes not at all), arrivals jitter
+    around them, reordering included."""
+    new, old = InterGroupFilter(burst), _OldInterGroupFilter(burst)
+    send = 0.0
+    for step, jitter in steps:
+        send += step
+        arrival = send + 0.03 + jitter
+        got, want = new.on_packet(send, arrival, 1200.0), old.on_packet(send, arrival, 1200.0)
+        assert repr(got) == repr(want)

@@ -1,10 +1,22 @@
 """Targeted unit tests for the sender/receiver pipelines."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net.packet import Packet
 from repro.telephony.session import TelephonySession
 from repro.traces.scenarios import cellular, wireline
+
+
+def _media(seq, rtx=False):
+    """A media packet of a frame too large to complete, so receiving it
+    runs the sequence tracker and frame assembly but never a display."""
+    frame = SimpleNamespace(frame_id=0, capture_time=0.0)
+    payload = {"seq": seq, "frame": frame, "frame_seq": seq, "frame_packets": 1000}
+    if rtx:
+        payload["rtx"] = True
+    return Packet(kind="video", size_bytes=100, created=0.0, payload=payload)
 
 
 @pytest.fixture
@@ -96,29 +108,22 @@ class TestReceiver:
         receiver = session.receiver
         sent_feedback = []
         receiver._feedback = sent_feedback.append
-        p1 = Packet(kind="video", size_bytes=100, created=0.0,
-                    payload={"seq": 0, "frame": None, "frame_seq": 0, "frame_packets": 1})
-        # Simulate only the sequence tracker (frame=None would break
-        # assembly, so call the tracker directly).
-        receiver._track_sequence(p1)
-        packet5 = Packet(kind="video", size_bytes=100, created=0.0, payload={"seq": 5})
-        receiver._track_sequence(packet5)
+        receiver._accept_media(_media(0), 0.0)
+        receiver._accept_media(_media(5), 0.0)
         nacks = [m for m in sent_feedback if m["type"] == "nack"]
         assert len(nacks) == 1
         assert nacks[0]["seqs"] == [1, 2, 3, 4]
         # The same gap is not re-NACKed on the next packet.
-        receiver._track_sequence(Packet(kind="video", size_bytes=100, created=0.0, payload={"seq": 6}))
+        receiver._accept_media(_media(6), 0.0)
         assert len([m for m in sent_feedback if m["type"] == "nack"]) == 1
 
     def test_rtx_clears_missing(self, session):
         receiver = session.receiver
         receiver._feedback = lambda m: None
-        receiver._track_sequence(Packet(kind="video", size_bytes=100, created=0.0, payload={"seq": 0}))
-        receiver._track_sequence(Packet(kind="video", size_bytes=100, created=0.0, payload={"seq": 2}))
+        receiver._accept_media(_media(0), 0.0)
+        receiver._accept_media(_media(2), 0.0)
         assert 1 in receiver._missing
-        receiver._track_sequence(
-            Packet(kind="video", size_bytes=100, created=0.0, payload={"seq": 1, "rtx": True})
-        )
+        receiver._accept_media(_media(1, rtx=True), 0.0)
         assert 1 not in receiver._missing
 
     def test_playout_clamped(self, session):

@@ -323,3 +323,77 @@ def test_compaction_inside_a_run_keeps_the_run_going():
     sim.run(2.0)
     assert fired == [1.5]
     assert sim.pending() == 0 and len(sim._queue) < 64
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_compaction_inside_a_tick_keeps_the_tick(gated):
+    """A tick that cancels enough events to compact the heap, its own
+    handle included, leaves the engine as if its entry had been popped:
+    the tick does not fire again and nothing else is lost."""
+    sim = Simulation()
+    timers = [sim.schedule(1000.0 + k, lambda: None) for k in range(200)]
+    fired = []
+    later = sim.schedule(0.05, lambda: fired.append("later"))
+
+    def tick():
+        fired.append(sim.now)
+        handle.cancel()
+        for timer in timers:
+            timer.cancel()
+        return True
+
+    handle = (sim.every_while if gated else sim.every)(0.01, tick)
+    sim.run(1.0)
+    assert fired == [0.01, "later"]
+    assert sim.pending() == 0 and len(sim._queue) < 64
+    assert all(entry[2] in timers for entry in sim._queue)
+    assert handle._queued == 0 and later._queued == 0
+
+
+def test_a_raising_tick_leaves_nothing_queued():
+    sim = Simulation()
+
+    def tick():
+        raise RuntimeError("boom")
+
+    handle = sim.every(0.01, tick)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(1.0)
+    assert sim.pending() == 0 and not sim._queue and handle._queued == 0
+    sim.run(1.0)  # the failed tick is not re-run
+
+
+@pytest.mark.parametrize("inner", ["run", "step"])
+def test_run_and_step_refuse_to_reenter(inner):
+    """A running tick's entry is still in the heap, so a callback may
+    not dispatch events itself."""
+    sim = Simulation()
+    errors = []
+
+    def tick():
+        try:
+            getattr(sim, inner)()
+        except RuntimeError as error:
+            errors.append(str(error))
+
+    sim.every(0.01, tick)
+    sim.run(0.025)
+    assert errors == [f"Simulation.{inner}() called from inside a callback"] * 2
+
+
+def test_handle_free_one_shots_interleave_with_scheduled_events():
+    """Events pushed under the shared ``_oneshot`` handle count as
+    pending, fire in (time, push order) among ``schedule``d ones, and
+    outlive cancels and compaction around them."""
+    sim = Simulation()
+    fired = []
+    sim._push(0.02, sim._oneshot, fired.append, ("oneshot@0.02",))
+    sim.schedule(0.02, fired.append, "scheduled@0.02")
+    sim._push(0.01, sim._oneshot, fired.append, ("oneshot@0.01",))
+    for handle in [sim.schedule(5.0, fired.append, "never") for _ in range(100)]:
+        handle.cancel()
+    assert sim.pending() == 3 and sim._oneshot._queued == 2
+    sim.run(1.0)
+    assert fired == ["oneshot@0.01", "oneshot@0.02", "scheduled@0.02"]
+    assert sim.pending() == 0 and sim._oneshot._queued == 0
+    assert not sim._oneshot.cancelled
